@@ -11,6 +11,12 @@ pattern.  Over GF(2) the last support position is resolved through a
 hash map of column syndromes and entire weight classes are ruled out by
 a meet-in-the-middle existence check, both of which preserve first-hit
 order exactly (differentially tested against the naive scan).
+
+The linear algebra is one reduction of [G~ | I_n], G~ = (G1 | G2): rows
+whose G~ part vanishes form the annihilator H~ the scan tests against, and
+each pivot row (pivot column c, row combination u) gives x_c = <u, r - e>
+of the particular solution for a hit e.  The coset kernel is expanded once
+per attack.
 """
 
 from __future__ import annotations
@@ -25,13 +31,13 @@ from time import perf_counter
 from .codes import LinearCode
 from .fields import FieldSpec
 from .linalg import (
+    AffineSolutions,
     FieldMatrix,
     FieldVector,
+    RowReduction,
     concat_cols,
-    kernel_basis,
     permuted_rows,
     rank,
-    solve_affine,
 )
 from .transforms import TransformDescriptor, apply_inverse
 
@@ -195,13 +201,12 @@ def enumerate_patterns(field: FieldSpec, n: int, b: int) -> PatternEnumerator:
 # ---------------------------------------------------------------------------
 
 def _gf2_columns(H: FieldMatrix):
-    cols = [0] * H.cols
-    for i, row in enumerate(H.row_masks):
-        while row:
-            j = (row & -row).bit_length() - 1
-            cols[j] |= 1 << i
-            row &= row - 1
-    return cols
+    """Column masks of H, transposed through binary strings (row i is
+    character i from the right of each column's string)."""
+    if not (H.rows and H.cols):
+        return [0] * H.cols
+    rows = [format(r, f"0{H.cols}b") for r in reversed(H.row_masks)]
+    return [int("".join(col), 2) for col in zip(*rows)][::-1]
 
 
 def _mitm_weight_exists(cols, s: int, n: int, w: int) -> bool:
@@ -400,16 +405,17 @@ def _attack_core(G1, G2, f1, f2, b, hashes, hash_alg, ref_G1, ref_G2, reference_
     if G1.rows != n or G2.rows != n:
         raise ValueError("generator blocks must have n rows")
     r = f1 - f2
-    Gt = concat_cols(G1, G2)
-    Ht = kernel_basis(Gt.transpose()).transpose()
-    gtilde_rank = n - Ht.rows
+    red = RowReduction(concat_cols(G1, G2))
+    Ht = red.left_kernel
+    gtilde_rank = red.rank
     degenerate = gtilde_rank == n
     s = Ht @ r
     total = pattern_count(f.q, n, b)
     k1, k2 = G1.cols, G2.cols
+    kernel = red.null_space()
     for hit in scan_syndrome_hits(Ht, s, b, reference=reference_scan):
         e = hit.pattern(f, n)
-        sols = solve_affine(Gt, r - e)
+        sols = AffineSolutions(red.particular(r - e), kernel)
         if hashes is None:
             mt = sols.particular
             m1 = _vec_head(mt, k1)
@@ -472,12 +478,13 @@ def generalized_attack(G1: FieldMatrix, G2: FieldMatrix, f1: FieldVector,
     """Linkage/recovery attack on two commitments built over (possibly)
     different codes given by generator blocks G1, G2.
 
-    Scans error patterns of weight <= b against the annihilator of
-    (G1|G2); on a hit, solves the linear system and splits the solution
-    into per-record messages.  With digests supplied, the whole solution
-    coset is filtered and the scan continues past patterns whose coset
-    contains no digest match, so a candidate pair is only ever returned
-    hash-verified.
+    One reduction of [G~ | I_n], G~ = (G1|G2), yields both the annihilator
+    H~ of G~ and a solver for G~ x = r - e.  Error patterns of weight <= b
+    are scanned against H~; on a hit the solver gives the particular
+    solution, which is split into per-record messages.  With digests
+    supplied, the whole solution coset is filtered and the scan continues
+    past patterns whose coset contains no digest match, so a candidate
+    pair is only ever returned hash-verified.
     """
     return _attack_core(G1, G2, f1, f2, b, hashes, hash_alg, G1, G2, reference_scan)
 

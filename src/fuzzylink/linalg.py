@@ -3,8 +3,15 @@
 Vectors and matrices are immutable.  Over GF(2) the entries are bit-packed
 into Python integers (bit i of a vector mask = entry i; one mask per matrix
 row), so row operations are single XORs; every other field stores canonical
-integer entries in tuples.  Gaussian elimination uses first-non-zero
-pivoting and needs no tolerance: all arithmetic is exact.
+integer entries in tuples.
+
+Elimination is one routine per storage style, ``_reduce_gf2`` and
+``_reduce_dense``, behind :class:`RowReduction`: the rows of [M | B] (B = I
+or a right-hand side) are inserted one at a time and pivot on the M part
+only, at their lowest non-zero column (scaled to 1); each new pivot column
+is cleared from the other pivot rows, so the M parts end as the unique
+reduced row echelon form of M.  Rank, kernel, left kernel, solving and
+inversion all read off that one pass.  Arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -267,7 +274,7 @@ class FieldMatrix:
                         masks[i] |= 1 << j
             return cls(field, cols=cols, row_masks=masks)
         grid = [[columns[j][i] for j in range(cols)] for i in range(rows)]
-        return cls(field, grid)
+        return cls(field, grid, cols=cols)
 
     # -- accessors ------------------------------------------------------------
 
@@ -415,70 +422,128 @@ def permuted_rows(M: FieldMatrix, index_map) -> FieldMatrix:
 # elimination
 # ---------------------------------------------------------------------------
 
-def _rref_gf2(masks: list[int], ncols: int):
-    """In-place reduced row echelon form; returns pivot column list."""
-    pivots = []
-    prow = 0
-    for col in range(ncols):
-        sel = -1
-        for i in range(prow, len(masks)):
-            if (masks[i] >> col) & 1:
-                sel = i
-                break
-        if sel < 0:
+def _reduce_gf2(masks, ncols: int):
+    """Reduce GF(2) row masks, inserting one row at a time.
+
+    Only bits below ``ncols`` are pivoted on; higher bits (the B part of
+    an augmented [M | B]) ride along.  Returns a dict pivot column -> fully
+    reduced row, and the high parts of the rows that became zero.
+    """
+    low = (1 << ncols) - 1
+    pivots: dict[int, int] = {}
+    pmask = 0
+    zero = []
+    for a in masks:
+        m = a & pmask
+        while m:  # a pivot row is zero in every other pivot column
+            a ^= pivots[(m & -m).bit_length() - 1]
+            m &= m - 1
+        g = a & low
+        if not g:
+            zero.append(a >> ncols)
             continue
-        masks[prow], masks[sel] = masks[sel], masks[prow]
-        pm = masks[prow]
-        for i in range(len(masks)):
-            if i != prow and (masks[i] >> col) & 1:
-                masks[i] ^= pm
-        pivots.append(col)
-        prow += 1
-        if prow == len(masks):
-            break
-    return pivots
+        bit = g & -g
+        for pc, row in pivots.items():
+            if row & bit:
+                pivots[pc] = row ^ a
+        pivots[bit.bit_length() - 1] = a
+        pmask |= bit
+    return pivots, zero
 
 
-def _rref_dense(grid: list[list[int]], ncols: int, f: FieldSpec):
-    pivots = []
-    prow = 0
-    for col in range(ncols):
-        sel = -1
-        for i in range(prow, len(grid)):
-            if grid[i][col]:
-                sel = i
-                break
-        if sel < 0:
+def _reduce_dense(grid, ncols: int, f: FieldSpec):
+    """:func:`_reduce_gf2` for rows of field elements; pivots are scaled to 1."""
+    pivots: dict[int, list] = {}
+    zero = []
+    for row in grid:
+        for pc, prow in pivots.items():
+            c = row[pc]
+            if c:
+                row = [f.sub(e, f.mul(c, pe)) if pe else e for e, pe in zip(row, prow)]
+        col = next((j for j in range(ncols) if row[j]), None)
+        if col is None:
+            zero.append(tuple(row[ncols:]))
             continue
-        grid[prow], grid[sel] = grid[sel], grid[prow]
-        inv = f.inv(grid[prow][col])
+        inv = f.inv(row[col])
         if inv != 1:
-            grid[prow] = [f.mul(inv, e) for e in grid[prow]]
-        prow_vals = grid[prow]
-        for i in range(len(grid)):
-            if i != prow and grid[i][col]:
-                c = grid[i][col]
-                grid[i] = [f.sub(e, f.mul(c, pe)) for e, pe in zip(grid[i], prow_vals)]
-        pivots.append(col)
-        prow += 1
-        if prow == len(grid):
-            break
-    return pivots
+            row = [f.mul(inv, e) for e in row]
+        for pc, prow in pivots.items():
+            c = prow[col]
+            if c:
+                pivots[pc] = [f.sub(e, f.mul(c, pe)) if pe else e for e, pe in zip(prow, row)]
+        pivots[col] = row
+    return pivots, zero
 
 
-def _rref(M: FieldMatrix):
-    """(working rows, pivot columns); working rows share M's storage style."""
-    if M.row_masks is not None:
-        masks = list(M.row_masks)
-        pivots = _rref_gf2(masks, M.cols)
-        return masks, pivots
-    grid = [list(r) for r in M.row_entries]
-    pivots = _rref_dense(grid, M.cols, M.field)
-    return grid, pivots
+class RowReduction:
+    """One reduction of the rows of [M | B], pivoting on the M part only.
+
+    B is the identity unless given.  ``pivot_rows`` (in ``pivot_cols``
+    order) are the reduced row echelon form of M.  Row i of ``ops`` is the
+    B part of pivot row i and ``left_kernel`` holds the B parts of the rows
+    that became zero; with B = I they are the combinations of M's rows that
+    give pivot row i, and a basis of {h : h M = 0}.
+    """
+
+    def __init__(self, M: FieldMatrix, B: FieldMatrix | None = None):
+        self.field, self.cols = f, n = M.field, M.cols
+        B = FieldMatrix.identity(f, M.rows) if B is None else B
+        if M.row_masks is not None:
+            pivots, left = _reduce_gf2([r | (b << n) for r, b in zip(M.row_masks, B.row_masks)], n)
+            self.pivot_cols = pcs = sorted(pivots)
+            self.pivot_rows = [pivots[c] & ((1 << n) - 1) for c in pcs]
+            self.ops = FieldMatrix(f, cols=B.cols, row_masks=[pivots[c] >> n for c in pcs])
+            self.left_kernel = FieldMatrix(f, cols=B.cols, row_masks=left)
+            return
+        pivots, left = _reduce_dense([list(r) + list(b)
+                                      for r, b in zip(M.row_entries, B.row_entries)], n, f)
+        self.pivot_cols = pcs = sorted(pivots)
+        self.pivot_rows = [pivots[c][:n] for c in pcs]
+        self.ops = FieldMatrix(f, [pivots[c][n:] for c in pcs], cols=B.cols)
+        self.left_kernel = FieldMatrix(f, left, cols=B.cols)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_cols)
+
+    def null_space(self) -> FieldMatrix:
+        """Columns spanning {x : M x = 0}, one per free column in ascending
+        order: 1 in the free column, minus the RREF entries above it."""
+        f, n = self.field, self.cols
+        pivot_set = set(self.pivot_cols)
+        free = [j for j in range(n) if j not in pivot_set]
+        if f.p == 2 and f.m == 1:
+            out = [0] * n
+            for i, fc in enumerate(free):
+                out[fc] = bit = 1 << i
+                for pc, row in zip(self.pivot_cols, self.pivot_rows):
+                    if (row >> fc) & 1:
+                        out[pc] |= bit
+            return FieldMatrix(f, cols=len(free), row_masks=out)
+        grid = [[int(fc == j) for fc in free] for j in range(n)]
+        for pc, row in zip(self.pivot_cols, self.pivot_rows):
+            grid[pc] = [f.neg(row[fc]) for fc in free]
+        return FieldMatrix(f, grid, cols=len(free))
+
+    def particular(self, y: FieldVector) -> FieldVector:
+        """The solution of M x = B y with every free variable 0: x at the
+        i-th pivot column is row i of ``ops`` applied to y (one parity per
+        pivot over GF(2)).  NoSolutionError if B y is outside the column
+        space."""
+        if (self.left_kernel @ y).weight():
+            raise NoSolutionError("inconsistent linear system")
+        t = self.ops @ y
+        if t.bits is not None:
+            return FieldVector(self.field, n=self.cols, bits=sum(
+                ((t.bits >> i) & 1) << c for i, c in enumerate(self.pivot_cols)))
+        xs = [0] * self.cols
+        for c, v in zip(self.pivot_cols, t.entries):
+            xs[c] = v
+        return FieldVector(self.field, xs)
 
 
 def rank(M: FieldMatrix) -> int:
-    return len(_rref(M)[1])
+    return RowReduction(M, FieldMatrix.zeros(M.field, M.rows, 0)).rank
 
 
 def kernel_basis(M: FieldMatrix) -> FieldMatrix:
@@ -487,30 +552,7 @@ def kernel_basis(M: FieldMatrix) -> FieldMatrix:
     Width is cols(M) - rank(M); a full-rank square M yields a matrix with
     zero columns.
     """
-    work, pivots = _rref(M)
-    n = M.cols
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(n) if j not in pivot_set]
-    f = M.field
-    if M.row_masks is not None:
-        basis_masks = []
-        for fc in free_cols:
-            vec = 1 << fc
-            for i, pc in enumerate(pivots):
-                if (work[i] >> fc) & 1:
-                    vec |= 1 << pc
-            basis_masks.append(vec)
-        return FieldMatrix.from_columns(f, basis_masks, rows=n)
-    columns = []
-    for fc in free_cols:
-        vec = [0] * n
-        vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = f.neg(work[i][fc])
-        columns.append(vec)
-    if not columns:
-        return FieldMatrix(f, [[] for _ in range(n)], cols=0)
-    return FieldMatrix.from_columns(f, columns, rows=n)
+    return RowReduction(M, FieldMatrix.zeros(M.field, M.rows, 0)).null_space()
 
 
 @dataclass(frozen=True)
@@ -549,66 +591,17 @@ def solve_affine(M: FieldMatrix, y: FieldVector) -> AffineSolutions:
     _check_same_field(M, y)
     if y.n != M.rows:
         raise ValueError(f"dimension mismatch: {M.rows}x{M.cols} vs rhs length {y.n}")
-    f = M.field
-    n = M.cols
-    if M.row_masks is not None:
-        aug = [r | (((y.bits >> i) & 1) << n) for i, r in enumerate(M.row_masks)]
-        pivots = _rref_gf2(aug, n + 1)
-        if pivots and pivots[-1] == n:
-            raise NoSolutionError("inconsistent linear system")
-        xb = 0
-        for i, pc in enumerate(pivots):
-            if (aug[i] >> n) & 1:
-                xb |= 1 << pc
-        particular = FieldVector(f, n=n, bits=xb)
-        work = [a & ((1 << n) - 1) for a in aug]
-        pivot_set = set(pivots)
-        free_cols = [j for j in range(n) if j not in pivot_set]
-        basis_masks = []
-        for fc in free_cols:
-            vec = 1 << fc
-            for i, pc in enumerate(pivots):
-                if (work[i] >> fc) & 1:
-                    vec |= 1 << pc
-            basis_masks.append(vec)
-        return AffineSolutions(particular, FieldMatrix.from_columns(f, basis_masks, rows=n))
-    grid = [list(r) + [ye] for r, ye in zip(M.row_entries, y.entries)]
-    pivots = _rref_dense(grid, n + 1, f)
-    if pivots and pivots[-1] == n:
-        raise NoSolutionError("inconsistent linear system")
-    xs = [0] * n
-    for i, pc in enumerate(pivots):
-        xs[pc] = grid[i][n]
-    particular = FieldVector(f, xs)
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(n) if j not in pivot_set]
-    columns = []
-    for fc in free_cols:
-        vec = [0] * n
-        vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = f.neg(grid[i][fc])
-        columns.append(vec)
-    kern = (FieldMatrix.from_columns(f, columns, rows=n)
-            if columns else FieldMatrix(f, [[] for _ in range(n)], cols=0))
-    return AffineSolutions(particular, kern)
+    # B = y, so the solver applied to the scalar 1 reads off x
+    red = RowReduction(M, FieldMatrix.from_columns(M.field, [y.entries], rows=M.rows))
+    return AffineSolutions(red.particular(FieldVector(M.field, [1])), red.null_space())
 
 
 def invert(M: FieldMatrix) -> FieldMatrix:
-    """Inverse of a square full-rank matrix."""
+    """Inverse of a square full-rank matrix: the row combinations that
+    reduce M to the identity."""
     if M.rows != M.cols:
         raise SingularMatrixError("only square matrices are invertible")
-    n = M.rows
-    f = M.field
-    if M.row_masks is not None:
-        aug = [r | (1 << (n + i)) for i, r in enumerate(M.row_masks)]
-        pivots = _rref_gf2(aug, n)
-        if len(pivots) < n:
-            raise SingularMatrixError("matrix is singular")
-        return FieldMatrix(f, cols=n, row_masks=[a >> n for a in aug])
-    ident = FieldMatrix.identity(f, n)
-    grid = [list(r) + list(ir) for r, ir in zip(M.row_entries, ident.row_entries)]
-    pivots = _rref_dense(grid, n, f)
-    if len(pivots) < n:
+    red = RowReduction(M)
+    if red.rank < M.rows:
         raise SingularMatrixError("matrix is singular")
-    return FieldMatrix(f, [row[n:] for row in grid])
+    return red.ops

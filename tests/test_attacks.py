@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzylink.attacks import (
+    AttackOutcome,
     PatternEnumerator,
     affine_reduction_attack,
     all_syndrome_hits,
@@ -14,16 +17,27 @@ from fuzzylink.attacks import (
     scan_syndrome_hits,
 )
 from fuzzylink.codes import bch_build, generic_code, random_codeword
-from fuzzylink.commitment import enroll
+from fuzzylink.commitment import codeword_digest, enroll
 from fuzzylink.fields import GF2, field
 from fuzzylink.linalg import (
     FieldMatrix,
     FieldVector,
+    concat_cols,
     invert,
+    kernel_basis,
+    permuted_rows,
     random_vector,
     random_weight_vector,
+    solve_affine,
 )
-from fuzzylink.transforms import apply, as_matrix, random_transform
+from fuzzylink.transforms import (
+    TransformDescriptor,
+    apply,
+    apply_inverse,
+    as_matrix,
+    detect_affine,
+    random_transform,
+)
 
 GF3 = field(3)
 
@@ -393,3 +407,127 @@ def test_affine_reduction_rejects_non_affine(rng):
     r1 = enroll(w, c, t1, rng=rng)
     with pytest.raises(ValueError):
         affine_reduction_attack(c, (r1.commitment, t1), (r1.commitment, t1), 1)
+
+
+# ---------------------------------------------------------------------------
+# attack core differential against two separate reductions
+# ---------------------------------------------------------------------------
+
+def _reference_core(G1, G2, f1, f2, b, hashes=None, ref_G1=None, ref_G2=None):
+    """The attack core built from public pieces only: H~ as the transposed
+    kernel of G~^T, and a fresh solve_affine of G~ x = r - e on every hit.
+    Returns every AttackOutcome field but ``elapsed``."""
+    f, n = f1.field, f1.n
+    k1 = G1.cols
+    r = f1 - f2
+    Gt = concat_cols(G1, G2)
+    Ht = kernel_basis(Gt.transpose()).transpose()
+    rank_ = n - Ht.rows
+    for hit in scan_syndrome_hits(Ht, Ht @ r, b):
+        e = hit.pattern(f, n)
+        sols = solve_affine(Gt, r - e)
+        for mt in (sols if hashes else [sols.particular]):
+            m1 = FieldVector(f, mt.entries[:k1])
+            m2 = FieldVector(f, [f.neg(x) for x in mt.entries[k1:]])
+            if hashes and (codeword_digest(ref_G1 @ m1) != hashes[0]
+                           or codeword_digest(ref_G2 @ m2) != hashes[1]):
+                continue
+            return dict(related=True, candidates=(f1 - G1 @ m1, f2 - G2 @ m2),
+                        all_solutions=sols.count, hash_verified=bool(hashes),
+                        error_pattern=e, patterns_scanned=hit.index + 1,
+                        gtilde_rank=rank_, degenerate=rank_ == n)
+    return dict(related=False, candidates=None, all_solutions=0, hash_verified=False,
+                error_pattern=None, patterns_scanned=pattern_count(f.q, n, b),
+                gtilde_rank=rank_, degenerate=rank_ == n)
+
+
+def _fields_but_elapsed(out):
+    return {fl.name: getattr(out, fl.name) for fl in dataclasses.fields(AttackOutcome)
+            if fl.name != "elapsed"}
+
+
+@pytest.mark.parametrize("m,t,with_hash", [(5, 5, False), (5, 5, True), (6, 7, True)])
+def test_core_matches_reference_bit_permuted(rng, m, t, with_hash):
+    c = bch_build(m, t)
+    outcomes = set()
+    for i in range(24):
+        b = int(rng.integers(0, 4)) if c.n < 63 else int(rng.integers(0, 3))
+        dist = int(rng.integers(0, b + 1)) if i % 3 else None
+        w1, w2, t1, t2, r1, r2 = _random_records(c, rng, distance=dist, with_hash=with_hash)
+        hashes = (r1.codeword_hash, r2.codeword_hash) if with_hash else None
+        out = modified_decodability_attack(c, (r1.commitment, t1), (r2.commitment, t2), b,
+                                           hashes=hashes)
+        G1 = permuted_rows(c.G, t1.inverse_permutation())
+        G2 = permuted_rows(c.G, t2.inverse_permutation())
+        ref = _reference_core(G1, G2, apply_inverse(t1, r1.commitment),
+                              apply_inverse(t2, r2.commitment), b, hashes, c.G, c.G)
+        assert _fields_but_elapsed(out) == ref
+        outcomes.add(out.related)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("with_hash", [False, True])
+def test_core_matches_reference_identity_cosets(rng, with_hash):
+    # G~ = (G | G): every hit has a coset of 2^k solutions
+    c = bch_build(5, 5)
+    ident = FieldMatrix.identity(GF2, c.n)
+    for i in range(6):
+        b = 2
+        w1, w2, t1, t2, r1, r2 = _random_records(c, rng, distance=i % 3 if i < 4 else None,
+                                                 with_hash=with_hash, kind="identity")
+        hashes = (r1.codeword_hash, r2.codeword_hash) if with_hash else None
+        out = linear_decodability_attack(c, r1.commitment, r2.commitment, ident, ident, b,
+                                         hashes=hashes)
+        ref = _reference_core(c.G, c.G, r1.commitment, r2.commitment, b, hashes, c.G, c.G)
+        assert _fields_but_elapsed(out) == ref
+        if out.related:
+            assert out.all_solutions == 2 ** c.k
+
+
+def test_core_matches_reference_partial_overlap(rng):
+    # G2 repeats three columns of G1 next to five random ones: cosets of 8
+    c = bch_build(5, 5)
+    G1 = c.G
+    G2 = concat_cols(FieldMatrix(GF2, [row[:3] for row in G1.to_grid()]),
+                     FieldMatrix(GF2, [[int(x) for x in rng.integers(0, 2, size=5)]
+                                       for _ in range(c.n)]))
+    for i in range(12):
+        w1 = random_vector(GF2, c.n, rng)
+        w2 = (w1 + random_weight_vector(GF2, c.n, i % 3, rng) if i < 8
+              else random_vector(GF2, c.n, rng))
+        m1 = random_vector(GF2, G1.cols, rng)
+        m2 = random_vector(GF2, G2.cols, rng)
+        f1, f2 = G1 @ m1 + w1, G2 @ m2 + w2
+        hashes = (codeword_digest(G1 @ m1), codeword_digest(G2 @ m2)) if i % 2 else None
+        out = generalized_attack(G1, G2, f1, f2, 2, hashes=hashes)
+        assert _fields_but_elapsed(out) == _reference_core(G1, G2, f1, f2, 2, hashes, G1, G2)
+        if out.related:
+            assert out.all_solutions == 2 ** (G1.cols + G2.cols - out.gtilde_rank) == 8
+
+
+def test_core_matches_reference_affine_gf32(rng):
+    g32 = field(2, 5)
+    n, k = 20, 8
+    G = FieldMatrix(g32, [[g32.pow(i + 1, j) for j in range(k)] for i in range(n)])
+    c = generic_code(G, n - k + 1)
+    for i in range(6):
+        sigmas = []
+        for _ in range(2):
+            a, s = int(rng.integers(1, 32)), int(rng.integers(0, 32))
+            sigmas.append(tuple(g32.add(g32.mul(a, x), s) for x in range(32)))
+        t1, t2 = (TransformDescriptor("field-permutation", n, g32, sigma=sg) for sg in sigmas)
+        w1 = random_vector(g32, n, rng)
+        w2 = (w1 + random_weight_vector(g32, n, 1 + i % 2, rng) if i < 4
+              else random_vector(g32, n, rng))
+        r1, r2 = enroll(w1, c, t1, rng=rng), enroll(w2, c, t2, rng=rng)
+        b = 2 if i < 4 else 1
+        out = affine_reduction_attack(c, (r1.commitment, t1), (r2.commitment, t2), b)
+        core = []
+        for fvec, T in ((r1.commitment, t1), (r2.commitment, t2)):
+            a, s = detect_affine(T.sigma, g32)
+            Q = FieldMatrix(g32, [[g32.inv(a) if x == y else 0 for y in range(n)]
+                                  for x in range(n)])
+            core.append((Q @ G, Q @ (fvec - FieldVector(g32, (s,) * n))))
+        (QG, Qf1), (RG, Rf2) = core
+        assert _fields_but_elapsed(out) == _reference_core(QG, RG, Qf1, Rf2, b)
+        assert out.related == (i < 4)

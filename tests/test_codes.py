@@ -45,6 +45,21 @@ def test_bch_duality_asserted():
     assert all(prod.row(i).weight() == 0 for i in range(prod.rows))
 
 
+# check matrix of bch:31:5 as the column-order RREF kernel computation
+# produced it (row i as a column mask); codes must keep exactly this H
+BCH_31_5_H = (
+    0xa1d, 0x143a, 0x2269, 0x44d2, 0x83b9, 0x10772, 0x204f9, 0x403ef, 0x807de, 0x1005a1,
+    0x20015f, 0x4002be, 0x80057c, 0x10000e5, 0x20001ca, 0x4000394, 0x8000728, 0x1000044d,
+    0x20000287, 0x4000050e,
+)
+
+
+def test_bch_check_matrix_pinned():
+    c = bch_build(5, 5)
+    assert (c.H.rows, c.H.cols) == (20, 31)
+    assert c.H.row_masks == BCH_31_5_H
+
+
 def test_bch_degenerate_t_rejected():
     assert bch_build(4, 7).k == 1  # repetition code, still valid
     with pytest.raises(ValueError):

@@ -1,9 +1,13 @@
+import hashlib
 import io
 import json
 
 import pytest
+from click.testing import CliRunner
 
 from fuzzylink.attacks import ResourceCapError
+from fuzzylink.cli import main
+from fuzzylink.codes import code_descriptor, generic_code
 from fuzzylink.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -11,6 +15,8 @@ from fuzzylink.experiments import (
     run_table1,
     write_report,
 )
+from fuzzylink.fields import field
+from fuzzylink.linalg import FieldMatrix
 
 
 def _run(**overrides):
@@ -127,3 +133,30 @@ def test_unknown_format_rejected():
     report = _run(b_values=(0,), trials=5)
     with pytest.raises(ValueError):
         write_report(report, "xml", io.BytesIO())
+
+
+# ---------------------------------------------------------------------------
+# golden reports: fixed seeds must keep producing the same report bytes
+# ---------------------------------------------------------------------------
+
+def test_golden_report_bch_cli():
+    res = CliRunner().invoke(main, [
+        "experiment", "table1", "--code", "bch:31:5", "--b", "0,1,2", "--trials", "200",
+        "--mode", "related", "--with-hash", "--seed", "2024", "--format", "json",
+        "--no-timing"])
+    assert res.exit_code == 0
+    assert (hashlib.sha256(res.stdout_bytes).hexdigest()
+            == "4f41ea22ffb8cc758e1c0e53984ee110c73197662285887f877f925bba303ee6")
+
+
+def test_golden_report_gf32_cell():
+    # the cell the CLI would write for the GF(32) (20, 8) Vandermonde code,
+    # which only an inline descriptor can name
+    g32 = field(2, 5)
+    G = FieldMatrix(g32, [[g32.pow(i + 1, j) for j in range(8)] for i in range(20)])
+    config = ExperimentConfig(code=code_descriptor(generic_code(G, 13)), b_values=(2,),
+                              trials=20, with_hash=True, seed=2024)
+    buf = io.BytesIO()
+    write_report(run_table1(config), "json", buf, include_timing=False)
+    assert (hashlib.sha256(buf.getvalue()).hexdigest()
+            == "25de5f97717a887dce67cdaff1c61a6cdb5b937c3e389691b5f63a9822dc023d")
