@@ -15,8 +15,8 @@ from fuzzylink import (
     TransformDescriptor,
     affine_reduction_attack,
     enroll,
+    generalized_attack,
     generic_code,
-    linear_decodability_attack,
     linear_map_probability,
     log2_fraction,
     random_transform,
@@ -39,7 +39,6 @@ n, k = 10, 8
 G = FieldMatrix(g32, [[g32.pow(i + 1, j) for j in range(k)] for i in range(n)])
 assert rank(G) == k
 code = generic_code(G, n - k + 1)
-ident = FieldMatrix.identity(g32, n)
 
 linked = 0
 trials = 300
@@ -50,7 +49,7 @@ for _ in range(trials):
     t2 = random_transform("field-permutation", n, g32, rng)
     r1 = enroll(w1, code, t1, rng=rng)
     r2 = enroll(w2, code, t2, rng=rng)
-    out = linear_decodability_attack(code, r1.commitment, r2.commitment, ident, ident, 1)
+    out = generalized_attack(G, G, r1.commitment, r2.commitment, 1)
     linked += out.related
 dens = sphere_packing_density(DensityQuery(q=32, n=n, k=k, radius=1))
 print(f"\nrandom bijections, related pairs at distance 1: "

@@ -10,16 +10,12 @@ from .linalg import (
     SingularMatrixError,
     concat_cols,
     hamming_distance,
-    hamming_weight,
     invert,
     kernel_basis,
-    mat_mul,
     random_vector,
     random_weight_vector,
     rank,
     solve_affine,
-    vec_add,
-    vec_sub,
 )
 from .codes import (
     BCHParams,
@@ -46,7 +42,6 @@ from .transforms import (
     random_transform,
 )
 from .commitment import (
-    HashBinding,
     MalformedRecordError,
     Record,
     RecordFormatError,
@@ -65,9 +60,7 @@ from .attacks import (
     PatternEnumerator,
     ResourceCapError,
     affine_reduction_attack,
-    all_syndrome_hits,
     decodability_attack,
-    enumerate_patterns,
     generalized_attack,
     linear_decodability_attack,
     modified_decodability_attack,

@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .attacks import pattern_count
 from .codes import LinearCode
 from .linalg import concat_cols, permuted_rows, rank
 
@@ -45,17 +46,13 @@ class DensityQuery:
         return (self.d - 1) // 2 if self.radius is None else self.radius
 
 
-def ball_size(q: int, n: int, radius: int) -> int:
-    return sum(math.comb(n, j) * (q - 1) ** j for j in range(radius + 1))
-
-
 def sphere_packing_density(query: DensityQuery) -> Fraction:
     """Fraction of the ambient space covered by the decoding balls,
     q^(k-n) * sum_{j<=radius} (q-1)^j C(n,j); this is the probability that
     a uniformly random word decodes, i.e. the false-link rate of the
     plain decodability test."""
     r = query.effective_radius
-    return Fraction(ball_size(query.q, query.n, r), query.q ** (query.n - query.k))
+    return Fraction(pattern_count(query.q, query.n, r), query.q ** (query.n - query.k))
 
 
 def union_bound_linkage(q: int, n: int, rank_gtilde: int, b: int) -> Fraction:
@@ -64,7 +61,7 @@ def union_bound_linkage(q: int, n: int, rank_gtilde: int, b: int) -> Fraction:
     by the union bound over the B tested cosets."""
     if rank_gtilde > n:
         raise ValueError("rank cannot exceed block length")
-    val = Fraction(ball_size(q, n, b), q ** (n - rank_gtilde))
+    val = Fraction(pattern_count(q, n, b), q ** (n - rank_gtilde))
     return min(Fraction(1), val)
 
 

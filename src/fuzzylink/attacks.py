@@ -17,11 +17,17 @@ whose G~ part vanishes form the annihilator H~ the scan tests against, and
 each pivot row (pivot column c, row combination u) gives x_c = <u, r - e>
 of the particular solution for a hit e.  The coset kernel is expanded once
 per attack.
+
+Every attack ends in one loop over the solutions of a hit.  With codeword
+digests that loop runs over the whole coset and accepts a solution only
+when both re-encoded codewords hash to the records' digests; each digest
+names its algorithm by its length (sha1, sha256 and sha512 differ in
+size).  Without digests it runs over the particular solution alone and
+accepts it unchecked.
 """
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
@@ -29,6 +35,7 @@ from math import comb
 from time import perf_counter
 
 from .codes import LinearCode
+from .commitment import HASH_BY_SIZE, codeword_digest
 from .fields import FieldSpec
 from .linalg import (
     AffineSolutions,
@@ -39,7 +46,7 @@ from .linalg import (
     permuted_rows,
     rank,
 )
-from .transforms import TransformDescriptor, apply_inverse
+from .transforms import apply_inverse
 
 SOLUTION_ENUM_CAP = 1 << 16
 
@@ -109,8 +116,9 @@ class PatternEnumerator:
     Canonical order: non-decreasing weight; within a weight class,
     supports ascend lexicographically and non-zero value assignments run
     through field order.  Every vector appears exactly once; the total
-    count is sum_j C(n,j)(q-1)^j.  Enumeration is restartable at any
-    ordinal index, which is what parallel scans use to split work.
+    count is sum_j C(n,j)(q-1)^j.  Enumeration can start at any ordinal
+    index (``iter_raw(start)``), and ``_raw_at``/``index_of`` map between
+    indices and patterns.
     """
 
     def __init__(self, field: FieldSpec, n: int, b: int):
@@ -190,10 +198,6 @@ class PatternEnumerator:
     def __iter__(self):
         for support, values in self.iter_raw():
             yield Hit(support, values, 0).pattern(self.field, self.n)
-
-
-def enumerate_patterns(field: FieldSpec, n: int, b: int) -> PatternEnumerator:
-    return PatternEnumerator(field, n, b)
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +351,6 @@ def scan_syndrome_hits(H: FieldMatrix, s: FieldVector, b: int, *, reference: boo
         yield Hit(support, values, enum.index_of(support, values))
 
 
-def all_syndrome_hits(H: FieldMatrix, s: FieldVector, b: int) -> list[Hit]:
-    """Exhaustive all-hits mode (diagnostics)."""
-    return list(scan_syndrome_hits(H, s, b))
-
-
 # ---------------------------------------------------------------------------
 # attacks
 # ---------------------------------------------------------------------------
@@ -375,12 +374,6 @@ class AttackOutcome:
         return "related" if self.related else "non-related"
 
 
-def _digest(v: FieldVector, alg: str) -> bytes:
-    from .commitment import canonical_bytes
-
-    return hashlib.new(alg, canonical_bytes(v)).digest()
-
-
 def _vec_head(v: FieldVector, k: int) -> FieldVector:
     if v.bits is not None:
         return FieldVector(v.field, n=k, bits=v.bits & ((1 << k) - 1))
@@ -396,7 +389,7 @@ def _vec_tail_neg(v: FieldVector, k: int) -> FieldVector:
     return FieldVector(f, tuple(f.neg(e) for e in v.entries[v.n - k:]))
 
 
-def _attack_core(G1, G2, f1, f2, b, hashes, hash_alg, ref_G1, ref_G2, reference_scan):
+def _attack_core(G1, G2, f1, f2, b, hashes, ref_G1, ref_G2, reference_scan):
     start = perf_counter()
     f = f1.field
     n = f1.n
@@ -404,64 +397,48 @@ def _attack_core(G1, G2, f1, f2, b, hashes, hash_alg, ref_G1, ref_G2, reference_
         raise ValueError("commitments must share field and length")
     if G1.rows != n or G2.rows != n:
         raise ValueError("generator blocks must have n rows")
+    if hashes is not None:
+        algs = [HASH_BY_SIZE.get(len(h)) for h in hashes]
+        if None in algs:
+            raise ValueError("digest length matches no supported hash algorithm")
     r = f1 - f2
     red = RowReduction(concat_cols(G1, G2))
-    Ht = red.left_kernel
     gtilde_rank = red.rank
-    degenerate = gtilde_rank == n
-    s = Ht @ r
-    total = pattern_count(f.q, n, b)
+    Ht = red.left_kernel
     k1, k2 = G1.cols, G2.cols
     kernel = red.null_space()
-    for hit in scan_syndrome_hits(Ht, s, b, reference=reference_scan):
+
+    def outcome(scanned, e=None, m1=None, m2=None, count=0):
+        return AttackOutcome(
+            related=e is not None,
+            candidates=None if e is None else (f1 - (G1 @ m1), f2 - (G2 @ m2)),
+            all_solutions=count,
+            hash_verified=e is not None and hashes is not None,
+            error_pattern=e,
+            patterns_scanned=scanned,
+            elapsed=perf_counter() - start,
+            gtilde_rank=gtilde_rank,
+            degenerate=gtilde_rank == n,
+        )
+
+    for hit in scan_syndrome_hits(Ht, Ht @ r, b, reference=reference_scan):
         e = hit.pattern(f, n)
         sols = AffineSolutions(red.particular(r - e), kernel)
         if hashes is None:
-            mt = sols.particular
-            m1 = _vec_head(mt, k1)
-            m2 = _vec_tail_neg(mt, k2)
-            return AttackOutcome(
-                related=True,
-                candidates=(f1 - (G1 @ m1), f2 - (G2 @ m2)),
-                all_solutions=sols.count,
-                hash_verified=False,
-                error_pattern=e,
-                patterns_scanned=hit.index + 1,
-                elapsed=perf_counter() - start,
-                gtilde_rank=gtilde_rank,
-                degenerate=degenerate,
-            )
-        if sols.count > SOLUTION_ENUM_CAP:
+            solutions = (sols.particular,)
+        elif sols.count > SOLUTION_ENUM_CAP:
             raise ResourceCapError(
                 f"hash filtering would enumerate {sols.count} solutions")
-        for mt in sols:
+        else:
+            solutions = sols
+        for mt in solutions:
             m1 = _vec_head(mt, k1)
             m2 = _vec_tail_neg(mt, k2)
-            if (_digest(ref_G1 @ m1, hash_alg) == hashes[0]
-                    and _digest(ref_G2 @ m2, hash_alg) == hashes[1]):
-                return AttackOutcome(
-                    related=True,
-                    candidates=(f1 - (G1 @ m1), f2 - (G2 @ m2)),
-                    all_solutions=sols.count,
-                    hash_verified=True,
-                    error_pattern=e,
-                    patterns_scanned=hit.index + 1,
-                    elapsed=perf_counter() - start,
-                    gtilde_rank=gtilde_rank,
-                    degenerate=degenerate,
-                )
+            if hashes is None or (codeword_digest(ref_G1 @ m1, algs[0]) == hashes[0]
+                                  and codeword_digest(ref_G2 @ m2, algs[1]) == hashes[1]):
+                return outcome(hit.index + 1, e, m1, m2, sols.count)
         # no coset solution matched the digests: spurious pattern, keep going
-    return AttackOutcome(
-        related=False,
-        candidates=None,
-        all_solutions=0,
-        hash_verified=False,
-        error_pattern=None,
-        patterns_scanned=total,
-        elapsed=perf_counter() - start,
-        gtilde_rank=gtilde_rank,
-        degenerate=degenerate,
-    )
+    return outcome(pattern_count(f.q, n, b))
 
 
 def decodability_attack(f1: FieldVector, f2: FieldVector, code: LinearCode) -> bool:
@@ -473,7 +450,6 @@ def decodability_attack(f1: FieldVector, f2: FieldVector, code: LinearCode) -> b
 
 def generalized_attack(G1: FieldMatrix, G2: FieldMatrix, f1: FieldVector,
                        f2: FieldVector, b: int, *, hashes=None,
-                       hash_alg: str = "sha256",
                        reference_scan: bool = False) -> AttackOutcome:
     """Linkage/recovery attack on two commitments built over (possibly)
     different codes given by generator blocks G1, G2.
@@ -481,24 +457,17 @@ def generalized_attack(G1: FieldMatrix, G2: FieldMatrix, f1: FieldVector,
     One reduction of [G~ | I_n], G~ = (G1|G2), yields both the annihilator
     H~ of G~ and a solver for G~ x = r - e.  Error patterns of weight <= b
     are scanned against H~; on a hit the solver gives the particular
-    solution, which is split into per-record messages.  With digests
-    supplied, the whole solution coset is filtered and the scan continues
-    past patterns whose coset contains no digest match, so a candidate
-    pair is only ever returned hash-verified.
+    solution, which is split into per-record messages.  Without digests the
+    first hit's particular solution is the answer.  With digests (one per
+    record; each one's length selects sha1, sha256 or sha512, and any other
+    length raises ValueError) the whole solution coset is filtered and the
+    scan continues past patterns whose coset contains no digest match, so
+    a candidate pair is only ever returned hash-verified.
     """
-    return _attack_core(G1, G2, f1, f2, b, hashes, hash_alg, G1, G2, reference_scan)
-
-
-def _bit_permutation(T: TransformDescriptor, n: int):
-    if T.kind == "identity":
-        return tuple(range(n))
-    if T.kind != "bit-permutation":
-        raise ValueError("records must carry bit-permutation (or identity) transforms")
-    return T.permutation
+    return _attack_core(G1, G2, f1, f2, b, hashes, G1, G2, reference_scan)
 
 
 def modified_decodability_attack(code, rec1, rec2, b: int, *, hashes=None,
-                                 hash_alg: str = "sha256",
                                  reference_scan: bool = False) -> AttackOutcome:
     """Attack on records whose feature vectors went through public
     record-specific bit permutations.
@@ -510,26 +479,19 @@ def modified_decodability_attack(code, rec1, rec2, b: int, *, hashes=None,
     un-permuted domain.
     """
     G = code.G if isinstance(code, LinearCode) else code
-    f1, T1 = rec1
-    f2, T2 = rec2
-    n = G.rows
-    perm1 = _bit_permutation(T1, n)
-    perm2 = _bit_permutation(T2, n)
-    inv1 = [0] * n
-    inv2 = [0] * n
-    for i, p in enumerate(perm1):
-        inv1[p] = i
-    for i, p in enumerate(perm2):
-        inv2[p] = i
-    G1 = permuted_rows(G, inv1)
-    G2 = permuted_rows(G, inv2)
-    f1p = apply_inverse(T1, f1)
-    f2p = apply_inverse(T2, f2)
-    return _attack_core(G1, G2, f1p, f2p, b, hashes, hash_alg, G, G, reference_scan)
+    blocks = []
+    for _, T in (rec1, rec2):
+        if T.kind == "identity":
+            blocks.append(G)
+        elif T.kind == "bit-permutation":
+            blocks.append(permuted_rows(G, T.inverse_permutation()))
+        else:
+            raise ValueError("records must carry bit-permutation (or identity) transforms")
+    f1, f2 = (apply_inverse(T, fvec) for fvec, T in (rec1, rec2))
+    return _attack_core(*blocks, f1, f2, b, hashes, G, G, reference_scan)
 
 
-def affine_reduction_attack(code, rec1, rec2, b: int, *, hashes=None,
-                            hash_alg: str = "sha256") -> AttackOutcome:
+def affine_reduction_attack(code, rec1, rec2, b: int, *, hashes=None) -> AttackOutcome:
     """Break field-permutation records whose bijections are affine.
 
     rec1/rec2 are (commitment, transform) pairs with field-permutation
@@ -559,13 +521,12 @@ def affine_reduction_attack(code, rec1, rec2, b: int, *, hashes=None,
         qr.append(FieldMatrix(f, [[a_inv if i == j else 0 for j in range(n)]
                                   for i in range(n)]))
     return linear_decodability_attack(code, commitments[0], commitments[1],
-                                      qr[0], qr[1], b, hashes=hashes, hash_alg=hash_alg)
+                                      qr[0], qr[1], b, hashes=hashes)
 
 
 def linear_decodability_attack(code, f1: FieldVector, f2: FieldVector,
                                Q: FieldMatrix, R: FieldMatrix, b: int, *,
-                               hashes=None, hash_alg: str = "sha256",
-                               reference_scan: bool = False) -> AttackOutcome:
+                               hashes=None, reference_scan: bool = False) -> AttackOutcome:
     """Attack through a pair of invertible matrices Q, R chosen so that
     Q f1 - R f2 strips the records' transforms: the offset is scanned in
     the code generated by (Q G | R G).
@@ -581,5 +542,4 @@ def linear_decodability_attack(code, f1: FieldVector, f2: FieldVector,
         raise ValueError("Q and R must be n x n")
     if rank(Q) != n or rank(R) != n:
         raise ValueError("Q and R must be invertible")
-    return _attack_core(Q @ G, R @ G, Q @ f1, R @ f2, b, hashes, hash_alg, G, G,
-                        reference_scan)
+    return _attack_core(Q @ G, R @ G, Q @ f1, R @ f2, b, hashes, G, G, reference_scan)

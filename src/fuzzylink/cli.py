@@ -196,9 +196,8 @@ def attack_pair(rec1_path, rec2_path, bound, use_hash):
                     c, (r1.commitment, r1.transform), (r2.commitment, r2.transform),
                     bound, hashes=hashes)
             except ValueError:
-                ident = attacks.FieldMatrix.identity(c.field, c.n)
-                out = attacks.linear_decodability_attack(
-                    c, r1.commitment, r2.commitment, ident, ident, bound, hashes=hashes)
+                out = attacks.generalized_attack(
+                    c.G, c.G, r1.commitment, r2.commitment, bound, hashes=hashes)
         else:
             _fail("records carry incompatible transform kinds")
     except (ValueError, attacks.ResourceCapError) as exc:

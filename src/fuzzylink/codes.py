@@ -334,11 +334,15 @@ def parse_code_descriptor(desc) -> LinearCode:
             raise ValueError(f"BCH block length must be 2^m - 1, got {n}")
         return bch_build(m, t)
     if isinstance(desc, dict):
-        fdesc = desc.get("field", {"p": 2, "m": 1})
-        f = field(int(fdesc["p"]), int(fdesc.get("m", 1)),
-                  tuple(fdesc["modulus"]) if "modulus" in fdesc else None)
-        G = FieldMatrix(f, desc["generator"])
-        return generic_code(G, int(desc["d"]))
+        try:
+            fdesc = desc.get("field", {"p": 2, "m": 1})
+            f = field(int(fdesc["p"]), int(fdesc.get("m", 1)),
+                      tuple(fdesc["modulus"]) if "modulus" in fdesc else None)
+            G = FieldMatrix(f, desc["generator"])
+            d = int(desc["d"])
+        except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+            raise ValueError(f"malformed inline code ({type(exc).__name__}: {exc})") from None
+        return generic_code(G, d)
     raise ValueError(f"unsupported code descriptor: {desc!r}")
 
 

@@ -13,12 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable
 
 from .codes import LinearCode, code_descriptor, decode_bounded, is_codeword, parse_code_descriptor, random_codeword
 from .fields import FieldSpec, field
 from .linalg import FieldVector
-from .transforms import TransformDescriptor, apply, identity_transform, transform_from_json
+from .transforms import VARIANTS, TransformDescriptor, apply, identity_transform, transform_from_json
 
 RECORD_VERSION = 1
 
@@ -35,21 +34,9 @@ class MalformedRecordError(ValueError):
     """Structurally parseable record violating an invariant."""
 
 
-@dataclass(frozen=True)
-class HashBinding:
-    """Named deterministic digest used to bind the enrolled codeword."""
-
-    hash_id: str
-    digest: Callable[[bytes], bytes]
-    digest_size: int
-
-
-def _hashlib_binding(name: str) -> HashBinding:
-    h = hashlib.new(name)
-    return HashBinding(name, lambda data, _n=name: hashlib.new(_n, data).digest(), h.digest_size)
-
-
-HASH_BINDINGS = {name: _hashlib_binding(name) for name in ("sha256", "sha512", "sha1")}
+HASH_ALGORITHMS = ("sha256", "sha512", "sha1")
+# Supported digests differ in size, so a digest names its own algorithm.
+HASH_BY_SIZE = {hashlib.new(name).digest_size: name for name in HASH_ALGORITHMS}
 DEFAULT_HASH = "sha256"
 
 
@@ -74,7 +61,7 @@ def canonical_bytes(v: FieldVector) -> bytes:
 
 
 def codeword_digest(c: FieldVector, hash_id: str = DEFAULT_HASH) -> bytes:
-    return HASH_BINDINGS[hash_id].digest(canonical_bytes(c))
+    return hashlib.new(hash_id, canonical_bytes(c)).digest()
 
 
 @dataclass(frozen=True)
@@ -93,10 +80,9 @@ class Record:
         if (self.codeword_hash is None) != (self.hash_id is None):
             raise MalformedRecordError("hash digest and algorithm must come together")
         if self.hash_id is not None:
-            binding = HASH_BINDINGS.get(self.hash_id)
-            if binding is None:
+            if self.hash_id not in HASH_ALGORITHMS:
                 raise MalformedRecordError(f"unknown hash algorithm {self.hash_id!r}")
-            if len(self.codeword_hash) != binding.digest_size:
+            if HASH_BY_SIZE.get(len(self.codeword_hash)) != self.hash_id:
                 raise MalformedRecordError("digest length does not match hash algorithm")
 
 
@@ -227,6 +213,10 @@ def parse_record(data: bytes) -> Record:
         obj = json.loads(data)
     except json.JSONDecodeError as exc:
         raise RecordFormatError(exc.msg, position=exc.pos) from None
+    except UnicodeDecodeError as exc:
+        raise RecordFormatError(f"record is not text: {exc.reason}", position=exc.start) from None
+    except RecursionError:
+        raise RecordFormatError("record nests too deeply") from None
     if not isinstance(obj, dict):
         raise RecordFormatError("record must be a JSON object")
     if obj.get("version") != RECORD_VERSION:
@@ -234,33 +224,26 @@ def parse_record(data: bytes) -> Record:
     for key in ("field", "code", "f", "transform"):
         if key not in obj:
             raise RecordFormatError(f"missing record key {key!r}")
-    fdesc = obj["field"]
+    tdesc = obj["transform"]
+    kind = tdesc.get("type") if isinstance(tdesc, dict) else None
+    if kind not in VARIANTS:
+        raise RecordFormatError(f"unknown transform type {kind!r}")
     try:
+        fdesc = obj["field"]
         f = field(int(fdesc["p"]), int(fdesc.get("m", 1)),
                   tuple(fdesc["modulus"]) if "modulus" in fdesc else None)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedRecordError(f"bad field description: {exc}") from None
-    code_id = obj["code"]
-    n = _code_block_length(code_id)
-    commitment = _vector_from_json(obj["f"], f, n)
-    try:
-        transform = transform_from_json(obj["transform"], f, commitment.n)
-    except ValueError as exc:
-        raise RecordFormatError(str(exc)) from None
-    digest = hash_id = None
-    if "hash" in obj:
-        hd = obj["hash"]
-        try:
-            hash_id = hd["alg"]
-            digest = bytes.fromhex(hd["digest"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise RecordFormatError(f"bad hash binding: {exc}") from None
-    try:
+        code_id = obj["code"]
+        commitment = _vector_from_json(obj["f"], f, _code_block_length(code_id))
+        transform = transform_from_json(tdesc, f, commitment.n)
+        digest = hash_id = None
+        if "hash" in obj:
+            hash_id = obj["hash"]["alg"]
+            digest = bytes.fromhex(obj["hash"]["digest"])
         return Record(code_id, commitment, transform, digest, hash_id)
-    except MalformedRecordError:
+    except (RecordFormatError, MalformedRecordError):
         raise
-    except ValueError as exc:
-        raise MalformedRecordError(str(exc)) from None
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
+        raise MalformedRecordError(f"malformed record ({type(exc).__name__}: {exc})") from None
 
 
 def _code_block_length(code_id) -> int | None:

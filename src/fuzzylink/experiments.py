@@ -30,13 +30,13 @@ from .attacks import (
     PatternEnumerator,
     Hit,
     ResourceCapError,
-    linear_decodability_attack,
+    generalized_attack,
     modified_decodability_attack,
     pattern_count,
 )
 from .codes import LinearCode, parse_code_descriptor
 from .commitment import enroll
-from .linalg import FieldMatrix, random_vector, random_weight_vector
+from .linalg import random_vector, random_weight_vector
 from .transforms import apply, random_transform
 
 PATTERN_BUDGET = 10 ** 9
@@ -172,9 +172,8 @@ def run_cell(code: LinearCode, b: int, config: ExperimentConfig, cell_index: int
                       noise_flips=config.noise_z, rng=rng)
         hashes = (rec1.codeword_hash, rec2.codeword_hash) if config.with_hash else None
         if config.transform == "field-permutation":
-            ident = FieldMatrix.identity(f, n)
-            out = linear_decodability_attack(code, rec1.commitment, rec2.commitment,
-                                             ident, ident, b, hashes=hashes)
+            out = generalized_attack(code.G, code.G, rec1.commitment, rec2.commitment,
+                                     b, hashes=hashes)
             truth = (apply(t1, w1), apply(t2, w2))
         else:
             out = modified_decodability_attack(code, (rec1.commitment, t1),

@@ -193,13 +193,15 @@ class FieldSpec:
     __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_digit_cache")
 
     def __init__(self, p: int, m: int, modulus=None):
-        if not is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
         if m < 1:
             raise ValueError("extension degree must be >= 1")
+        # bound p and m before the primality test and the power, which a
+        # hostile record could otherwise make arbitrarily slow
+        if p > MAX_ORDER or m >= MAX_ORDER.bit_length() or p ** m > MAX_ORDER:
+            raise ValueError(f"field order {p}^{m} exceeds supported maximum {MAX_ORDER}")
+        if not is_prime(p):
+            raise ValueError(f"characteristic {p} is not prime")
         q = p ** m
-        if q > MAX_ORDER:
-            raise ValueError(f"field order {q} exceeds supported maximum {MAX_ORDER}")
         self.p = p
         self.m = m
         self.q = q
@@ -271,9 +273,6 @@ class FieldSpec:
 
     # -- element arithmetic ---------------------------------------------------
 
-    def is_element(self, a: int) -> bool:
-        return isinstance(a, int) and 0 <= a < self.q
-
     def check_element(self, a: int) -> int:
         if not (0 <= a < self.q):
             raise ValueError(f"{a} is not a canonical element of GF({self.q})")
@@ -340,9 +339,6 @@ class FieldSpec:
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
     # -- misc -----------------------------------------------------------------
-
-    def elements(self):
-        return range(self.q)
 
     def __eq__(self, other):
         return (

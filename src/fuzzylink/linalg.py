@@ -156,18 +156,6 @@ class FieldVector:
         return sum(1 for e in self._entries if e)
 
 
-def vec_add(a: FieldVector, b: FieldVector) -> FieldVector:
-    return a + b
-
-
-def vec_sub(a: FieldVector, b: FieldVector) -> FieldVector:
-    return a - b
-
-
-def hamming_weight(v: FieldVector) -> int:
-    return v.weight()
-
-
 def hamming_distance(a: FieldVector, b: FieldVector) -> int:
     return (a - b).weight()
 
@@ -390,11 +378,6 @@ class FieldMatrix:
         if isinstance(other, FieldMatrix):
             return self.mat_mul(other)
         return NotImplemented
-
-
-def mat_mul(M: FieldMatrix, x):
-    """Matrix times vector or matrix."""
-    return M @ x
 
 
 def concat_cols(A: FieldMatrix, B: FieldMatrix) -> FieldMatrix:

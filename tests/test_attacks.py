@@ -7,9 +7,7 @@ from fuzzylink.attacks import (
     AttackOutcome,
     PatternEnumerator,
     affine_reduction_attack,
-    all_syndrome_hits,
     decodability_attack,
-    enumerate_patterns,
     generalized_attack,
     linear_decodability_attack,
     modified_decodability_attack,
@@ -62,14 +60,14 @@ def _random_records(code, rng, *, distance=None, with_hash=False, kind="bit-perm
 # ---------------------------------------------------------------------------
 
 def test_pattern_counts():
-    assert enumerate_patterns(GF2, 31, 2).count() == 1 + 31 + 465 == 497
-    assert enumerate_patterns(GF3, 5, 1).count() == 1 + 5 * 2 == 11
-    assert enumerate_patterns(GF2, 17, 0).count() == 1
+    assert PatternEnumerator(GF2, 31, 2).count() == 1 + 31 + 465 == 497
+    assert PatternEnumerator(GF3, 5, 1).count() == 1 + 5 * 2 == 11
+    assert PatternEnumerator(GF2, 17, 0).count() == 1
     assert pattern_count(2, 255, 5) > 10 ** 9
 
 
 def test_pattern_order_and_uniqueness():
-    pe = enumerate_patterns(GF3, 5, 3)
+    pe = PatternEnumerator(GF3, 5, 3)
     pats = list(pe)
     assert len(pats) == pe.count()
     assert len(set(pats)) == len(pats)
@@ -79,7 +77,7 @@ def test_pattern_order_and_uniqueness():
 
 def test_pattern_bound_validation():
     with pytest.raises(ValueError):
-        enumerate_patterns(GF2, 5, 6)
+        PatternEnumerator(GF2, 5, 6)
 
 
 @settings(max_examples=40, deadline=None)
@@ -135,7 +133,7 @@ def test_scan_empty_check_matrix():
 def test_all_hits_mode(rng):
     H = _random_check_matrix(GF2, rng, 3, 10)
     s = H @ random_weight_vector(GF2, 10, 1, rng)
-    hits = all_syndrome_hits(H, s, 3)
+    hits = list(scan_syndrome_hits(H, s, 3))
     indices = [h.index for h in hits]
     assert indices == sorted(indices)
     pe = PatternEnumerator(GF2, 10, 3)
@@ -325,6 +323,16 @@ def test_hash_filtering_rejects_unrelated(rng):
         verified += hashed.related
     assert spurious > 30  # b=3 spurious linkage is near-certain on (31,11)
     assert verified == 0
+
+
+def test_hash_filtering_rejects_unknown_digest_length(rng):
+    c = bch_build(5, 5)
+    w1, w2, t1, t2, r1, r2 = _random_records(c, rng, distance=1, with_hash=True)
+    for hashes in ((r1.codeword_hash[:16], r2.codeword_hash),
+                   (r1.codeword_hash, r2.codeword_hash + b"\0")):
+        with pytest.raises(ValueError, match="digest length"):
+            modified_decodability_attack(c, (r1.commitment, t1), (r2.commitment, t2), 1,
+                                         hashes=hashes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,23 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from fuzzylink.cli import main
+from fuzzylink.codes import generic_code, parse_code_descriptor
+from fuzzylink.commitment import (
+    MalformedRecordError,
+    RecordFormatError,
+    enroll,
+    parse_record,
+    resolve_code,
+    serialize_record,
+    vector_to_text,
+)
+from fuzzylink.fields import GF2
+from fuzzylink.linalg import FieldMatrix, random_vector, random_weight_vector
+from fuzzylink.transforms import random_transform
 
 
 @pytest.fixture
@@ -152,3 +166,81 @@ def test_demo_appendix(runner):
 def test_usage_error_exit_code(runner):
     res = runner.invoke(main, ["attack", "pair", "--b", "0"])
     assert res.exit_code == 2
+
+
+def _hashed_pair(tmp_path, algs):
+    """Two bit-permuted records of a distance-1 pair, digests bound with
+    the given algorithms; returns their paths and feature vectors."""
+    rng = np.random.default_rng(17)
+    code = parse_code_descriptor("bch:31:5")
+    w1 = random_vector(GF2, code.n, rng)
+    ws = (w1, w1 + random_weight_vector(GF2, code.n, 1, rng))
+    paths = []
+    for i, (w, alg) in enumerate(zip(ws, algs)):
+        t = random_transform("bit-permutation", code.n, GF2, rng)
+        rec = enroll(w, code, t, with_hash=True, hash_id=alg, rng=rng)
+        path = tmp_path / f"r{i}.json"
+        path.write_bytes(serialize_record(rec))
+        paths.append(str(path))
+    return paths, ws
+
+
+@pytest.mark.parametrize("algs", [("sha512", "sha512"), ("sha1", "sha512")])
+def test_attack_pair_hash_reads_algorithm_from_digest(runner, tmp_path, algs):
+    (a, b), (w1, w2) = _hashed_pair(tmp_path, algs)
+    res = runner.invoke(main, ["attack", "pair", a, b, "--b", "1", "--hash"])
+    assert res.exit_code == 0
+    out = json.loads(res.output)
+    assert out["hash_verified"] is True
+    assert out["candidates"] == {"w1": vector_to_text(w1), "w2": vector_to_text(w2)}
+
+
+def _base_record(kind):
+    rng = np.random.default_rng(5)
+    if kind == "bch":
+        code = parse_code_descriptor("bch:31:5")
+        t = random_transform("bit-permutation", code.n, GF2, rng)
+        rec = enroll(random_vector(GF2, code.n, rng), code, t, with_hash=True, rng=rng)
+    else:  # inline generic (7, 4) Hamming code
+        G = FieldMatrix(GF2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+                              [1, 1, 0, 1], [1, 0, 1, 1], [0, 1, 1, 1]])
+        code = generic_code(G, 3)
+        rec = enroll(random_vector(GF2, code.n, rng), code, rng=rng)
+    return json.loads(serialize_record(rec))
+
+
+MALFORMED = {
+    "transform-list": ("bch", ("transform",), []),
+    "perm-missing": ("bch", ("transform",), {"type": "bit-permutation"}),
+    "sigma-missing": ("bch", ("transform",), {"type": "field-permutation"}),
+    "code-length-text": ("bch", ("code",), "bch:abc:5"),
+    "hash-alg-list": ("bch", ("hash", "alg"), ["x"]),
+    "generator-int": ("inline", ("code", "generator"), 5),
+    "generator-nested": ("inline", ("code", "generator"), [[[1]]] * 7),
+    "d-null": ("inline", ("code", "d"), None),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED))
+def test_malformed_record_fails_cleanly(runner, tmp_path, shape):
+    kind, member, value = MALFORMED[shape]
+    obj = _base_record(kind)
+    target = obj
+    for key in member[:-1]:
+        target = target[key]
+    target[member[-1]] = value
+    data = json.dumps(obj).encode()
+    try:
+        rec = parse_record(data)
+    except (RecordFormatError, MalformedRecordError):
+        pass
+    else:
+        with pytest.raises(ValueError):
+            resolve_code(rec)
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    res = runner.invoke(main, ["attack", "pair", str(path), str(path), "--b", "1"])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

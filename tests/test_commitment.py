@@ -1,9 +1,15 @@
+import copy
+import hashlib
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzylink.codes import bch_build
 from fuzzylink.commitment import (
+    HASH_ALGORITHMS,
+    HASH_BY_SIZE,
     MalformedRecordError,
     Record,
     RecordFormatError,
@@ -151,6 +157,12 @@ def test_parse_error_reports_position():
     assert err.value.position is not None
 
 
+@pytest.mark.parametrize("data", [b'{"f":"\xff"}', b"[" * 100000], ids=["not-text", "deep"])
+def test_parse_rejects_undecodable_bytes(data):
+    with pytest.raises(RecordFormatError):
+        parse_record(data)
+
+
 def test_parse_unknown_transform_type(code, rng):
     w = random_vector(GF2, code.n, rng)
     rec = enroll(w, code, rng=rng)
@@ -184,3 +196,45 @@ def test_codeword_digest_deterministic(code, rng):
     c = FieldVector(GF2, n=31, bits=0x1234)
     assert codeword_digest(c) == codeword_digest(c)
     assert codeword_digest(c) != codeword_digest(FieldVector(GF2, n=31, bits=0x1235))
+
+
+def test_hash_sizes_name_their_algorithm():
+    # one size per algorithm: a new algorithm whose digest size collides
+    # with a supported one would make digests ambiguous
+    assert sorted(HASH_BY_SIZE.values()) == sorted(HASH_ALGORITHMS)
+    for name in HASH_ALGORITHMS:
+        assert HASH_BY_SIZE[hashlib.new(name).digest_size] == name
+
+
+@pytest.fixture(scope="module")
+def hashed_record_obj(code):
+    rng = np.random.default_rng(3)
+    t = random_transform("bit-permutation", code.n, GF2, rng)
+    rec = enroll(random_vector(GF2, code.n, rng), code, t, with_hash=True, rng=rng)
+    return json.loads(serialize_record(rec))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=8), children, max_size=4)),
+    max_leaves=8,
+)
+MEMBERS = [("version",), ("field",), ("field", "p"), ("field", "m"), ("code",), ("f",),
+           ("transform",), ("transform", "type"), ("transform", "perm"), ("hash",),
+           ("hash", "alg"), ("hash", "digest")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(MEMBERS), JSON_VALUES)
+def test_parse_record_survives_any_member_value(hashed_record_obj, member, value):
+    obj = copy.deepcopy(hashed_record_obj)
+    target = obj
+    for key in member[:-1]:
+        target = target[key]
+    target[member[-1]] = value
+    try:
+        rec = parse_record(json.dumps(obj).encode())
+    except (RecordFormatError, MalformedRecordError):
+        return
+    assert isinstance(rec, Record)

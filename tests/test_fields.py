@@ -58,8 +58,11 @@ def test_non_prime_characteristic_rejected():
 
 
 def test_field_too_large_rejected():
-    with pytest.raises(ValueError):
-        field(2, 17)
+    # the order is bounded before the primality test, so a large prime
+    # characteristic (trial division up to 2^30.5 otherwise) is refused at once
+    for p, m in ((2, 17), (2 ** 61 - 1, 1)):
+        with pytest.raises(ValueError):
+            field(p, m)
 
 
 def test_pow_and_log_tables():
