@@ -7,10 +7,15 @@ patterns in canonical order (weight ascending, support lexicographic,
 non-zero values in field order) and testing syndromes incrementally:
 the syndrome of a weight-w pattern is a combination of w precomputed
 column syndromes, so no full matrix-vector product is ever taken per
-pattern.  Over GF(2) the last support position is resolved through a
-hash map of column syndromes and entire weight classes are ruled out by
-a meet-in-the-middle existence check, both of which preserve first-hit
-order exactly (differentially tested against the naive scan).
+pattern.  The tail of each pattern is looked up, not looped over.  Over
+GF(2), weights 1 and 2 take the last position from a hash map of column
+syndromes; weights >= 4 (and 3 when b >= 4) take the last two from a
+pair-syndrome table cols[i] ^ cols[j] -> (i, j), built once per scan, and
+classes of weight >= 6 are first ruled out by a meet-in-the-middle
+existence check.  For q > 2 the last position and its value come from a
+projective column table (columns up to a non-zero scale).  All of them
+preserve first-hit order and indices exactly (differentially tested
+against the naive scan).
 
 The linear algebra is one reduction of [G~ | I_n], G~ = (G1 | G2): rows
 whose G~ part vanishes form the annihilator H~ the scan tests against, and
@@ -28,9 +33,9 @@ accepts it unchecked.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from time import perf_counter
 
@@ -214,10 +219,12 @@ def _gf2_columns(H: FieldMatrix):
 
 
 def _mitm_weight_exists(cols, s: int, n: int, w: int) -> bool:
-    """Can any XOR of w distinct columns equal s?  Sound to call only after
-    lower weights produced no *unseen* hits: a match with overlapping index
-    sets implies a lower-weight hit, so "no" is always conclusive while a
-    spurious "yes" merely costs an exact scan of the class."""
+    """Can any XOR of w distinct columns equal s?  A match with overlapping
+    index sets implies a lower-weight hit, so "no" is always conclusive
+    while a spurious "yes" merely costs an exact scan of the class.  The
+    scan asks only for w >= 6: its left set has C(n, 3) entries there, and
+    for w = 4 and 5 the check would cost as much as the pair-table scan of
+    the class it guards."""
     a = min(w // 2, 3)
     left = set()
     for combo in combinations(range(n), a):
@@ -234,15 +241,65 @@ def _mitm_weight_exists(cols, s: int, n: int, w: int) -> bool:
     return False
 
 
+def _pair_table(cols, n: int):
+    """Pair-syndrome table: cols[i] ^ cols[j] -> the pairs i < j with that
+    syndrome, each packed as i*n + j (ascending packed order is lex order).
+    A key with one pair maps to its packed int; a repeated key maps to ~k,
+    where extra[k] is the ascending list of its packed pairs."""
+    table: dict[int, int] = {}
+    extra: list[list[int]] = []
+    setdefault = table.setdefault
+    for i in range(n - 1):
+        ci = cols[i]
+        base = i * n
+        for j in range(i + 1, n):
+            key = ci ^ cols[j]
+            packed = base + j
+            old = setdefault(key, packed)
+            if old != packed:
+                if old >= 0:
+                    table[key] = ~len(extra)
+                    extra.append([old, packed])
+                else:
+                    extra[~old].append(packed)
+    return table, extra
+
+
+def _scan_pair_class(table, extra, cols, s: int, n: int, w: int):
+    """Supports of weight w >= 3 in lex order: loop over the first w - 2
+    positions and look the last two up in the pair table."""
+    get = table.get
+    for head in combinations(range(n - 3), w - 3):
+        base = s
+        for j in head:
+            base ^= cols[j]
+        for third in range(head[-1] + 1 if head else 0, n - 2):
+            packed = get(base ^ cols[third])
+            if packed is None:
+                continue
+            lo = (third + 1) * n
+            outer = head + (third,)
+            if packed >= 0:
+                if packed >= lo:
+                    yield outer + divmod(packed, n)
+                continue
+            lst = extra[~packed]
+            for packed in lst[bisect_left(lst, lo):]:
+                yield outer + divmod(packed, n)
+
+
 def _scan_gf2(cols, s: int, n: int, b: int):
     """Yield hit supports in canonical order (values are implicitly all
-    ones over GF(2)); the last support position comes from a hash map of
-    column syndromes instead of being looped over."""
+    ones over GF(2)).  Weights 1 and 2 take the last position from a hash
+    map of column syndromes; weights >= 4 (and 3 when b >= 4, since a scan
+    that reaches class 4 builds the table anyway) take the last two from
+    the pair table, built once when the scan first enters such a class."""
     if s == 0:
         yield ()
     by_val: dict[int, list[int]] = {}
     for j, cv in enumerate(cols):
         by_val.setdefault(cv, []).append(j)
+    pairs = None
     for w in range(1, b + 1):
         if w > n:
             return
@@ -250,7 +307,12 @@ def _scan_gf2(cols, s: int, n: int, b: int):
             for j in by_val.get(s, ()):
                 yield (j,)
             continue
-        if w >= 4 and not _mitm_weight_exists(cols, s, n, w):
+        if w >= 3 and b >= 4:
+            if w >= 6 and not _mitm_weight_exists(cols, s, n, w):
+                continue
+            if pairs is None:
+                pairs = _pair_table(cols, n)
+            yield from _scan_pair_class(*pairs, cols, s, n, w)
             continue
         get = by_val.get
         if w == 2:
@@ -269,57 +331,62 @@ def _scan_gf2(cols, s: int, n: int, b: int):
                         yield outer + (second, j)
 
 
-def _solve_last_value(f: FieldSpec, col, target):
-    """v != 0 with v*col == target componentwise, or None."""
-    pivot = -1
-    for i, c in enumerate(col):
-        if c:
-            pivot = i
-            break
-    if pivot < 0:
-        return "free" if all(t == 0 for t in target) else None
-    v = f.div(target[pivot], col[pivot])
-    if v == 0:
-        return None
-    for c, t in zip(col, target):
-        if f.mul(v, c) != t:
-            return None
-    return v
+def _projective(f: FieldSpec, vec):
+    """(vec / lead, lead) for the first non-zero entry lead of vec, or None
+    for the zero vector."""
+    for lead in vec:
+        if lead:
+            inv = f.inv(lead)
+            mul = f.mul
+            return tuple([mul(x, inv) for x in vec]), lead
+    return None
 
 
 def _scan_generic(f: FieldSpec, cols, s, n: int, b: int):
-    """Yield (support, values) hits in canonical order for q > 2."""
-    q = f.q
+    """Yield (support, values) hits in canonical order for q > 2.
+
+    The last position comes from a projective column table: each non-zero
+    column, divided by its first non-zero entry, maps to the (j, entry)
+    pairs that share it.  v*cols[j] equals a target t != 0 exactly when
+    t/lead(t) is cols[j]/lead(cols[j]), with v = lead(t)/lead(cols[j]);
+    a zero target matches only zero columns, with every non-zero v.  Hits
+    of one head support are sorted by (last position, values) before they
+    are yielded, which is canonical order."""
+    q, mul, sub = f.q, f.mul, f.sub
     if all(e == 0 for e in s):
         yield (), ()
+    table: dict[tuple, list] = {}
+    zeros = []
+    for j, col in enumerate(cols):
+        proj = _projective(f, col)
+        if proj is None:
+            zeros.append(j)
+        else:
+            table.setdefault(proj[0], []).append((j, proj[1]))
     for w in range(1, b + 1):
         if w > n:
             return
-        for support in combinations(range(n), w):
-            head, last = support[:-1], support[-1]
-            col_last = cols[last]
-            # value prefix odometer over the head positions
-            prefix = [1] * (w - 1)
-            while True:
+        for head in combinations(range(n - 1), w - 1):
+            lo = head[-1] + 1 if head else 0
+            hits = []
+            for prefix in product(range(1, q), repeat=w - 1):
                 target = list(s)
                 for j, v in zip(head, prefix):
-                    cj = cols[j]
-                    for i in range(len(target)):
-                        if cj[i]:
-                            target[i] = f.sub(target[i], f.mul(v, cj[i]))
-                v = _solve_last_value(f, col_last, target)
-                if v == "free":
-                    for vv in range(1, q):
-                        yield support, tuple(prefix) + (vv,)
-                elif v is not None:
-                    yield support, tuple(prefix) + (v,)
-                i = w - 2
-                while i >= 0 and prefix[i] == q - 1:
-                    prefix[i] = 1
-                    i -= 1
-                if i < 0:
-                    break
-                prefix[i] += 1
+                    for i, c in enumerate(cols[j]):
+                        if c:
+                            target[i] = sub(target[i], mul(v, c))
+                proj = _projective(f, target)
+                if proj is None:
+                    hits.extend((last, prefix + (v,)) for last in zeros if last >= lo
+                                for v in range(1, q))
+                    continue
+                key, lead = proj
+                for last, col_lead in table.get(key, ()):
+                    if last >= lo:
+                        hits.append((last, prefix + (f.div(lead, col_lead),)))
+            hits.sort()
+            for last, values in hits:
+                yield head + (last,), values
 
 
 def scan_syndrome_hits(H: FieldMatrix, s: FieldVector, b: int, *, reference: bool = False):
@@ -496,17 +563,19 @@ def affine_reduction_attack(code, rec1, rec2, b: int, *, hashes=None) -> AttackO
 
     rec1/rec2 are (commitment, transform) pairs with field-permutation
     transforms sigma_i = a_i*x + c_i.  The constant shift c_i*(1..1) is
-    subtracted from each commitment and the scalar matrices a_i^-1 * I
-    feed the linear attack, which then sees plain commitments of the
-    feature vectors themselves.  Raises ValueError when a sigma is not
-    affine (the reduction does not apply).
+    subtracted from each commitment, and the generator and the shifted
+    commitment are scaled by a_i^-1 (the linear attack with Q = a_i^-1 * I,
+    without building Q), so the core sees plain commitments of the feature
+    vectors themselves.  Raises ValueError when a sigma is not affine (the
+    reduction does not apply).
     """
     from .transforms import detect_affine
 
     G = code.G if isinstance(code, LinearCode) else code
     f = G.field
     n = G.rows
-    qr = []
+    grid = G.to_grid()
+    blocks = []
     commitments = []
     for fvec, T in (rec1, rec2):
         if T.kind != "field-permutation":
@@ -515,13 +584,11 @@ def affine_reduction_attack(code, rec1, rec2, b: int, *, hashes=None) -> AttackO
         if ab is None:
             raise ValueError("transform bijection is not affine; reduction unavailable")
         a, c = ab
-        shift = FieldVector(f, (c,) * n)
-        commitments.append(fvec - shift)
+        # a bijection's linear part is never 0, so a_inv exists
         a_inv = f.inv(a)
-        qr.append(FieldMatrix(f, [[a_inv if i == j else 0 for j in range(n)]
-                                  for i in range(n)]))
-    return linear_decodability_attack(code, commitments[0], commitments[1],
-                                      qr[0], qr[1], b, hashes=hashes)
+        blocks.append(FieldMatrix(f, [[f.mul(a_inv, e) for e in row] for row in grid]))
+        commitments.append((fvec - FieldVector(f, (c,) * n)).scale(a_inv))
+    return _attack_core(*blocks, *commitments, b, hashes, G, G, False)
 
 
 def linear_decodability_attack(code, f1: FieldVector, f2: FieldVector,

@@ -169,7 +169,8 @@ def attack():
 @click.option("--b", "bound", type=int, required=True, help="error-pattern weight bound")
 @click.option("--hash", "use_hash", is_flag=True,
               help="filter candidates through the records' codeword digests")
-def attack_pair(rec1_path, rec2_path, bound, use_hash):
+@click.option("--force", is_flag=True, help="override the pattern-budget guardrail")
+def attack_pair(rec1_path, rec2_path, bound, use_hash, force):
     """Attack two records; exit 0 = related, 1 = non-related, 2 = error."""
     r1 = _load_record(rec1_path)
     r2 = _load_record(rec2_path)
@@ -177,7 +178,8 @@ def attack_pair(rec1_path, rec2_path, bound, use_hash):
         _fail("records use different codes")
     try:
         c = commitment.resolve_code(r1)
-    except ValueError as exc:
+        experiments.check_pattern_budget(c.field.q, c.n, bound, force)
+    except (ValueError, attacks.ResourceCapError) as exc:
         _fail(str(exc))
     hashes = None
     if use_hash:

@@ -140,14 +140,20 @@ def _ball_pattern(f, n, b, rng):
     return Hit(support, values, idx).pattern(f, n)
 
 
+def check_pattern_budget(q: int, n: int, b: int, force: bool = False) -> None:
+    """Refuse a scan of weight <= b over GF(q)^n that could test more than
+    PATTERN_BUDGET patterns, unless forced."""
+    total = pattern_count(q, n, b)
+    if total > PATTERN_BUDGET and not force:
+        raise ResourceCapError(
+            f"b={b} scans up to {total} patterns "
+            f"(> {PATTERN_BUDGET}); pass force to run it anyway")
+
+
 def run_cell(code: LinearCode, b: int, config: ExperimentConfig, cell_index: int) -> CellReport:
     f = code.field
     n = code.n
-    total_patterns = pattern_count(f.q, n, b)
-    if total_patterns > PATTERN_BUDGET and not config.force:
-        raise ResourceCapError(
-            f"cell b={b} scans up to {total_patterns} patterns "
-            f"(> {PATTERN_BUDGET}); pass force to run it anyway")
+    check_pattern_budget(f.q, n, b, config.force)
     if config.mode == "related":
         w_exact = config.sampling_weight if config.sampling_weight is not None else b
         if not 0 <= w_exact <= b:

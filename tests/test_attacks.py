@@ -105,22 +105,53 @@ def test_pattern_iter_raw_restart():
 # scan engine: fast path vs naive reference
 # ---------------------------------------------------------------------------
 
-def _random_check_matrix(f, rng, rows, cols):
-    return FieldMatrix(f, [[int(x) for x in rng.integers(0, f.q, size=cols)]
-                           for _ in range(rows)])
+def _random_check_matrix(f, rng, rows, cols, degenerate=False):
+    """Random H; degenerate=True zeroes column 1 and makes columns 3 and 5
+    non-zero multiples of columns 0 and 2 (duplicates over GF(2)), which
+    repeats keys of both the pair table and the projective column table."""
+    grid = [[int(x) for x in rng.integers(0, f.q, size=cols)] for _ in range(rows)]
+    if degenerate:
+        for row in grid:
+            row[1] = 0
+            for src, dst in ((0, 3), (2, 5)):
+                row[dst] = f.mul(1 + dst % (f.q - 1), row[src])
+    return FieldMatrix(f, grid)
 
 
-@pytest.mark.parametrize("f,rows,cols,b", [(GF2, 6, 14, 3), (GF2, 4, 10, 4),
-                                           (GF3, 4, 8, 2), (field(2, 2), 3, 6, 2)])
+def _all_hits(H, s, b, reference=False):
+    return [(h.support, h.values, h.index)
+            for h in scan_syndrome_hits(H, s, b, reference=reference)]
+
+
+@pytest.mark.parametrize("f,rows,cols,b", [
+    (GF2, 6, 14, 3), (GF2, 4, 10, 4), (GF3, 4, 8, 2), (field(2, 2), 3, 6, 2),
+    (GF2, 7, 12, 5), (GF2, 12, 14, 6), (GF2, 8, 12, 6),
+    (GF3, 4, 8, 3), (field(2, 2), 3, 7, 3), (field(3, 2), 3, 6, 3)])
 def test_scan_matches_reference(rng, f, rows, cols, b):
-    for _ in range(15):
-        H = _random_check_matrix(f, rng, rows, cols)
+    """Full hit lists of the fast scan equal the naive scan's, on random H
+    and, every other round, on H with zero and proportional columns.  GF(2)
+    covers both class-3 branches (b = 3 and b >= 4), the pair-table classes
+    and the meet-in-the-middle guarded class 6; q > 2 the projective table."""
+    for i in range(16):
+        H = _random_check_matrix(f, rng, rows, cols, degenerate=i % 2 == 1)
         s = H @ random_weight_vector(f, cols, int(rng.integers(0, b + 1)), rng)
-        fast = [(h.support, h.values, h.index) for h in scan_syndrome_hits(H, s, b)]
-        ref = [(h.support, h.values, h.index)
-               for h in scan_syndrome_hits(H, s, b, reference=True)]
-        assert fast == ref
+        fast = _all_hits(H, s, b)
+        assert fast == _all_hits(H, s, b, reference=True)
         assert fast  # the planted pattern guarantees at least one hit
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2)]), st.data())
+def test_scan_matches_reference_property(pm, data):
+    f = field(*pm)
+    n = data.draw(st.integers(1, 11 if f.q == 2 else 6))
+    rows = data.draw(st.integers(1, 6))
+    elements = st.integers(0, f.q - 1)
+    H = FieldMatrix(f, data.draw(st.lists(st.lists(elements, min_size=n, max_size=n),
+                                          min_size=rows, max_size=rows)))
+    s = FieldVector(f, data.draw(st.lists(elements, min_size=rows, max_size=rows)))
+    b = data.draw(st.integers(0, min(6, n)))
+    assert _all_hits(H, s, b) == _all_hits(H, s, b, reference=True)
 
 
 def test_scan_empty_check_matrix():
@@ -333,6 +364,33 @@ def test_hash_filtering_rejects_unknown_digest_length(rng):
         with pytest.raises(ValueError, match="digest length"):
             modified_decodability_attack(c, (r1.commitment, t1), (r2.commitment, t2), 1,
                                          hashes=hashes)
+
+
+def test_hash_filtering_resumes_through_pair_table_class(rng):
+    # b = 4 on (31, 11): H~ has about 9 rows, so spurious hits of every
+    # weight, weight 4 included, come before the genuine distance-4 pattern
+    # and are rejected by their digests; with the first record's digest
+    # given for both, every hit is rejected and the pair is non-related
+    c = bch_build(5, 5)
+    rejected_w4 = 0
+    for i in range(6):
+        w1, w2, t1, t2, r1, r2 = _random_records(c, rng, distance=4, with_hash=True)
+        recs = (r1.commitment, t1), (r2.commitment, t2)
+        hashes = (r1.codeword_hash, r2.codeword_hash if i % 3 else r1.codeword_hash)
+        fast = modified_decodability_attack(c, *recs, 4, hashes=hashes)
+        ref = modified_decodability_attack(c, *recs, 4, hashes=hashes, reference_scan=True)
+        assert (fast.related, fast.patterns_scanned, fast.candidates) == (
+            ref.related, ref.patterns_scanned, ref.candidates)
+        assert fast.related == bool(i % 3)
+        if fast.related:
+            assert fast.candidates == (w1, w2)
+        Gt = concat_cols(permuted_rows(c.G, t1.inverse_permutation()),
+                         permuted_rows(c.G, t2.inverse_permutation()))
+        Ht = kernel_basis(Gt.transpose()).transpose()
+        r = apply_inverse(t1, r1.commitment) - apply_inverse(t2, r2.commitment)
+        rejected_w4 += sum(1 for h in scan_syndrome_hits(Ht, Ht @ r, 4)
+                           if len(h.support) == 4 and h.index < fast.patterns_scanned - 1)
+    assert rejected_w4 > 0
 
 
 # ---------------------------------------------------------------------------

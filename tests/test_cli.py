@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from fuzzylink import experiments
 from fuzzylink.cli import main
 from fuzzylink.codes import generic_code, parse_code_descriptor
 from fuzzylink.commitment import (
@@ -119,6 +120,28 @@ def test_experiment_guardrail_exit(runner):
                                "--b", "5", "--trials", "1"])
     assert res.exit_code == 2
     assert "force" in res.output
+
+
+def test_attack_pair_pattern_budget(runner, tmp_path, monkeypatch):
+    paths = []
+    for seed in (1, 2):
+        path = tmp_path / f"r{seed}.json"
+        res = runner.invoke(main, ["enroll", "--code", "bch:255:26", "--w", "random",
+                                   "--seed", str(seed), "--out", str(path)])
+        assert res.exit_code == 0
+        paths.append(str(path))
+    # C(255, 6) patterns: refused before any elimination or scan starts
+    res = runner.invoke(main, ["attack", "pair", *paths, "--b", "6"])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "force" in lines[0]
+    # --force overrides the budget, as it does for experiment table1
+    monkeypatch.setattr(experiments, "PATTERN_BUDGET", 100)
+    assert runner.invoke(main, ["attack", "pair", *paths, "--b", "1"]).exit_code == 2
+    res = runner.invoke(main, ["attack", "pair", *paths, "--b", "1", "--force"])
+    assert res.exit_code == 1
+    assert json.loads(res.output)["verdict"] == "non-related"
 
 
 def test_analyze_density(runner):
