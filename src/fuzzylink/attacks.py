@@ -9,13 +9,13 @@ the syndrome of a weight-w pattern is a combination of w precomputed
 column syndromes, so no full matrix-vector product is ever taken per
 pattern.  The tail of each pattern is looked up, not looped over.  Over
 GF(2), weights 1 and 2 take the last position from a hash map of column
-syndromes; weights >= 4 (and 3 when b >= 4) take the last two from a
-pair-syndrome table cols[i] ^ cols[j] -> (i, j), built once per scan, and
-classes of weight >= 6 are first ruled out by a meet-in-the-middle
-existence check.  For q > 2 the last position and its value come from a
-projective column table (columns up to a non-zero scale).  All of them
-preserve first-hit order and indices exactly (differentially tested
-against the naive scan).
+syndromes; weights >= 3 take the last two from a pair-syndrome table
+cols[i] ^ cols[j] -> (i, j), built once per scan, and classes of weight
+>= 6 are first ruled out by a meet-in-the-middle existence check.  For
+q > 2 the last position and its value come from a projective column
+table (columns up to a non-zero scale).  All of them preserve first-hit
+order and indices exactly (differentially tested against the naive
+scan).
 
 The linear algebra is one reduction of [G~ | I_n], G~ = (G1 | G2): rows
 whose G~ part vanishes form the annihilator H~ the scan tests against, and
@@ -54,6 +54,7 @@ from .linalg import (
 from .transforms import apply_inverse
 
 SOLUTION_ENUM_CAP = 1 << 16
+PATTERN_BUDGET = 10 ** 9
 
 
 class ResourceCapError(RuntimeError):
@@ -63,6 +64,16 @@ class ResourceCapError(RuntimeError):
 def pattern_count(q: int, n: int, b: int) -> int:
     """Number of vectors in F^n of Hamming weight <= b."""
     return sum(comb(n, j) * (q - 1) ** j for j in range(min(b, n) + 1))
+
+
+def check_pattern_budget(q: int, n: int, b: int, force: bool = False) -> None:
+    """Refuse a scan of weight <= b over GF(q)^n that could test more than
+    PATTERN_BUDGET patterns, unless forced."""
+    total = pattern_count(q, n, b)
+    if total > PATTERN_BUDGET and not force:
+        raise ResourceCapError(
+            f"b={b} scans up to {total} patterns "
+            f"(> {PATTERN_BUDGET}); pass force to run it anyway")
 
 
 def _comb_rank(support, n: int) -> int:
@@ -291,9 +302,8 @@ def _scan_pair_class(table, extra, cols, s: int, n: int, w: int):
 def _scan_gf2(cols, s: int, n: int, b: int):
     """Yield hit supports in canonical order (values are implicitly all
     ones over GF(2)).  Weights 1 and 2 take the last position from a hash
-    map of column syndromes; weights >= 4 (and 3 when b >= 4, since a scan
-    that reaches class 4 builds the table anyway) take the last two from
-    the pair table, built once when the scan first enters such a class."""
+    map of column syndromes; weights >= 3 take the last two from the pair
+    table, built once when the scan first enters class 3."""
     if s == 0:
         yield ()
     by_val: dict[int, list[int]] = {}
@@ -307,28 +317,19 @@ def _scan_gf2(cols, s: int, n: int, b: int):
             for j in by_val.get(s, ()):
                 yield (j,)
             continue
-        if w >= 3 and b >= 4:
-            if w >= 6 and not _mitm_weight_exists(cols, s, n, w):
-                continue
-            if pairs is None:
-                pairs = _pair_table(cols, n)
-            yield from _scan_pair_class(*pairs, cols, s, n, w)
-            continue
-        get = by_val.get
         if w == 2:
-            outers = ((),)
-        else:
-            outers = combinations(range(n), w - 2)
-        for outer in outers:
-            base = s
-            for j in outer:
-                base ^= cols[j]
-            lo = outer[-1] + 1 if outer else 0
-            for second in range(lo, n - 1):
-                lst = get(base ^ cols[second])
+            get = by_val.get
+            for first in range(n - 1):
+                lst = get(s ^ cols[first])
                 if lst is not None:
-                    for j in lst[bisect_right(lst, second):]:
-                        yield outer + (second, j)
+                    for j in lst[bisect_right(lst, first):]:
+                        yield (first, j)
+            continue
+        if w >= 6 and not _mitm_weight_exists(cols, s, n, w):
+            continue
+        if pairs is None:
+            pairs = _pair_table(cols, n)
+        yield from _scan_pair_class(*pairs, cols, s, n, w)
 
 
 def _projective(f: FieldSpec, vec):

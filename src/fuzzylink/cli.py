@@ -178,7 +178,7 @@ def attack_pair(rec1_path, rec2_path, bound, use_hash, force):
         _fail("records use different codes")
     try:
         c = commitment.resolve_code(r1)
-        experiments.check_pattern_budget(c.field.q, c.n, bound, force)
+        attacks.check_pattern_budget(c.field.q, c.n, bound, force)
     except (ValueError, attacks.ResourceCapError) as exc:
         _fail(str(exc))
     hashes = None

@@ -29,7 +29,7 @@ import numpy as np
 from .attacks import (
     PatternEnumerator,
     Hit,
-    ResourceCapError,
+    check_pattern_budget,
     generalized_attack,
     modified_decodability_attack,
     pattern_count,
@@ -39,7 +39,6 @@ from .commitment import enroll
 from .linalg import random_vector, random_weight_vector
 from .transforms import apply, random_transform
 
-PATTERN_BUDGET = 10 ** 9
 RNG_ID = "pcg64:seedseq(seed,cell,trial)"
 REPORT_VERSION = 1
 
@@ -138,16 +137,6 @@ def _ball_pattern(f, n, b, rng):
     idx = int(rng.integers(0, total))
     support, values = PatternEnumerator(f, n, b)._raw_at(idx)
     return Hit(support, values, idx).pattern(f, n)
-
-
-def check_pattern_budget(q: int, n: int, b: int, force: bool = False) -> None:
-    """Refuse a scan of weight <= b over GF(q)^n that could test more than
-    PATTERN_BUDGET patterns, unless forced."""
-    total = pattern_count(q, n, b)
-    if total > PATTERN_BUDGET and not force:
-        raise ResourceCapError(
-            f"b={b} scans up to {total} patterns "
-            f"(> {PATTERN_BUDGET}); pass force to run it anyway")
 
 
 def run_cell(code: LinearCode, b: int, config: ExperimentConfig, cell_index: int) -> CellReport:

@@ -130,8 +130,8 @@ def _all_hits(H, s, b, reference=False):
 def test_scan_matches_reference(rng, f, rows, cols, b):
     """Full hit lists of the fast scan equal the naive scan's, on random H
     and, every other round, on H with zero and proportional columns.  GF(2)
-    covers both class-3 branches (b = 3 and b >= 4), the pair-table classes
-    and the meet-in-the-middle guarded class 6; q > 2 the projective table."""
+    covers the pair-table classes 3 to 6, with b = 3 and with larger b, and
+    the meet-in-the-middle guarded class 6; q > 2 the projective table."""
     for i in range(16):
         H = _random_check_matrix(f, rng, rows, cols, degenerate=i % 2 == 1)
         s = H @ random_weight_vector(f, cols, int(rng.integers(0, b + 1)), rng)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from fuzzylink import experiments
+from fuzzylink import attacks
 from fuzzylink.cli import main
 from fuzzylink.codes import generic_code, parse_code_descriptor
 from fuzzylink.commitment import (
@@ -137,7 +137,7 @@ def test_attack_pair_pattern_budget(runner, tmp_path, monkeypatch):
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "force" in lines[0]
     # --force overrides the budget, as it does for experiment table1
-    monkeypatch.setattr(experiments, "PATTERN_BUDGET", 100)
+    monkeypatch.setattr(attacks, "PATTERN_BUDGET", 100)
     assert runner.invoke(main, ["attack", "pair", *paths, "--b", "1"]).exit_code == 2
     res = runner.invoke(main, ["attack", "pair", *paths, "--b", "1", "--force"])
     assert res.exit_code == 1
