@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .attacks import pattern_count
 from .codes import LinearCode
+from .fields import MAX_ORDER
 from .linalg import concat_cols, permuted_rows, rank
 
 
@@ -70,6 +71,8 @@ def linear_map_probability(q: int) -> Fraction:
     invertible affine map x -> a*x + b: ((q-1)*q)/q! = 1/(q-2)!."""
     if q < 3:
         raise ValueError("defined for fields with at least 3 elements")
+    if q > MAX_ORDER:
+        raise ValueError(f"field order {q} exceeds supported maximum {MAX_ORDER}")
     return Fraction(1, math.factorial(q - 2))
 
 

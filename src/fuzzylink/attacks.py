@@ -220,15 +220,6 @@ class PatternEnumerator:
 # syndrome scan engine
 # ---------------------------------------------------------------------------
 
-def _gf2_columns(H: FieldMatrix):
-    """Column masks of H, transposed through binary strings (row i is
-    character i from the right of each column's string)."""
-    if not (H.rows and H.cols):
-        return [0] * H.cols
-    rows = [format(r, f"0{H.cols}b") for r in reversed(H.row_masks)]
-    return [int("".join(col), 2) for col in zip(*rows)][::-1]
-
-
 def _mitm_weight_exists(cols, s: int, n: int, w: int) -> bool:
     """Can any XOR of w distinct columns equal s?  A match with overlapping
     index sets implies a lower-weight hit, so "no" is always conclusive
@@ -409,13 +400,12 @@ def scan_syndrome_hits(H: FieldMatrix, s: FieldVector, b: int, *, reference: boo
             if H @ hit.pattern(f, n) == s:
                 yield hit
         return
+    cols = H.transpose()  # row j is column j of H
     if f.p == 2 and f.m == 1:
-        cols = _gf2_columns(H)
-        for support in _scan_gf2(cols, s.bits, n, b):
+        for support in _scan_gf2(cols.row_masks, s.bits, n, b):
             yield Hit(support, (1,) * len(support), enum.index_of(support, (1,) * len(support)))
         return
-    cols = [tuple(H.column(j).entries) for j in range(n)]
-    for support, values in _scan_generic(f, cols, tuple(s.entries), n, b):
+    for support, values in _scan_generic(f, cols.row_entries, tuple(s.entries), n, b):
         yield Hit(support, values, enum.index_of(support, values))
 
 

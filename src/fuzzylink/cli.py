@@ -2,12 +2,16 @@
 
 Exit codes: linkage-style commands exit 0 for a positive outcome
 (Related / Accept), 1 for the negative one, 2 on usage or input errors.
+Input errors are reported in one place, :class:`_Main`: any ValueError,
+OSError or ResourceCapError a command raises becomes one ``error:`` line
+on stderr and exit 2.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import click
@@ -24,29 +28,38 @@ def _fail(message: str):
 
 
 def _load_record(path: str) -> commitment.Record:
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "rb") as fh:
-            return commitment.parse_record(fh.read())
-    except OSError as exc:
-        _fail(str(exc))
+        return commitment.parse_record(data)
     except (commitment.RecordFormatError, commitment.MalformedRecordError) as exc:
-        _fail(f"{path}: {exc}")
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _rng(seed):
     return np.random.default_rng(seed)
 
 
-def _fraction_json(x: Fraction) -> dict:
+def _fraction_json(x: Fraction, text=str) -> dict:
     # float underflows to 0.0 for tiny values; log2 stays exact
     return {
-        "exact": f"{x.numerator}/{x.denominator}",
+        "exact": f"{text(x.numerator)}/{text(x.denominator)}",
         "float": float(x),
         "log2": analysis.log2_fraction(x) if x > 0 else None,
     }
 
 
-@click.group()
+class _Main(click.Group):
+    """The error boundary of every command."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, OSError, attacks.ResourceCapError) as exc:
+            _fail(str(exc))
+
+
+@click.group(cls=_Main)
 def main():
     """Fuzzy commitments over linear codes and the attacks that link them."""
 
@@ -64,10 +77,7 @@ def code():
 @click.argument("descriptor")
 def code_info(descriptor):
     """Print parameters of a code descriptor such as bch:31:5."""
-    try:
-        c = codes.parse_code_descriptor(descriptor)
-    except ValueError as exc:
-        _fail(str(exc))
+    c = codes.parse_code_descriptor(descriptor)
     dens = analysis.sphere_packing_density(
         analysis.DensityQuery(q=c.field.q, n=c.n, k=c.k, d=c.d))
     click.echo(f"code {descriptor}: n={c.n} k={c.k} d={c.d} t={c.t} "
@@ -95,20 +105,14 @@ def code_info(descriptor):
 @click.option("--print-w", is_flag=True, help="echo the enrolled feature vector")
 def enroll(descriptor, w_text, transform_kind, with_hash, noise_z, seed, out_path, print_w):
     """Create a protected record file."""
-    try:
-        c = codes.parse_code_descriptor(descriptor)
-    except ValueError as exc:
-        _fail(str(exc))
+    c = codes.parse_code_descriptor(descriptor)
     rng = _rng(seed)
-    try:
-        if w_text == "random":
-            w = random_vector(c.field, c.n, rng)
-        else:
-            w = commitment.vector_from_text(w_text, c.field, c.n)
-        t = transforms.random_transform(transform_kind, c.n, c.field, rng)
-        rec = commitment.enroll(w, c, t, with_hash=with_hash, noise_flips=noise_z, rng=rng)
-    except ValueError as exc:
-        _fail(str(exc))
+    if w_text == "random":
+        w = random_vector(c.field, c.n, rng)
+    else:
+        w = commitment.vector_from_text(w_text, c.field, c.n)
+    t = transforms.random_transform(transform_kind, c.n, c.field, rng)
+    rec = commitment.enroll(w, c, t, with_hash=with_hash, noise_flips=noise_z, rng=rng)
     with open(out_path, "wb") as fh:
         fh.write(commitment.serialize_record(rec))
     click.echo(f"record written to {out_path}")
@@ -122,12 +126,9 @@ def enroll(descriptor, w_text, transform_kind, with_hash, noise_z, seed, out_pat
 def verify(record_path, w_text):
     """Verify a candidate feature vector against a record (exit 0/1)."""
     rec = _load_record(record_path)
-    try:
-        c = commitment.resolve_code(rec)
-        w = commitment.vector_from_text(w_text, c.field, c.n)
-        result = commitment.verify(rec, c, w)
-    except (ValueError, commitment.MalformedRecordError) as exc:
-        _fail(str(exc))
+    c = commitment.resolve_code(rec)
+    w = commitment.vector_from_text(w_text, c.field, c.n)
+    result = commitment.verify(rec, c, w)
     if result.accepted:
         kind = "hash-verified" if result.hash_checked else "unverified (no digest bound)"
         click.echo(f"ACCEPT ({kind})")
@@ -176,34 +177,28 @@ def attack_pair(rec1_path, rec2_path, bound, use_hash, force):
     r2 = _load_record(rec2_path)
     if r1.code_id != r2.code_id:
         _fail("records use different codes")
-    try:
-        c = commitment.resolve_code(r1)
-        attacks.check_pattern_budget(c.field.q, c.n, bound, force)
-    except (ValueError, attacks.ResourceCapError) as exc:
-        _fail(str(exc))
+    c = commitment.resolve_code(r1)
+    attacks.check_pattern_budget(c.field.q, c.n, bound, force)
     hashes = None
     if use_hash:
         if r1.codeword_hash is None or r2.codeword_hash is None:
             _fail("--hash requires digests in both records")
         hashes = (r1.codeword_hash, r2.codeword_hash)
     kinds = {r1.transform.kind, r2.transform.kind}
-    try:
-        if kinds <= {"identity", "bit-permutation"}:
-            out = attacks.modified_decodability_attack(
+    if kinds <= {"identity", "bit-permutation"}:
+        out = attacks.modified_decodability_attack(
+            c, (r1.commitment, r1.transform), (r2.commitment, r2.transform),
+            bound, hashes=hashes)
+    elif kinds == {"field-permutation"}:
+        try:
+            out = attacks.affine_reduction_attack(
                 c, (r1.commitment, r1.transform), (r2.commitment, r2.transform),
                 bound, hashes=hashes)
-        elif kinds == {"field-permutation"}:
-            try:
-                out = attacks.affine_reduction_attack(
-                    c, (r1.commitment, r1.transform), (r2.commitment, r2.transform),
-                    bound, hashes=hashes)
-            except ValueError:
-                out = attacks.generalized_attack(
-                    c.G, c.G, r1.commitment, r2.commitment, bound, hashes=hashes)
-        else:
-            _fail("records carry incompatible transform kinds")
-    except (ValueError, attacks.ResourceCapError) as exc:
-        _fail(str(exc))
+        except ValueError:
+            out = attacks.generalized_attack(
+                c.G, c.G, r1.commitment, r2.commitment, bound, hashes=hashes)
+    else:
+        _fail("records carry incompatible transform kinds")
     click.echo(json.dumps(_outcome_json(out), indent=2))
     sys.exit(0 if out.related else 1)
 
@@ -252,15 +247,12 @@ def experiment_table1(descriptor, b_list, trials, mode, related_sampling,
         b_values = tuple(int(x) for x in b_list.split(",") if x != "")
     except ValueError:
         _fail(f"bad --b list: {b_list!r}")
-    try:
-        config = experiments.ExperimentConfig(
-            code=descriptor, b_values=b_values, trials=trials, mode=mode,
-            related_sampling=related_sampling, sampling_weight=sampling_weight,
-            transform=transform, with_hash=with_hash, noise_z=noise_z,
-            seed=seed, threads=threads, force=force, secure_rng=secure_rng)
-        report = experiments.run_table1(config)
-    except (ValueError, attacks.ResourceCapError) as exc:
-        _fail(str(exc))
+    config = experiments.ExperimentConfig(
+        code=descriptor, b_values=b_values, trials=trials, mode=mode,
+        related_sampling=related_sampling, sampling_weight=sampling_weight,
+        transform=transform, with_hash=with_hash, noise_z=noise_z,
+        seed=seed, threads=threads, force=force, secure_rng=secure_rng)
+    report = experiments.run_table1(config)
     if out_path is None:
         experiments.write_report(report, fmt, click.get_binary_stream("stdout"),
                                  include_timing=timing)
@@ -288,18 +280,15 @@ def analyze():
 @click.option("--radius", type=int, default=None, help="explicit radius instead of (d-1)/2")
 def analyze_density(descriptor, q, n, k, d, radius):
     """Sphere packing density."""
-    try:
-        if descriptor is not None:
-            c = codes.parse_code_descriptor(descriptor)
-            q, n, k = c.field.q, c.n, c.k
-            if d is None and radius is None:
-                d = c.d
-        if None in (q, n, k):
-            raise ValueError("give --code or all of --q/--n/--k")
-        query = analysis.DensityQuery(q=q, n=n, k=k, d=d, radius=radius)
-        dens = analysis.sphere_packing_density(query)
-    except ValueError as exc:
-        _fail(str(exc))
+    if descriptor is not None:
+        c = codes.parse_code_descriptor(descriptor)
+        q, n, k = c.field.q, c.n, c.k
+        if d is None and radius is None:
+            d = c.d
+    if None in (q, n, k):
+        _fail("give --code or all of --q/--n/--k")
+    query = analysis.DensityQuery(q=q, n=n, k=k, d=d, radius=radius)
+    dens = analysis.sphere_packing_density(query)
     click.echo(json.dumps({"density": _fraction_json(dens),
                            "radius": query.effective_radius}, indent=2))
 
@@ -313,10 +302,7 @@ def analyze_density(descriptor, q, n, k, d, radius):
 def analyze_union_bound(q, n, rank_, b):
     """Union bound on the non-related linkage rate (an upper bound, not a
     prediction)."""
-    try:
-        val = analysis.union_bound_linkage(q, n, rank_, b)
-    except ValueError as exc:
-        _fail(str(exc))
+    val = analysis.union_bound_linkage(q, n, rank_, b)
     click.echo(json.dumps({"union_bound": _fraction_json(val)}, indent=2))
 
 
@@ -324,11 +310,11 @@ def analyze_union_bound(q, n, rank_, b):
 @click.option("--q", type=int, required=True)
 def analyze_linear_prob(q):
     """Probability that a random field bijection is affine: 1/(q-2)!."""
-    try:
-        val = analysis.linear_map_probability(q)
-    except ValueError as exc:
-        _fail(str(exc))
-    click.echo(json.dumps({"affine_probability": _fraction_json(val)}, indent=2))
+    val = analysis.linear_map_probability(q)
+    # (q-2)! outgrows the int -> str digit limit from q ~ 1560 on; q is
+    # bounded by MAX_ORDER here, so render through Decimal, which has none
+    out = _fraction_json(val, text=lambda i: str(Decimal(i)))
+    click.echo(json.dumps({"affine_probability": out}, indent=2))
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +326,7 @@ def analyze_linear_prob(q):
 def verify_theorem(n_):
     """Exhaustively enumerate the distance-preserving bijections of {0,1}^n
     and check that each is a bit permutation plus a constant shift."""
-    try:
-        maps = transforms.enumerate_distance_preserving_bijections(n_)
-    except ValueError as exc:
-        _fail(str(exc))
+    maps = transforms.enumerate_distance_preserving_bijections(n_)
     import math
     expected = math.factorial(n_) * 2 ** n_
     click.echo(f"{len(maps)} distance-preserving bijections of {{0,1}}^{n_}; "

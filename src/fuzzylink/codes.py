@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import FieldSpec, GF2, field, exp_log_tables
-from .linalg import FieldMatrix, FieldVector, kernel_basis, random_vector, rank
+from .linalg import FieldMatrix, FieldVector, RowReduction, random_vector, rank
 
 EXHAUSTIVE_DECODE_MAX_N = 24
 
@@ -126,7 +126,7 @@ def bch_build(m: int, t: int) -> LinearCode:
 
     The generator matrix columns are the shifts x^j * g(x) of the
     generator polynomial g = lcm of the minimal polynomials of
-    alpha^1 .. alpha^2t; H is computed as a kernel basis.
+    alpha^1 .. alpha^2t; H is the left kernel of G.
     """
     if not 2 <= m <= 8:
         raise ValueError("supported extension degrees are 2..8")
@@ -145,13 +145,12 @@ def bch_build(m: int, t: int) -> LinearCode:
     k = n - (len(gen) - 1)
     if k <= 0:
         raise ValueError(f"t={t} is too large for n={n}: degenerate code")
-    # column j of G = coefficients of x^j g(x)
+    # column j of G = coefficients of x^j g(x): transpose the shifted rows
     g_mask = 0
     for i, c in enumerate(gen):
         g_mask |= c << i
-    columns = [g_mask << j for j in range(k)]
-    G = FieldMatrix.from_columns(GF2, columns, rows=n)
-    H = kernel_basis(G.transpose()).transpose()
+    G = FieldMatrix(GF2, cols=n, row_masks=[g_mask << j for j in range(k)]).transpose()
+    H = RowReduction(G).left_kernel
     params = BCHParams(m=m, t=t, generator_polynomial=gen)
     return LinearCode(GF2, n, k, 2 * t + 1, G, H, "bch-algebraic", params)
 
@@ -162,7 +161,7 @@ def generic_code(G: FieldMatrix, d: int) -> LinearCode:
     tractable)."""
     if d < 1:
         raise ValueError("distance must be >= 1")
-    H = kernel_basis(G.transpose()).transpose()
+    H = RowReduction(G).left_kernel
     return LinearCode(G.field, G.rows, G.cols, d, G, H, "exhaustive-bounded")
 
 

@@ -190,7 +190,7 @@ class FieldSpec:
     shared and their tables built once.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_digit_cache")
+    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log")
 
     def __init__(self, p: int, m: int, modulus=None):
         if m < 1:

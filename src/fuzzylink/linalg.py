@@ -3,7 +3,9 @@
 Vectors and matrices are immutable.  Over GF(2) the entries are bit-packed
 into Python integers (bit i of a vector mask = entry i; one mask per matrix
 row), so row operations are single XORs; every other field stores canonical
-integer entries in tuples.
+integer entries in tuples.  Matrices are read by rows only; whoever needs
+columns takes the rows of :meth:`FieldMatrix.transpose`, which over GF(2)
+regroups the bits of the rows' binary strings.
 
 Elimination is one routine per storage style, ``_reduce_gf2`` and
 ``_reduce_dense``, behind :class:`RowReduction`: the rows of [M | B] (B = I
@@ -250,39 +252,12 @@ class FieldMatrix:
             return cls(field, cols=cols, row_masks=[0] * rows)
         return cls(field, [[0] * cols for _ in range(rows)])
 
-    @classmethod
-    def from_columns(cls, field: FieldSpec, columns, rows: int) -> "FieldMatrix":
-        cols = len(columns)
-        if field.p == 2 and field.m == 1:
-            masks = [0] * rows
-            for j, col in enumerate(columns):
-                for i in range(rows):
-                    bit = (col >> i) & 1 if isinstance(col, int) else col[i]
-                    if bit:
-                        masks[i] |= 1 << j
-            return cls(field, cols=cols, row_masks=masks)
-        grid = [[columns[j][i] for j in range(cols)] for i in range(rows)]
-        return cls(field, grid, cols=cols)
-
     # -- accessors ------------------------------------------------------------
-
-    def entry(self, i: int, j: int) -> int:
-        if self.row_masks is not None:
-            return (self.row_masks[i] >> j) & 1
-        return self.row_entries[i][j]
 
     def row(self, i: int) -> FieldVector:
         if self.row_masks is not None:
             return FieldVector(self.field, n=self.cols, bits=self.row_masks[i])
         return FieldVector(self.field, self.row_entries[i])
-
-    def column(self, j: int) -> FieldVector:
-        if self.row_masks is not None:
-            mask = 0
-            for i, r in enumerate(self.row_masks):
-                mask |= ((r >> j) & 1) << i
-            return FieldVector(self.field, n=self.rows, bits=mask)
-        return FieldVector(self.field, tuple(row[j] for row in self.row_entries))
 
     def to_grid(self) -> list[list[int]]:
         if self.row_masks is not None:
@@ -309,15 +284,16 @@ class FieldMatrix:
     # -- products -------------------------------------------------------------
 
     def transpose(self) -> "FieldMatrix":
+        """Over GF(2) through the rows' binary strings: row j of the result
+        reads character j from the right of every string, row 0 lowest."""
         if self.row_masks is not None:
-            out = [0] * self.cols
-            for i, r in enumerate(self.row_masks):
-                while r:
-                    j = (r & -r).bit_length() - 1
-                    out[j] |= 1 << i
-                    r &= r - 1
+            if not (self.rows and self.cols):
+                return FieldMatrix.zeros(self.field, self.cols, self.rows)
+            rows = [format(r, f"0{self.cols}b") for r in reversed(self.row_masks)]
+            out = [int("".join(col), 2) for col in zip(*rows)]
+            out.reverse()
             return FieldMatrix(self.field, cols=self.rows, row_masks=out)
-        grid = [[self.row_entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
+        grid = [[row[j] for row in self.row_entries] for j in range(self.cols)]
         return FieldMatrix(self.field, grid, cols=self.rows)
 
     def mat_vec(self, v: FieldVector) -> FieldVector:
@@ -549,23 +525,19 @@ class AffineSolutions:
     def count(self) -> int:
         return self.particular.field.q ** self.kernel.cols
 
-    def solution(self, index: int) -> FieldVector:
-        """index-th solution; index 0 is the particular solution and the
-        kernel coefficients run through base-q digits of the index."""
-        f = self.particular.field
-        if not 0 <= index < self.count:
-            raise IndexError(index)
-        x = self.particular
-        for j in range(self.kernel.cols):
-            c = index % f.q
-            index //= f.q
-            if c:
-                x = x + self.kernel.column(j).scale(c)
-        return x
-
     def __iter__(self):
-        for i in range(self.count):
-            yield self.solution(i)
+        """Solution i is the particular solution plus the kernel columns
+        weighted by the base-q digits of i (least significant first)."""
+        q = self.particular.field.q
+        Kt = self.kernel.transpose()
+        basis = [Kt.row(j) for j in range(Kt.rows)]
+        for index in range(self.count):
+            x = self.particular
+            for v in basis:
+                index, c = divmod(index, q)
+                if c:
+                    x = x + v.scale(c)
+            yield x
 
 
 def solve_affine(M: FieldMatrix, y: FieldVector) -> AffineSolutions:
@@ -574,8 +546,8 @@ def solve_affine(M: FieldMatrix, y: FieldVector) -> AffineSolutions:
     _check_same_field(M, y)
     if y.n != M.rows:
         raise ValueError(f"dimension mismatch: {M.rows}x{M.cols} vs rhs length {y.n}")
-    # B = y, so the solver applied to the scalar 1 reads off x
-    red = RowReduction(M, FieldMatrix.from_columns(M.field, [y.entries], rows=M.rows))
+    # B = y as an n x 1 matrix, so the solver applied to the scalar 1 reads off x
+    red = RowReduction(M, FieldMatrix(M.field, [[e] for e in y], cols=1))
     return AffineSolutions(red.particular(FieldVector(M.field, [1])), red.null_space())
 
 

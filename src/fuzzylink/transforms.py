@@ -46,10 +46,7 @@ class TransformDescriptor:
                 raise ValueError("identity transform takes no tables")
 
     def inverse_permutation(self) -> tuple:
-        inv = [0] * self.n
-        for i, p in enumerate(self.permutation):
-            inv[p] = i
-        return tuple(inv)
+        return _inverse(self.permutation)
 
     def to_json(self) -> dict:
         if self.kind == "bit-permutation":
@@ -76,48 +73,41 @@ def identity_transform(field: FieldSpec, n: int) -> TransformDescriptor:
     return TransformDescriptor("identity", n, field)
 
 
-def _check_vec(T: TransformDescriptor, w: FieldVector):
+def _inverse(table) -> tuple:
+    """Inverse of a permutation given as its table of images."""
+    inv = [0] * len(table)
+    for i, p in enumerate(table):
+        inv[p] = i
+    return tuple(inv)
+
+
+def _transform(T: TransformDescriptor, w: FieldVector, inverse: bool) -> FieldVector:
     if w.field != T.field or w.n != T.n:
         raise ValueError("vector does not match transform domain")
+    if T.kind == "identity":
+        return w
+    if T.kind == "bit-permutation":
+        perm = T.inverse_permutation() if inverse else T.permutation
+        if w.bits is not None:
+            mask = 0
+            bits = w.bits
+            for i, p in enumerate(perm):
+                mask |= ((bits >> p) & 1) << i
+            return FieldVector(w.field, n=w.n, bits=mask)
+        e = w.entries
+        return FieldVector(w.field, tuple(e[p] for p in perm))
+    sig = _inverse(T.sigma) if inverse else T.sigma
+    return FieldVector(w.field, tuple(sig[e] for e in w.entries))
 
 
 def apply(T: TransformDescriptor, w: FieldVector) -> FieldVector:
     """Transformed vector; for a bit permutation entry i of the output is
     entry permutation[i] of the input (the matrix form P w)."""
-    _check_vec(T, w)
-    if T.kind == "identity":
-        return w
-    if T.kind == "bit-permutation":
-        if w.bits is not None:
-            mask = 0
-            bits = w.bits
-            for i, p in enumerate(T.permutation):
-                mask |= ((bits >> p) & 1) << i
-            return FieldVector(w.field, n=w.n, bits=mask)
-        e = w.entries
-        return FieldVector(w.field, tuple(e[p] for p in T.permutation))
-    sig = T.sigma
-    return FieldVector(w.field, tuple(sig[e] for e in w.entries))
+    return _transform(T, w, inverse=False)
 
 
 def apply_inverse(T: TransformDescriptor, v: FieldVector) -> FieldVector:
-    _check_vec(T, v)
-    if T.kind == "identity":
-        return v
-    if T.kind == "bit-permutation":
-        inv = T.inverse_permutation()
-        if v.bits is not None:
-            mask = 0
-            bits = v.bits
-            for i, p in enumerate(inv):
-                mask |= ((bits >> p) & 1) << i
-            return FieldVector(v.field, n=v.n, bits=mask)
-        e = v.entries
-        return FieldVector(v.field, tuple(e[p] for p in inv))
-    inv_sigma = [0] * T.field.q
-    for x, y in enumerate(T.sigma):
-        inv_sigma[y] = x
-    return FieldVector(v.field, tuple(inv_sigma[e] for e in v.entries))
+    return _transform(T, v, inverse=True)
 
 
 def as_matrix(T: TransformDescriptor) -> FieldMatrix:

@@ -1,4 +1,6 @@
 import json
+import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from fuzzylink.commitment import (
     serialize_record,
     vector_to_text,
 )
-from fuzzylink.fields import GF2
+from fuzzylink.fields import GF2, MAX_ORDER
 from fuzzylink.linalg import FieldMatrix, random_vector, random_weight_vector
 from fuzzylink.transforms import random_transform
 
@@ -115,6 +117,18 @@ def test_experiment_determinism_across_threads(runner, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_experiment_secure_rng(runner, tmp_path):
+    out = tmp_path / "rep.json"
+    res = runner.invoke(main, ["experiment", "table1", "--code", "bch:31:5", "--b", "1",
+                               "--trials", "8", "--mode", "related", "--secure-rng",
+                               "--out", str(out)])
+    assert res.exit_code == 0
+    rep = json.loads(out.read_bytes())
+    assert rep["rng"] == "os-entropy (non-reproducible)"
+    [cell] = rep["cells"]
+    assert (cell["b"], cell["trials"], cell["linked"]) == (1, 8, 8)
+
+
 def test_experiment_guardrail_exit(runner):
     res = runner.invoke(main, ["experiment", "table1", "--code", "bch:255:26",
                                "--b", "5", "--trials", "1"])
@@ -166,6 +180,20 @@ def test_analyze_linear_prob(runner):
     assert abs(out["affine_probability"]["log2"] + 108) < 0.5
     res = runner.invoke(main, ["analyze", "linear-prob", "--q", "2"])
     assert res.exit_code == 2
+
+
+def test_analyze_linear_prob_large_fields(runner):
+    # 2046! has more decimal digits than int -> str converts by default
+    res = runner.invoke(main, ["analyze", "linear-prob", "--q", "2048"])
+    assert res.exit_code == 0
+    out = json.loads(res.output)["affine_probability"]
+    num, den = out["exact"].split("/")
+    assert num == "1" and int(Decimal(den)) == math.factorial(2046)
+    assert out["float"] == 0.0
+    res = runner.invoke(main, ["analyze", "linear-prob", "--q", str(MAX_ORDER + 1)])
+    assert res.exit_code == 2
+    assert res.stderr.splitlines() == [
+        f"error: field order {MAX_ORDER + 1} exceeds supported maximum {MAX_ORDER}"]
 
 
 def test_verify_theorem(runner):
@@ -265,5 +293,28 @@ def test_malformed_record_fails_cleanly(runner, tmp_path, shape):
     res = runner.invoke(main, ["attack", "pair", str(path), str(path), "--b", "1"])
     assert res.exit_code == 2
     assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+# inputs that used to escape the error boundary with a traceback
+BAD_INPUTS = {
+    "enroll-out-missing-dir": ["enroll", "--code", "bch:31:5", "--w", "random",
+                               "--seed", "1", "--out", "{missing}/r.json"],
+    "table1-out-missing-dir": ["experiment", "table1", "--code", "bch:31:5", "--b", "0",
+                               "--trials", "2", "--out", "{missing}/t.json"],
+    "enroll-negative-seed": ["enroll", "--code", "bch:31:5", "--w", "random",
+                             "--seed", "-1", "--out", "{tmp}/r.json"],
+    "demo-negative-hw": ["demo", "appendix", "--seed", "1", "--hw", "-1"],
+    "demo-hw-beyond-n": ["demo", "appendix", "--seed", "1", "--hw", "200"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_error_line(runner, tmp_path, case):
+    args = [a.format(tmp=tmp_path, missing=tmp_path / "missing") for a in BAD_INPUTS[case]]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert type(res.exception) is SystemExit
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")

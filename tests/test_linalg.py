@@ -177,7 +177,7 @@ def test_kernel_properties(rng, f):
         K = kernel_basis(M)
         assert K.cols == c - rank(M)
         for j in range(K.cols):
-            assert (M @ K.column(j)).weight() == 0
+            assert (M @ K.transpose().row(j)).weight() == 0
         if K.cols:
             assert rank(K) == K.cols  # columns linearly independent
 
@@ -219,6 +219,15 @@ def test_invert_round_trip(rng, f):
             if rank(M) == 6:
                 break
         assert invert(M) @ M == ident
+
+
+@pytest.mark.parametrize("f", [GF2, GF5])
+@pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0), (1, 1), (5, 9), (28, 127)])
+def test_transpose(rng, f, rows, cols):
+    grid = [[int(x) for x in rng.integers(0, f.q, size=cols)] for _ in range(rows)]
+    T = FieldMatrix(f, grid, cols=cols).transpose()
+    assert (T.rows, T.cols) == (cols, rows)
+    assert T.to_grid() == [[row[j] for row in grid] for j in range(cols)]
 
 
 def test_invert_permutation_is_transpose(rng):
@@ -308,7 +317,7 @@ def test_row_reduction_annihilator_and_solver(Gt, data):
         assert (particular, kernel) == (sols.particular, sols.kernel)
         ref_x, ref_kernel = ref_solve(f, Gt.to_grid(), list(y.entries))
         assert list(particular.entries) == ref_x
-        assert [list(kernel.column(j).entries) for j in range(kernel.cols)] == ref_kernel
+        assert [list(kernel.transpose().row(j).entries) for j in range(kernel.cols)] == ref_kernel
     if Ht.rows:
         y = FieldVector(f, [1 if i == n - 1 else 0 for i in range(n)])
         while ref_solve(f, Gt.to_grid(), list(y.entries)) is not None:
