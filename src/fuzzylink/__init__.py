@@ -57,7 +57,6 @@ from .commitment import (
 from .attacks import (
     AttackOutcome,
     Hit,
-    PatternEnumerator,
     ResourceCapError,
     affine_reduction_attack,
     decodability_attack,

@@ -15,7 +15,7 @@ cols[i] ^ cols[j] -> (i, j), built once per scan, and classes of weight
 q > 2 the last position and its value come from a projective column
 table (columns up to a non-zero scale).  All of them preserve first-hit
 order and indices exactly (differentially tested against the naive
-scan).
+itertools scan that defines the order).
 
 The linear algebra is one reduction of [G~ | I_n], G~ = (G1 | G2): rows
 whose G~ part vanishes form the annihilator H~ the scan tests against, and
@@ -76,6 +76,10 @@ def check_pattern_budget(q: int, n: int, b: int, force: bool = False) -> None:
             f"(> {PATTERN_BUDGET}); pass force to run it anyway")
 
 
+# ---------------------------------------------------------------------------
+# canonical pattern order
+# ---------------------------------------------------------------------------
+
 def _comb_rank(support, n: int) -> int:
     """Lexicographic rank of an ascending index combination."""
     w = len(support)
@@ -102,9 +106,38 @@ def _comb_unrank(r: int, n: int, w: int):
     return tuple(out)
 
 
-# ---------------------------------------------------------------------------
-# pattern enumeration
-# ---------------------------------------------------------------------------
+def pattern_index(q: int, n: int, support, values) -> int:
+    """Position of the pattern (support, values) in canonical order (see
+    the reference branch of :func:`scan_syndrome_hits`)."""
+    vrank = 0
+    for v in values:
+        vrank = vrank * (q - 1) + v - 1
+    w = len(support)
+    return pattern_count(q, n, w - 1) + _comb_rank(support, n) * (q - 1) ** w + vrank
+
+
+def pattern_at(q: int, n: int, index: int):
+    """The (support, values) pair at position index of canonical order;
+    the inverse of :func:`pattern_index`."""
+    if index < 0:
+        raise IndexError(index)
+    rest = index
+    for w in range(n + 1):
+        vcount = (q - 1) ** w
+        size = comb(n, w) * vcount
+        if rest < size:
+            break
+        rest -= size
+    else:
+        raise IndexError(index)
+    support = _comb_unrank(rest // vcount, n, w)
+    rest %= vcount
+    values = []
+    for _ in range(w):
+        rest, digit = divmod(rest, q - 1)
+        values.append(digit + 1)
+    return support, tuple(reversed(values))
+
 
 @dataclass(frozen=True)
 class Hit:
@@ -115,105 +148,7 @@ class Hit:
     index: int
 
     def pattern(self, field: FieldSpec, n: int) -> FieldVector:
-        if field.p == 2 and field.m == 1:
-            mask = 0
-            for j in self.support:
-                mask |= 1 << j
-            return FieldVector(field, n=n, bits=mask)
-        entries = [0] * n
-        for j, v in zip(self.support, self.values):
-            entries[j] = v
-        return FieldVector(field, entries)
-
-
-class PatternEnumerator:
-    """All vectors of F^n with Hamming weight <= b, in canonical order.
-
-    Canonical order: non-decreasing weight; within a weight class,
-    supports ascend lexicographically and non-zero value assignments run
-    through field order.  Every vector appears exactly once; the total
-    count is sum_j C(n,j)(q-1)^j.  Enumeration can start at any ordinal
-    index (``iter_raw(start)``), and ``_raw_at``/``index_of`` map between
-    indices and patterns.
-    """
-
-    def __init__(self, field: FieldSpec, n: int, b: int):
-        if not 0 <= b <= n:
-            raise ValueError(f"weight bound {b} out of range for length {n}")
-        self.field = field
-        self.n = n
-        self.b = b
-
-    def count_at_weight(self, w: int) -> int:
-        return comb(self.n, w) * (self.field.q - 1) ** w
-
-    def count(self) -> int:
-        return pattern_count(self.field.q, self.n, self.b)
-
-    def _raw_at(self, index: int):
-        if not 0 <= index < self.count():
-            raise IndexError(index)
-        w = 0
-        while index >= self.count_at_weight(w):
-            index -= self.count_at_weight(w)
-            w += 1
-        vcount = (self.field.q - 1) ** w
-        support = _comb_unrank(index // vcount, self.n, w)
-        vrank = index % vcount
-        digits = []
-        for _ in range(w):
-            digits.append(vrank % (self.field.q - 1) + 1)
-            vrank //= self.field.q - 1
-        return support, tuple(reversed(digits))
-
-    def index_of(self, support, values) -> int:
-        w = len(support)
-        base = sum(self.count_at_weight(j) for j in range(w))
-        vcount = (self.field.q - 1) ** w
-        vrank = 0
-        for v in values:
-            vrank = vrank * (self.field.q - 1) + (v - 1)
-        return base + _comb_rank(support, self.n) * vcount + vrank
-
-    def iter_raw(self, start: int = 0):
-        """(support, values) pairs from ordinal position start onward."""
-        total = self.count()
-        if start >= total:
-            return
-        support, values = self._raw_at(start)
-        w = len(support)
-        n, q = self.n, self.field.q
-        support = list(support)
-        values = list(values)
-        while True:
-            yield tuple(support), tuple(values)
-            # advance values odometer (field order, most-significant first)
-            i = w - 1
-            while i >= 0 and values[i] == q - 1:
-                values[i] = 1
-                i -= 1
-            if i >= 0:
-                values[i] += 1
-                continue
-            # advance support combination
-            i = w - 1
-            while i >= 0 and support[i] == n - w + i:
-                i -= 1
-            if i >= 0:
-                support[i] += 1
-                for j in range(i + 1, w):
-                    support[j] = support[j - 1] + 1
-                continue
-            # next weight class
-            w += 1
-            if w > self.b or w > n:
-                return
-            support = list(range(w))
-            values = [1] * w
-
-    def __iter__(self):
-        for support, values in self.iter_raw():
-            yield Hit(support, values, 0).pattern(self.field, self.n)
+        return FieldVector.from_support(field, n, self.support, self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +237,6 @@ def _scan_gf2(cols, s: int, n: int, b: int):
         by_val.setdefault(cv, []).append(j)
     pairs = None
     for w in range(1, b + 1):
-        if w > n:
-            return
         if w == 1:
             for j in by_val.get(s, ()):
                 yield (j,)
@@ -356,8 +289,6 @@ def _scan_generic(f: FieldSpec, cols, s, n: int, b: int):
         else:
             table.setdefault(proj[0], []).append((j, proj[1]))
     for w in range(1, b + 1):
-        if w > n:
-            return
         for head in combinations(range(n - 1), w - 1):
             lo = head[-1] + 1 if head else 0
             hits = []
@@ -388,25 +319,33 @@ def scan_syndrome_hits(H: FieldMatrix, s: FieldVector, b: int, *, reference: boo
     The generator is lazy: taking its first element is the first-hit scan,
     continuing it resumes the scan (hash filtering does this), exhausting
     it is the all-hits diagnostic mode.  With ``reference=True`` a naive
-    scan computes a full matrix-vector product per enumerated pattern
-    instead; it is the independent oracle the fast path is tested against.
+    scan walks every pattern and takes a full matrix-vector product for
+    each; its walk defines canonical order (weight ascending, supports in
+    lexicographic order, values in field order, last position fastest)
+    and its running count the index, so it is an independent oracle for
+    both the fast path and :func:`pattern_index`.
     """
     f = H.field
     n = H.cols
-    enum = PatternEnumerator(f, n, b)
+    if not 0 <= b <= n:
+        raise ValueError(f"weight bound {b} out of range for length {n}")
     if reference:
-        for support, values in enum.iter_raw():
-            hit = Hit(support, values, enum.index_of(support, values))
+        walk = ((support, values) for w in range(b + 1)
+                for support in combinations(range(n), w)
+                for values in product(range(1, f.q), repeat=w))
+        for index, (support, values) in enumerate(walk):
+            hit = Hit(support, values, index)
             if H @ hit.pattern(f, n) == s:
                 yield hit
         return
     cols = H.transpose()  # row j is column j of H
-    if f.p == 2 and f.m == 1:
+    if f.q == 2:
         for support in _scan_gf2(cols.row_masks, s.bits, n, b):
-            yield Hit(support, (1,) * len(support), enum.index_of(support, (1,) * len(support)))
+            ones = (1,) * len(support)
+            yield Hit(support, ones, pattern_index(2, n, support, ones))
         return
     for support, values in _scan_generic(f, cols.row_entries, tuple(s.entries), n, b):
-        yield Hit(support, values, enum.index_of(support, values))
+        yield Hit(support, values, pattern_index(f.q, n, support, values))
 
 
 # ---------------------------------------------------------------------------

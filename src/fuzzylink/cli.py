@@ -3,13 +3,14 @@
 Exit codes: linkage-style commands exit 0 for a positive outcome
 (Related / Accept), 1 for the negative one, 2 on usage or input errors.
 Input errors are reported in one place, :class:`_Main`: any ValueError,
-OSError or ResourceCapError a command raises becomes one ``error:`` line
-on stderr and exit 2.
+OSError, OverflowError or ResourceCapError a command raises becomes one
+``error:`` line on stderr and exit 2.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -40,10 +41,12 @@ def _rng(seed):
     return np.random.default_rng(seed)
 
 
-def _fraction_json(x: Fraction, text=str) -> dict:
-    # float underflows to 0.0 for tiny values; log2 stays exact
+def _fraction_json(x: Fraction) -> dict:
+    # float underflows to 0.0 for tiny values; log2 stays exact.  Decimal
+    # renders integers beyond the int -> str digit limit (1/(q-2)! passes
+    # it from q ~ 1560 on)
     return {
-        "exact": f"{text(x.numerator)}/{text(x.denominator)}",
+        "exact": f"{Decimal(x.numerator)}/{Decimal(x.denominator)}",
         "float": float(x),
         "log2": analysis.log2_fraction(x) if x > 0 else None,
     }
@@ -55,7 +58,7 @@ class _Main(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (ValueError, OSError, attacks.ResourceCapError) as exc:
+        except (ValueError, OSError, OverflowError, attacks.ResourceCapError) as exc:
             _fail(str(exc))
 
 
@@ -252,14 +255,20 @@ def experiment_table1(descriptor, b_list, trials, mode, related_sampling,
         related_sampling=related_sampling, sampling_weight=sampling_weight,
         transform=transform, with_hash=with_hash, noise_z=noise_z,
         seed=seed, threads=threads, force=force, secure_rng=secure_rng)
-    report = experiments.run_table1(config)
     if out_path is None:
+        report = experiments.run_table1(config)
         experiments.write_report(report, fmt, click.get_binary_stream("stdout"),
                                  include_timing=timing)
-    else:
-        with open(out_path, "wb") as fh:
-            n = experiments.write_report(report, fmt, fh, include_timing=timing)
-        click.echo(f"{n} bytes written to {out_path}", err=True)
+        return
+    # open first, so a path that cannot be written fails before the first trial
+    with open(out_path, "wb") as fh:
+        try:
+            report = experiments.run_table1(config)
+        except BaseException:
+            os.remove(out_path)
+            raise
+        n = experiments.write_report(report, fmt, fh, include_timing=timing)
+    click.echo(f"{n} bytes written to {out_path}", err=True)
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +320,7 @@ def analyze_union_bound(q, n, rank_, b):
 def analyze_linear_prob(q):
     """Probability that a random field bijection is affine: 1/(q-2)!."""
     val = analysis.linear_map_probability(q)
-    # (q-2)! outgrows the int -> str digit limit from q ~ 1560 on; q is
-    # bounded by MAX_ORDER here, so render through Decimal, which has none
-    out = _fraction_json(val, text=lambda i: str(Decimal(i)))
-    click.echo(json.dumps({"affine_probability": out}, indent=2))
+    click.echo(json.dumps({"affine_probability": _fraction_json(val)}, indent=2))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import FieldSpec, GF2, field, exp_log_tables
+from .fields import FieldSpec, GF2, _poly_mul, exp_log_tables, field
 from .linalg import FieldMatrix, FieldVector, RowReduction, random_vector, rank
 
 EXHAUSTIVE_DECODE_MAX_N = 24
@@ -110,15 +110,6 @@ def _minimal_polynomial(coset, f2m: FieldSpec):
     return tuple(poly)
 
 
-def _gf2_poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] ^= ai & bj
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def bch_build(m: int, t: int) -> LinearCode:
     """Narrow-sense primitive binary BCH code of length n = 2^m - 1 that
@@ -141,14 +132,12 @@ def bch_build(m: int, t: int) -> LinearCode:
         if coset in seen:
             continue
         seen.add(coset)
-        gen = _gf2_poly_mul(gen, _minimal_polynomial(coset, f2m))
+        gen = _poly_mul(gen, _minimal_polynomial(coset, f2m), 2)
     k = n - (len(gen) - 1)
     if k <= 0:
         raise ValueError(f"t={t} is too large for n={n}: degenerate code")
     # column j of G = coefficients of x^j g(x): transpose the shifted rows
-    g_mask = 0
-    for i, c in enumerate(gen):
-        g_mask |= c << i
+    g_mask = FieldVector(GF2, gen).bits
     G = FieldMatrix(GF2, cols=n, row_masks=[g_mask << j for j in range(k)]).transpose()
     H = RowReduction(G).left_kernel
     params = BCHParams(m=m, t=t, generator_polynomial=gen)
@@ -262,9 +251,8 @@ def _chien_roots(code: LinearCode, sigma):
 
 def _decode_bch(code: LinearCode, v: FieldVector):
     t2 = 2 * code.t
-    bits = v.bits
     positions = []
-    b = bits
+    b = v.bits
     while b:
         positions.append((b & -b).bit_length() - 1)
         b &= b - 1
@@ -278,10 +266,7 @@ def _decode_bch(code: LinearCode, v: FieldVector):
     roots = _chien_roots(code, sigma)
     if len(roots) != L:
         return None
-    flip = 0
-    for j in roots:
-        flip |= 1 << int(j)
-    corrected = FieldVector(code.field, n=code.n, bits=bits ^ flip)
+    corrected = v + FieldVector.from_support(code.field, code.n, roots.tolist())
     # strict bounded-distance semantics: accept only actual codewords
     if not is_codeword(code, corrected):
         return None

@@ -119,10 +119,8 @@ def enroll(w: FieldVector, code: LinearCode, transform: TransformDescriptor | No
     c = random_codeword(code, rng)
     v = apply(transform, w)
     if noise_flips:
-        flips = 0
-        for i in rng.choice(code.n, size=noise_flips, replace=False):
-            flips |= 1 << int(i)
-        v = FieldVector(code.field, n=code.n, bits=v.bits ^ flips)
+        flips = rng.choice(code.n, size=noise_flips, replace=False).tolist()
+        v = v + FieldVector.from_support(code.field, code.n, flips)
     commitment = c + v
     digest = codeword_digest(c, hash_id) if with_hash else None
     return Record(code_descriptor(code), commitment, transform,
@@ -154,6 +152,9 @@ def verify(record: Record, code: LinearCode, w_prime: FieldVector) -> VerifyResu
 # record wire format
 # ---------------------------------------------------------------------------
 
+_BIT_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
 def _vector_to_json(v: FieldVector):
     if v.bits is not None:
         return canonical_bytes(v).hex()
@@ -172,13 +173,10 @@ def _vector_from_json(obj, f: FieldSpec, n: int | None = None) -> FieldVector:
             raise RecordFormatError(f"bad hex vector: {exc}") from None
         if len(raw) != (n + 7) // 8:
             raise MalformedRecordError(f"packed vector has {len(raw)} bytes, expected {(n + 7) // 8}")
-        bits = 0
-        for i in range(n):
-            if raw[i // 8] & (0x80 >> (i % 8)):
-                bits |= 1 << i
-        for i in range(n, 8 * len(raw)):
-            if raw[i // 8] & (0x80 >> (i % 8)):
-                raise MalformedRecordError("non-zero padding bits in packed vector")
+        # bit i of the vector is bit 7 - i % 8 of byte i // 8
+        bits = int.from_bytes(raw.translate(_BIT_REVERSED), "little")
+        if bits >> n:
+            raise MalformedRecordError("non-zero padding bits in packed vector")
         return FieldVector(f, n=n, bits=bits)
     if not isinstance(obj, list):
         raise RecordFormatError("vector must be a hex string or an integer array")

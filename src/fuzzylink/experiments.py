@@ -27,16 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import (
-    PatternEnumerator,
-    Hit,
     check_pattern_budget,
     generalized_attack,
     modified_decodability_attack,
+    pattern_at,
     pattern_count,
 )
 from .codes import LinearCode, parse_code_descriptor
 from .commitment import enroll
-from .linalg import random_vector, random_weight_vector
+from .linalg import FieldVector, random_vector, random_weight_vector
 from .transforms import apply, random_transform
 
 RNG_ID = "pcg64:seedseq(seed,cell,trial)"
@@ -133,10 +132,8 @@ def _trial_rng(config: ExperimentConfig, cell_index: int, trial_index: int):
 
 
 def _ball_pattern(f, n, b, rng):
-    total = pattern_count(f.q, n, b)
-    idx = int(rng.integers(0, total))
-    support, values = PatternEnumerator(f, n, b)._raw_at(idx)
-    return Hit(support, values, idx).pattern(f, n)
+    support, values = pattern_at(f.q, n, int(rng.integers(0, pattern_count(f.q, n, b))))
+    return FieldVector.from_support(f, n, support, values)
 
 
 def run_cell(code: LinearCode, b: int, config: ExperimentConfig, cell_index: int) -> CellReport:

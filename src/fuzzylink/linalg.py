@@ -80,6 +80,21 @@ class FieldVector:
             return cls(field, n=n, bits=0)
         return cls(field, (0,) * n)
 
+    @classmethod
+    def from_support(cls, field: FieldSpec, n: int, support, values=None) -> "FieldVector":
+        """Length-n vector with values[i] at position support[i] (Python
+        ints) and zeros elsewhere; over GF(2) every value is 1 and values
+        may be omitted."""
+        if field.p == 2 and field.m == 1:
+            mask = 0
+            for j in support:
+                mask |= 1 << j
+            return cls(field, n=n, bits=mask)
+        entries = [0] * n
+        for j, v in zip(support, values):
+            entries[j] = v
+        return cls(field, entries)
+
     # -- accessors ------------------------------------------------------------
 
     @property
@@ -177,15 +192,8 @@ def random_weight_vector(field: FieldSpec, n: int, w: int, rng) -> FieldVector:
     if w > n or w < 0:
         raise ValueError(f"weight {w} out of range for length {n}")
     support = sorted(int(i) for i in rng.choice(n, size=w, replace=False)) if w else []
-    if field.p == 2 and field.m == 1:
-        mask = 0
-        for i in support:
-            mask |= 1 << i
-        return FieldVector(field, n=n, bits=mask)
-    entries = [0] * n
-    for i in support:
-        entries[i] = int(rng.integers(1, field.q))
-    return FieldVector(field, entries)
+    values = None if field.q == 2 else [int(rng.integers(1, field.q)) for _ in support]
+    return FieldVector.from_support(field, n, support, values)
 
 
 # ---------------------------------------------------------------------------

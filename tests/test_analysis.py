@@ -45,6 +45,8 @@ def test_density_validation():
         DensityQuery(q=2, n=8, k=9, d=3)
     with pytest.raises(ValueError):
         DensityQuery(q=2, n=8, k=4, radius=9)
+    with pytest.raises(ValueError, match="analysis maximum"):
+        DensityQuery(q=2, n=10 ** 9, k=1, radius=10 ** 9)
 
 
 def test_union_bound_values():
@@ -53,6 +55,10 @@ def test_union_bound_values():
     assert union_bound_linkage(2, 31, 21, 31) == 1  # clamped
     with pytest.raises(ValueError):
         union_bound_linkage(2, 31, 32, 1)
+    with pytest.raises(ValueError):
+        union_bound_linkage(2, 31, -10 ** 9, 1)
+    with pytest.raises(ValueError, match="analysis maximum"):
+        union_bound_linkage(2, 10 ** 9, 1, 10 ** 9)
 
 
 def test_linear_map_probability_small_field_census():

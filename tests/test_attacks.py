@@ -1,17 +1,21 @@
 import dataclasses
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzylink.attacks import (
+    SOLUTION_ENUM_CAP,
     AttackOutcome,
-    PatternEnumerator,
+    ResourceCapError,
     affine_reduction_attack,
     decodability_attack,
     generalized_attack,
     linear_decodability_attack,
     modified_decodability_attack,
+    pattern_at,
     pattern_count,
+    pattern_index,
     scan_syndrome_hits,
 )
 from fuzzylink.codes import bch_build, generic_code, random_codeword
@@ -60,45 +64,45 @@ def _random_records(code, rng, *, distance=None, with_hash=False, kind="bit-perm
 # ---------------------------------------------------------------------------
 
 def test_pattern_counts():
-    assert PatternEnumerator(GF2, 31, 2).count() == 1 + 31 + 465 == 497
-    assert PatternEnumerator(GF3, 5, 1).count() == 1 + 5 * 2 == 11
-    assert PatternEnumerator(GF2, 17, 0).count() == 1
+    assert pattern_count(2, 31, 2) == 1 + 31 + 465 == 497
+    assert pattern_count(3, 5, 1) == 1 + 5 * 2 == 11
+    assert pattern_count(2, 17, 0) == 1
     assert pattern_count(2, 255, 5) > 10 ** 9
 
 
-def test_pattern_order_and_uniqueness():
-    pe = PatternEnumerator(GF3, 5, 3)
-    pats = list(pe)
-    assert len(pats) == pe.count()
-    assert len(set(pats)) == len(pats)
-    weights = [p.weight() for p in pats]
-    assert weights == sorted(weights)
+@pytest.mark.parametrize("q,n", [(2, 7), (3, 5), (4, 4)])
+def test_pattern_rank_matches_itertools_walk(q, n):
+    """pattern_at is the i-th pattern of the walk weight -> support ->
+    values (the reference scan's order) and pattern_index inverts it."""
+    walk = [(support, values) for w in range(n + 1)
+            for support in combinations(range(n), w)
+            for values in product(range(1, q), repeat=w)]
+    assert len(walk) == pattern_count(q, n, n) == q ** n
+    for i, (support, values) in enumerate(walk):
+        assert pattern_at(q, n, i) == (support, values)
+        assert pattern_index(q, n, support, values) == i
+    for bad in (-1, len(walk)):
+        with pytest.raises(IndexError):
+            pattern_at(q, n, bad)
 
 
 def test_pattern_bound_validation():
-    with pytest.raises(ValueError):
-        PatternEnumerator(GF2, 5, 6)
+    H = FieldMatrix(GF2, cols=5, row_masks=[0b10110])
+    s = FieldVector(GF2, n=1, bits=0)
+    for b in (-1, 6):
+        for reference in (False, True):
+            with pytest.raises(ValueError, match="out of range for length 5"):
+                next(scan_syndrome_hits(H, s, b, reference=reference))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 9), st.sampled_from([2, 3, 4]), st.data())
+@given(st.integers(1, 40), st.sampled_from([2, 3, 4]), st.data())
 def test_pattern_rank_unrank_round_trip(n, q, data):
-    f = GF2 if q == 2 else (GF3 if q == 3 else field(2, 2))
-    b = data.draw(st.integers(0, min(3, n)))
-    pe = PatternEnumerator(f, n, b)
-    total = pe.count()
-    idx = data.draw(st.integers(0, total - 1))
-    support, values = pe._raw_at(idx)
-    assert pe.index_of(support, values) == idx
+    idx = data.draw(st.integers(0, pattern_count(q, n, min(4, n)) - 1))
+    support, values = pattern_at(q, n, idx)
+    assert pattern_index(q, n, support, values) == idx
+    assert list(support) == sorted(set(support)) and all(0 <= j < n for j in support)
     assert all(1 <= v <= q - 1 for v in values)
-
-
-def test_pattern_iter_raw_restart():
-    pe = PatternEnumerator(GF3, 4, 2)
-    full = list(pe.iter_raw())
-    assert len(full) == pe.count()
-    for start in (0, 1, 7, len(full) - 1):
-        assert list(pe.iter_raw(start)) == full[start:]
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +171,9 @@ def test_all_hits_mode(rng):
     hits = list(scan_syndrome_hits(H, s, 3))
     indices = [h.index for h in hits]
     assert indices == sorted(indices)
-    pe = PatternEnumerator(GF2, 10, 3)
     for h in hits:
         assert H @ h.pattern(GF2, 10) == s
-        assert pe.index_of(h.support, h.values) == h.index
+        assert pattern_at(2, 10, h.index) == (h.support, h.values)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +367,21 @@ def test_hash_filtering_rejects_unknown_digest_length(rng):
         with pytest.raises(ValueError, match="digest length"):
             modified_decodability_attack(c, (r1.commitment, t1), (r2.commitment, t2), 1,
                                          hashes=hashes)
+
+
+def test_hash_filtering_refuses_cosets_beyond_cap(rng):
+    # identity transforms: G~ = (G | G) has rank k, so every hit's coset has
+    # 2^k solutions, 2^24 on (63, 24); without digests only the particular
+    # solution is taken and the pair links
+    c = bch_build(6, 7)
+    assert 2 ** c.k > SOLUTION_ENUM_CAP
+    w1, w2, t1, t2, r1, r2 = _random_records(c, rng, distance=2, with_hash=True,
+                                             kind="identity")
+    recs = ((r1.commitment, t1), (r2.commitment, t2))
+    with pytest.raises(ResourceCapError, match=f"would enumerate {2 ** c.k} solutions"):
+        modified_decodability_attack(c, *recs, 2, hashes=(r1.codeword_hash, r2.codeword_hash))
+    out = modified_decodability_attack(c, *recs, 2)
+    assert out.related and out.all_solutions == 2 ** c.k
 
 
 def test_hash_filtering_resumes_through_pair_table_class(rng):

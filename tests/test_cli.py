@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from fuzzylink import attacks
+from fuzzylink import attacks, experiments
 from fuzzylink.cli import main
 from fuzzylink.codes import generic_code, parse_code_descriptor
 from fuzzylink.commitment import (
@@ -86,6 +86,26 @@ def test_attack_pair_hash_requires_digests(runner, tmp_path):
     assert res.exit_code == 2
 
 
+def test_attack_pair_hash_solution_cap(runner, tmp_path):
+    # identity transforms on (63, 24): each hit's coset has 2^24 solutions,
+    # more than hash filtering enumerates; without --hash the pair links
+    paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+    res = runner.invoke(main, ["enroll", "--code", "bch:63:7", "--w", "random", "--seed", "1",
+                               "--transform", "identity", "--hash", "--out", paths[0],
+                               "--print-w"])
+    w_hex = res.output.strip().splitlines()[-1].split(" = ")[1]
+    runner.invoke(main, ["enroll", "--code", "bch:63:7", "--w", w_hex, "--seed", "2",
+                         "--transform", "identity", "--hash", "--out", paths[1]])
+    res = runner.invoke(main, ["attack", "pair", *paths, "--b", "1", "--hash"])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [
+        f"error: hash filtering would enumerate {2 ** 24} solutions"]
+    res = runner.invoke(main, ["attack", "pair", *paths, "--b", "1"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["all_solutions"] == 2 ** 24
+
+
 def test_attack_pair_bad_record(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -102,6 +122,16 @@ def test_experiment_table1_json(runner, tmp_path):
     rep = json.loads(out.read_bytes())
     assert [c["b"] for c in rep["cells"]] == [0, 1]
     assert all(c["linkage_rate"] == 1.0 for c in rep["cells"])
+
+
+def test_experiment_table1_failed_run_leaves_no_file(runner, tmp_path):
+    out = tmp_path / "rep.json"
+    # C(255, 5) patterns: the run is refused by the pattern budget
+    res = runner.invoke(main, ["experiment", "table1", "--code", "bch:255:26", "--b", "5",
+                               "--trials", "1", "--out", str(out)])
+    assert res.exit_code == 2
+    assert len(res.stderr.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_experiment_determinism_across_threads(runner, tmp_path):
@@ -307,13 +337,28 @@ BAD_INPUTS = {
                              "--seed", "-1", "--out", "{tmp}/r.json"],
     "demo-negative-hw": ["demo", "appendix", "--seed", "1", "--hw", "-1"],
     "demo-hw-beyond-n": ["demo", "appendix", "--seed", "1", "--hw", "200"],
+    # sizes beyond analysis.MAX_LENGTH, refused before any exact arithmetic
+    "union-bound-huge-n": ["analyze", "union-bound", "--q", "2", "--n", "1000000000",
+                           "--rank", "1", "--b", "1000000000"],
+    "density-huge-n": ["analyze", "density", "--q", "2", "--n", "1000000000",
+                       "--k", "1", "--radius", "1000000000"],
+    "density-huge-k": ["analyze", "density", "--q", "2", "--n", "10", "--k", "-1000000000",
+                       "--radius", "1"],
+    "density-zero-q": ["analyze", "density", "--q", "0", "--n", "10", "--k", "1",
+                       "--radius", "1"],
+    # a density of 2^1024 has no float
+    "density-float-overflow": ["analyze", "density", "--q", "2", "--n", "1024",
+                               "--k", "1024", "--radius", "1024"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_exits_2_with_one_error_line(runner, tmp_path, case):
+def test_bad_input_exits_2_with_one_error_line(runner, tmp_path, monkeypatch, case):
     args = [a.format(tmp=tmp_path, missing=tmp_path / "missing") for a in BAD_INPUTS[case]]
+    runs = []
+    monkeypatch.setattr(experiments, "run_table1", runs.append)
     res = runner.invoke(main, args)
+    assert runs == []  # table1-out-missing-dir fails before the first trial
     assert res.exit_code == 2
     assert type(res.exception) is SystemExit
     lines = res.stderr.splitlines()
