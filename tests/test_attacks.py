@@ -86,6 +86,35 @@ def test_pattern_rank_matches_itertools_walk(q, n):
             pattern_at(q, n, bad)
 
 
+def _every_pattern(f, n, b, reference):
+    """All patterns of weight <= b, as a scan against H = 0, s = 0 yields them."""
+    H = FieldMatrix(f, [[0] * n])
+    return [(h.support, h.values, h.index)
+            for h in scan_syndrome_hits(H, FieldVector.zeros(f, 1), b, reference=reference)]
+
+
+def test_pattern_order_and_uniqueness():
+    for reference in (False, True):
+        pats = _every_pattern(GF3, 5, 3, reference)
+        assert len(pats) == pattern_count(3, 5, 3)
+        assert len({(support, values) for support, values, _ in pats}) == len(pats)
+        assert [index for _, _, index in pats] == list(range(len(pats)))
+        weights = [len(support) for support, _, _ in pats]
+        assert weights == sorted(weights)
+        assert all(FieldVector.from_support(GF3, 5, s, v).weight() == len(s)
+                   for s, v, _ in pats)
+
+
+def test_pattern_iter_raw_restart():
+    """Unranking from any start index resumes the reference walk there."""
+    full = _every_pattern(GF3, 4, 2, reference=True)
+    count = pattern_count(3, 4, 2)
+    assert len(full) == count
+    for start in (0, 1, 7, count - 1):
+        tail = [pattern_at(3, 4, i) + (i,) for i in range(start, count)]
+        assert tail == full[start:]
+
+
 def test_pattern_bound_validation():
     H = FieldMatrix(GF2, cols=5, row_masks=[0b10110])
     s = FieldVector(GF2, n=1, bits=0)
