@@ -11,11 +11,13 @@ pattern.  The tail of each pattern is looked up, not looped over.  Over
 GF(2), weights 1 and 2 take the last position from a hash map of column
 syndromes; weights >= 3 take the last two from a pair-syndrome table
 cols[i] ^ cols[j] -> (i, j), built once per scan, and classes of weight
->= 6 are first ruled out by a meet-in-the-middle existence check.  For
-q > 2 the last position and its value come from a projective column
-table (columns up to a non-zero scale).  All of them preserve first-hit
-order and indices exactly (differentially tested against the naive
-itertools scan that defines the order).
+>= 6 are first ruled out by a meet-in-the-middle existence check.  Over
+GF(2^m), m > 1, the last position and its value come from one table of
+every non-zero multiple v*cols[j] of every column, so each target is an
+XOR of packed words and a lookup; for odd characteristic they come from a
+projective column table (columns up to a non-zero scale).  All of them
+preserve first-hit order and indices exactly (differentially tested
+against the naive itertools scan that defines the order).
 
 The linear algebra is one reduction of [G~ | I_n], G~ = (G1 | G2): rows
 whose G~ part vanishes form the annihilator H~ the scan tests against, and
@@ -256,6 +258,63 @@ def _scan_gf2(cols, s: int, n: int, b: int):
         yield from _scan_pair_class(*pairs, cols, s, n, w)
 
 
+def _scan_packed(cols: FieldMatrix, s: FieldVector, n: int, b: int):
+    """Yield (support, values) hits in canonical order over GF(2^m), m > 1.
+
+    ``cols`` holds the columns as rows.  A scan that reaches class 2 first
+    builds one table of the n(q - 1) multiples v*cols[j], v != 0, mapping
+    each to its entry index j*(q - 1) + v - 1: the last position and value
+    of a pattern are then one lookup of the target, an XOR of packed
+    words, and a zero column's multiples are all 0, so a zero target needs
+    no special case.  Hits of one head support are sorted by (last
+    position, values) before they are yielded, which is canonical order.
+    A scan that stops at class 1 skips the table, whose size grows with q:
+    each column has at most one scalar (:meth:`FieldMatrix.row_scalars`)."""
+    if s.packed == 0:
+        yield (), ()
+    if b < 2:
+        for j, v in cols.row_scalars(s) if b else ():
+            yield (j,), (v,)
+        return
+    q = cols.field.q
+    q1 = q - 1
+    multiples = cols.row_multiples()
+    keys = [key for mult in multiples for key in mult[1:]]
+    table = dict(zip(keys, range(len(keys))))
+    if len(table) < len(keys):  # zero or proportional columns: a key lists all its entries
+        table = {}
+        for i, key in enumerate(keys):
+            table.setdefault(key, []).append(i)
+    get = table.get
+
+    def indices(found):
+        """The ascending entry indices of a table value."""
+        return (found,) if isinstance(found, int) else found
+
+    found = get(s.packed)
+    for i in indices(found) if found is not None else ():
+        yield (i // q1,), (i % q1 + 1,)
+    for w in range(2, b + 1):
+        for head in combinations(range(n - 1), w - 1):
+            # the last head position loops innermost, over its row of multiples
+            *outer, j = head
+            row = multiples[j]
+            lo = (j + 1) * q1
+            hits = []
+            for prefix in product(range(1, q), repeat=w - 2):
+                t = s.packed
+                for i, v in zip(outer, prefix):
+                    t ^= multiples[i][v]
+                for v in range(1, q):
+                    found = get(t ^ row[v])
+                    if found is not None:
+                        hits += [(i // q1, prefix + (v, i % q1 + 1))
+                                 for i in indices(found) if i >= lo]
+            hits.sort()
+            for last, values in hits:
+                yield head + (last,), values
+
+
 def _projective(f: FieldSpec, vec):
     """(vec / lead, lead) for the first non-zero entry lead of vec, or None
     for the zero vector."""
@@ -268,7 +327,8 @@ def _projective(f: FieldSpec, vec):
 
 
 def _scan_generic(f: FieldSpec, cols, s, n: int, b: int):
-    """Yield (support, values) hits in canonical order for q > 2.
+    """Yield (support, values) hits in canonical order for odd
+    characteristic.
 
     The last position comes from a projective column table: each non-zero
     column, divided by its first non-zero entry, maps to the (j, entry)
@@ -344,7 +404,11 @@ def scan_syndrome_hits(H: FieldMatrix, s: FieldVector, b: int, *, reference: boo
             ones = (1,) * len(support)
             yield Hit(support, ones, pattern_index(2, n, support, ones))
         return
-    for support, values in _scan_generic(f, cols.row_entries, tuple(s.entries), n, b):
+    if f.p == 2:
+        hits = _scan_packed(cols, s, n, b)
+    else:
+        hits = _scan_generic(f, cols.row_entries, tuple(s.entries), n, b)
+    for support, values in hits:
         yield Hit(support, values, pattern_index(f.q, n, support, values))
 
 
@@ -371,21 +435,6 @@ class AttackOutcome:
         return "related" if self.related else "non-related"
 
 
-def _vec_head(v: FieldVector, k: int) -> FieldVector:
-    if v.bits is not None:
-        return FieldVector(v.field, n=k, bits=v.bits & ((1 << k) - 1))
-    return FieldVector(v.field, v.entries[:k])
-
-
-def _vec_tail_neg(v: FieldVector, k: int) -> FieldVector:
-    """Negated last k entries (solutions store the second message block
-    with a flipped sign)."""
-    if v.bits is not None:
-        return FieldVector(v.field, n=k, bits=v.bits >> (v.n - k))
-    f = v.field
-    return FieldVector(f, tuple(f.neg(e) for e in v.entries[v.n - k:]))
-
-
 def _attack_core(G1, G2, f1, f2, b, hashes, ref_G1, ref_G2, reference_scan):
     start = perf_counter()
     f = f1.field
@@ -402,7 +451,7 @@ def _attack_core(G1, G2, f1, f2, b, hashes, ref_G1, ref_G2, reference_scan):
     red = RowReduction(concat_cols(G1, G2))
     gtilde_rank = red.rank
     Ht = red.left_kernel
-    k1, k2 = G1.cols, G2.cols
+    k1 = G1.cols
     kernel = red.null_space()
 
     def outcome(scanned, e=None, m1=None, m2=None, count=0):
@@ -429,8 +478,8 @@ def _attack_core(G1, G2, f1, f2, b, hashes, ref_G1, ref_G2, reference_scan):
         else:
             solutions = sols
         for mt in solutions:
-            m1 = _vec_head(mt, k1)
-            m2 = _vec_tail_neg(mt, k2)
+            # a solution stores the second message block with a flipped sign
+            m1, m2 = mt[:k1], -mt[k1:]
             if hashes is None or (codeword_digest(ref_G1 @ m1, algs[0]) == hashes[0]
                                   and codeword_digest(ref_G2 @ m2, algs[1]) == hashes[1]):
                 return outcome(hit.index + 1, e, m1, m2, sols.count)
@@ -504,7 +553,6 @@ def affine_reduction_attack(code, rec1, rec2, b: int, *, hashes=None) -> AttackO
     G = code.G if isinstance(code, LinearCode) else code
     f = G.field
     n = G.rows
-    grid = G.to_grid()
     blocks = []
     commitments = []
     for fvec, T in (rec1, rec2):
@@ -516,7 +564,7 @@ def affine_reduction_attack(code, rec1, rec2, b: int, *, hashes=None) -> AttackO
         a, c = ab
         # a bijection's linear part is never 0, so a_inv exists
         a_inv = f.inv(a)
-        blocks.append(FieldMatrix(f, [[f.mul(a_inv, e) for e in row] for row in grid]))
+        blocks.append(G.scale(a_inv))
         commitments.append((fvec - FieldVector(f, (c,) * n)).scale(a_inv))
     return _attack_core(*blocks, *commitments, b, hashes, G, G, False)
 

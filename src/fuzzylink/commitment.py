@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 from dataclasses import dataclass
 
 from .codes import LinearCode, code_descriptor, decode_bounded, is_codeword, parse_code_descriptor, random_codeword
@@ -39,25 +40,20 @@ HASH_ALGORITHMS = ("sha256", "sha512", "sha1")
 HASH_BY_SIZE = {hashlib.new(name).digest_size: name for name in HASH_ALGORITHMS}
 DEFAULT_HASH = "sha256"
 
+_BIT_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
 
 def canonical_bytes(v: FieldVector) -> bytes:
     """Canonical byte encoding of a vector for hashing.
 
-    GF(2): packed bits, big-endian within bytes, zero-padded to full
-    bytes.  Other fields: fixed-width big-endian entries.
+    GF(2): packed bits, big-endian within bytes (bit i of the vector is bit
+    7 - i % 8 of byte i // 8), zero-padded to full bytes.  Other fields:
+    fixed-width big-endian entries, one byte each up to q = 256 and two
+    above.
     """
     if v.bits is not None:
-        out = bytearray((v.n + 7) // 8)
-        bits = v.bits
-        for i in range(v.n):
-            if (bits >> i) & 1:
-                out[i // 8] |= 0x80 >> (i % 8)
-        return bytes(out)
-    width = max(1, (v.field.q - 1).bit_length() + 7 >> 3)
-    out = bytearray()
-    for e in v.entries:
-        out += e.to_bytes(width, "big")
-    return bytes(out)
+        return v.bits.to_bytes((v.n + 7) // 8, "little").translate(_BIT_REVERSED)
+    return struct.pack(f">{v.n}{'B' if v.field.q <= 256 else 'H'}", *v.entries)
 
 
 def codeword_digest(c: FieldVector, hash_id: str = DEFAULT_HASH) -> bytes:
@@ -151,8 +147,6 @@ def verify(record: Record, code: LinearCode, w_prime: FieldVector) -> VerifyResu
 # ---------------------------------------------------------------------------
 # record wire format
 # ---------------------------------------------------------------------------
-
-_BIT_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 
 
 def _vector_to_json(v: FieldVector):

@@ -1,26 +1,44 @@
 """Dense exact linear algebra over finite fields.
 
-Vectors and matrices are immutable.  Over GF(2) the entries are bit-packed
-into Python integers (bit i of a vector mask = entry i; one mask per matrix
-row), so row operations are single XORs; every other field stores canonical
-integer entries in tuples.  Matrices are read by rows only; whoever needs
-columns takes the rows of :meth:`FieldMatrix.transpose`, which over GF(2)
-regroups the bits of the rows' binary strings.
+Vectors and matrices are immutable and come in two storage styles.
 
-Elimination is one routine per storage style, ``_reduce_gf2`` and
-``_reduce_dense``, behind :class:`RowReduction`: the rows of [M | B] (B = I
-or a right-hand side) are inserted one at a time and pivot on the M part
-only, at their lowest non-zero column (scaled to 1); each new pivot column
-is cleared from the other pivot rows, so the M parts end as the unique
-reduced row echelon form of M.  Rank, kernel, left kernel, solving and
-inversion all read off that one pass.  Arithmetic is exact.
+* Characteristic 2: a vector, and each matrix row, is one Python integer.
+  Entry j sits in bits [s*j, s*j + m) of a slot of s bits: s = 1 over
+  GF(2), s = 8 over GF(2^m) for 2 <= m <= 8 and s = 16 above.  Addition
+  is XOR, packing and unpacking is one ``struct`` and one
+  ``int.from_bytes``/``to_bytes`` call, and multiplying every slot by x
+  is a shift and one carry-free product (the modulus' low part times the
+  overflowing bit plane), so a scalar multiple or a linear combination of
+  rows costs O(m) whole-row operations, whatever the length (the
+  bit-sliced arithmetic of McBits, Bernstein, Chou and Schwabe, CHES
+  2013).  The packed integers are the ``packed`` / ``packed_rows`` views.
+* Odd characteristic: tuples of canonical integer entries.
+
+Every field keeps the canonical views ``entries`` (and, except over GF(2),
+``row_entries``); the GF(2) views ``bits`` / ``row_masks`` are the packed
+integers and are None over every other field.  Matrices are read by rows
+only; whoever needs columns takes the rows of :meth:`FieldMatrix.transpose`,
+which regroups the bits of the rows' binary strings over GF(2) and the
+bytes of the rows over GF(2^m).
+
+Elimination has one routine per kind of row behind :class:`RowReduction`
+(``_reduce_gf2`` for s = 1, ``_reduce_packed`` for s = 8 and 16,
+``_reduce_dense`` for odd p): the rows of [M | B] (B = I or a right-hand
+side) are inserted one at a time and pivot on the M part only, at their
+lowest non-zero column (scaled to 1); each new pivot column is cleared
+from the other pivot rows, so the M parts end as the unique reduced row
+echelon form of M.  Rank, kernel, left kernel, solving and inversion all
+read off that one pass.  Arithmetic is exact.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+from functools import lru_cache, reduce
+from operator import or_
 
-from .fields import FieldSpec, GF2
+from .fields import FieldSpec
 
 
 class NoSolutionError(ValueError):
@@ -37,47 +55,168 @@ def _check_same_field(a, b):
 
 
 # ---------------------------------------------------------------------------
+# packed characteristic-2 words
+# ---------------------------------------------------------------------------
+
+_STRUCT_CODE = {8: "B", 16: "H"}
+
+
+def _slot(f: FieldSpec):
+    """Slot width of the packed storage of f, or None for odd characteristic."""
+    if f.p != 2:
+        return None
+    return 1 if f.m == 1 else 8 if f.m <= 8 else 16
+
+
+@lru_cache(maxsize=1024)
+def _ones(s: int, n: int) -> int:
+    """Bit 0 of each of n slots of width s."""
+    return ((1 << s * n) - 1) // ((1 << s) - 1)
+
+
+def _valid_bits(f: FieldSpec, n: int) -> int:
+    """The bits a packed length-n word over f may have set."""
+    return _ones(_slot(f), n) * ((1 << f.m) - 1)
+
+
+def _pack_rows(f: FieldSpec, grid) -> tuple:
+    """Packed words of lists of canonical entries (checked here)."""
+    rows = [row for row in grid if row]
+    if rows and (min(map(min, rows)) < 0 or max(map(max, rows)) >= f.q):
+        f.check_element(next(e for row in rows for e in row if not 0 <= e < f.q))
+    s = _slot(f)
+    if s == 1:
+        out = []
+        for row in grid:
+            word = 0
+            for i, e in enumerate(row):
+                word |= e << i
+            out.append(word)
+        return tuple(out)
+    code = _STRUCT_CODE[s]
+    return tuple(int.from_bytes(struct.pack(f"<{len(row)}{code}", *row), "little") for row in grid)
+
+
+def _unpack(f: FieldSpec, word: int, n: int) -> tuple:
+    s = _slot(f)
+    if s == 1:
+        return tuple((word >> i) & 1 for i in range(n))
+    return struct.unpack(f"<{n}{_STRUCT_CODE[s]}", word.to_bytes(n * s // 8, "little"))
+
+
+class _Slots:
+    """Whole-word arithmetic on packed words of ``width`` slots over
+    GF(2^m), m > 1."""
+
+    __slots__ = ("s", "m", "mask", "ones", "keep", "red")
+
+    def __init__(self, f: FieldSpec, width: int):
+        self.s = _slot(f)
+        self.m = m = f.m
+        self.mask = (1 << m) - 1
+        self.ones = _ones(self.s, width)
+        self.keep = self.ones * ((1 << (m - 1)) - 1)  # bits 0 .. m-2 of each slot
+        self.red = f.mul(1 << (m - 1), 2)             # x^m reduced by the modulus
+
+    def times_x(self, w: int) -> int:
+        """Every slot times x: shift the low m - 1 bits up and reduce the
+        top bit plane, a product below 2^m that cannot carry."""
+        return ((w & self.keep) << 1) ^ (((w >> (self.m - 1)) & self.ones) * self.red)
+
+    def combine(self, pairs) -> int:
+        """The sum of c*w over (c, w) pairs: each w is XORed into one
+        accumulator per set bit of c, and the accumulators are joined by
+        Horner's rule in x."""
+        acc = [0] * self.m
+        for c, w in pairs:
+            while c:
+                low = c & -c
+                acc[low.bit_length() - 1] ^= w
+                c ^= low
+        out = acc[-1]
+        for a in reversed(acc[:-1]):
+            out = self.times_x(out) ^ a
+        return out
+
+    def x_powers(self, w: int) -> list:
+        """[w, x*w, ..., x^(m-1)*w]: c*w is the XOR of those selected by
+        the bits of c."""
+        out = [w]
+        for _ in range(self.m - 1):
+            out.append(self.times_x(out[-1]))
+        return out
+
+
+def _select(powers, c: int) -> int:
+    """c*w from the x-powers of w."""
+    out = 0
+    while c:
+        low = c & -c
+        out ^= powers[low.bit_length() - 1]
+        c ^= low
+    return out
+
+
+# ---------------------------------------------------------------------------
 # vectors
 # ---------------------------------------------------------------------------
 
+def _vec(f: FieldSpec, n: int, word: int) -> "FieldVector":
+    """Packed vector from a word known to be valid (no check)."""
+    v = object.__new__(FieldVector)
+    v.field = f
+    v.n = n
+    v.packed = word
+    v.bits = word if f.m == 1 else None
+    v._entries = None
+    return v
+
+
 class FieldVector:
-    """Immutable length-n vector over a finite field."""
+    """Immutable length-n vector over a finite field.
 
-    __slots__ = ("field", "n", "bits", "_entries")
+    ``bits=`` takes a GF(2) mask (bit i = entry i), ``packed=`` a packed
+    word over any field of characteristic 2 (see the module docstring);
+    both are checked once for bits outside the n slots or above m.
+    """
 
-    def __init__(self, field: FieldSpec, entries=None, *, n=None, bits=None):
+    __slots__ = ("field", "n", "packed", "bits", "_entries")
+
+    def __init__(self, field: FieldSpec, entries=None, *, n=None, bits=None, packed=None):
         self.field = field
         if bits is not None:
             if field.p != 2 or field.m != 1:
                 raise ValueError("bit masks are only valid over GF(2)")
+            packed = bits
+        if packed is not None:
+            if field.p != 2:
+                raise ValueError("packed words are only valid in characteristic 2")
             if n is None:
-                raise ValueError("bit-mask construction requires n")
-            if bits >> n:
-                raise ValueError("mask has bits beyond length n")
+                raise ValueError("packed construction requires n")
+            if packed & ~_valid_bits(field, n):  # a negative word fails too
+                raise ValueError("packed word has bits outside its n slots of m bits")
             self.n = n
-            self.bits = bits
-            self._entries = None
-            return
-        entries = [int(e) for e in entries]
-        for e in entries:
-            field.check_element(e)
-        self.n = len(entries)
-        if field is GF2 or (field.p == 2 and field.m == 1):
-            mask = 0
-            for i, e in enumerate(entries):
-                mask |= e << i
-            self.bits = mask
-            self._entries = None
+            word = packed
         else:
-            self.bits = None
-            self._entries = tuple(entries)
+            entries = [int(e) for e in entries]
+            self.n = len(entries)
+            if field.p != 2:
+                for e in entries:
+                    field.check_element(e)
+                self.packed = self.bits = None
+                self._entries = tuple(entries)
+                return
+            word = _pack_rows(field, [entries])[0]
+        self.packed = word
+        self.bits = word if field.m == 1 else None
+        self._entries = None
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zeros(cls, field: FieldSpec, n: int) -> "FieldVector":
-        if field.p == 2 and field.m == 1:
-            return cls(field, n=n, bits=0)
+        if field.p == 2:
+            return _vec(field, n, 0)
         return cls(field, (0,) * n)
 
     @classmethod
@@ -100,17 +239,28 @@ class FieldVector:
     @property
     def entries(self) -> tuple:
         if self._entries is None:
-            return tuple((self.bits >> i) & 1 for i in range(self.n))
+            return _unpack(self.field, self.packed, self.n)
         return self._entries
 
     def __len__(self):
         return self.n
 
-    def __getitem__(self, i: int) -> int:
+    def __getitem__(self, i):
+        """Entry i, or for a slice with step 1 the sub-vector it selects."""
+        if isinstance(i, slice):
+            start, stop, step = i.indices(self.n)
+            if step != 1:
+                raise ValueError("vector slices take step 1")
+            k = max(stop - start, 0)
+            if self.packed is None:
+                return FieldVector(self.field, self._entries[start:start + k])
+            s = _slot(self.field)
+            return _vec(self.field, k, (self.packed >> (s * start)) & ((1 << (s * k)) - 1))
         if not 0 <= i < self.n:
             raise IndexError(i)
-        if self.bits is not None:
-            return (self.bits >> i) & 1
+        if self.packed is not None:
+            s = _slot(self.field)
+            return (self.packed >> (s * i)) & ((1 << self.field.m) - 1)
         return self._entries[i]
 
     def __iter__(self):
@@ -121,17 +271,18 @@ class FieldVector:
             isinstance(other, FieldVector)
             and self.field == other.field
             and self.n == other.n
-            and (self.bits == other.bits if self.bits is not None else self._entries == other._entries)
+            and (self.packed == other.packed if self.packed is not None
+                 else self._entries == other._entries)
         )
 
     def __hash__(self):
-        return hash((self.field, self.n, self.bits if self.bits is not None else self._entries))
+        return hash((self.field, self.n, self.packed if self.packed is not None else self._entries))
 
     def __repr__(self):
         if self.bits is not None:
             body = "".join(str((self.bits >> i) & 1) for i in range(self.n))
         else:
-            body = ",".join(str(e) for e in self._entries)
+            body = ",".join(str(e) for e in self.entries)
         return f"FieldVector({self.field!r}, [{body}])"
 
     # -- arithmetic -----------------------------------------------------------
@@ -140,8 +291,8 @@ class FieldVector:
         _check_same_field(self, other)
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} vs {other.n}")
-        if self.bits is not None:
-            return FieldVector(self.field, n=self.n, bits=self.bits ^ other.bits)
+        if self.packed is not None:
+            return _vec(self.field, self.n, self.packed ^ other.packed)
         f = self.field
         return FieldVector(f, tuple(f.add(a, b) for a, b in zip(self._entries, other._entries)))
 
@@ -149,13 +300,13 @@ class FieldVector:
         _check_same_field(self, other)
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} vs {other.n}")
-        if self.bits is not None:
-            return FieldVector(self.field, n=self.n, bits=self.bits ^ other.bits)
+        if self.packed is not None:
+            return _vec(self.field, self.n, self.packed ^ other.packed)
         f = self.field
         return FieldVector(f, tuple(f.sub(a, b) for a, b in zip(self._entries, other._entries)))
 
     def __neg__(self) -> "FieldVector":
-        if self.bits is not None:
+        if self.packed is not None:
             return self
         f = self.field
         return FieldVector(f, tuple(f.neg(a) for a in self._entries))
@@ -165,11 +316,21 @@ class FieldVector:
         f.check_element(c)
         if self.bits is not None:
             return self if c else FieldVector.zeros(f, self.n)
+        if self.packed is not None:
+            return _vec(f, self.n, _Slots(f, self.n).combine(((c, self.packed),)))
         return FieldVector(f, tuple(f.mul(c, a) for a in self._entries))
 
     def weight(self) -> int:
         if self.bits is not None:
             return self.bits.bit_count()
+        if self.packed is not None:
+            # OR every slot's bits down into its bit 0, then count those
+            w = self.packed
+            shift = 1
+            while shift < self.field.m:
+                w |= w >> shift
+                shift *= 2
+            return (w & _ones(_slot(self.field), self.n)).bit_count()
         return sum(1 for e in self._entries if e)
 
 
@@ -200,30 +361,57 @@ def random_weight_vector(field: FieldSpec, n: int, w: int, rng) -> FieldVector:
 # matrices
 # ---------------------------------------------------------------------------
 
+def _mat(f: FieldSpec, cols: int, rows) -> "FieldMatrix":
+    """Packed matrix from row words known to be valid (no check)."""
+    M = object.__new__(FieldMatrix)
+    M.field = f
+    M.rows = len(rows)
+    M.cols = cols
+    M.packed_rows = rows = tuple(rows)
+    M.row_masks = rows if f.m == 1 else None
+    M._grid = None
+    return M
+
+
+def _join_rows(words, nbytes: int) -> bytes:
+    return b"".join(w.to_bytes(nbytes, "little") for w in words)
+
+
+def _split_rows(raw, nbytes: int, count: int) -> list:
+    return [int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little") for i in range(count)]
+
+
 class FieldMatrix:
     """Immutable rows x cols matrix over a finite field.
 
-    GF(2) storage is one integer mask per row (bit j = column j); other
-    fields store a tuple of row tuples.
+    Characteristic 2 stores one packed word per row (``row_masks=`` takes
+    GF(2) rows, ``packed_rows=`` rows over any field of characteristic 2;
+    the rows are ORed together and checked once); odd characteristic stores
+    a tuple of row tuples.
     """
 
-    __slots__ = ("field", "rows", "cols", "row_masks", "row_entries")
+    __slots__ = ("field", "rows", "cols", "packed_rows", "row_masks", "_grid")
 
-    def __init__(self, field: FieldSpec, entries=None, *, cols=None, row_masks=None):
+    def __init__(self, field: FieldSpec, entries=None, *, cols=None, row_masks=None,
+                 packed_rows=None):
         self.field = field
         if row_masks is not None:
             if field.p != 2 or field.m != 1:
                 raise ValueError("row masks are only valid over GF(2)")
+            packed_rows = row_masks
+        if packed_rows is not None:
+            if field.p != 2:
+                raise ValueError("packed rows are only valid in characteristic 2")
             if cols is None:
-                raise ValueError("mask construction requires cols")
-            row_masks = tuple(row_masks)
-            for r in row_masks:
-                if r >> cols:
-                    raise ValueError("row mask has bits beyond cols")
-            self.rows = len(row_masks)
+                raise ValueError("packed construction requires cols")
+            rows = tuple(packed_rows)
+            if reduce(or_, rows, 0) & ~_valid_bits(field, cols):  # a negative row fails too
+                raise ValueError("packed row has bits outside its cols slots of m bits")
+            self.rows = len(rows)
             self.cols = cols
-            self.row_masks = row_masks
-            self.row_entries = None
+            self.packed_rows = rows
+            self.row_masks = rows if field.m == 1 else None
+            self._grid = None
             return
         grid = [[int(e) for e in row] for row in entries]
         self.rows = len(grid)
@@ -231,46 +419,52 @@ class FieldMatrix:
         for row in grid:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
-            for e in row:
-                field.check_element(e)
-        if field.p == 2 and field.m == 1:
-            masks = []
-            for row in grid:
-                m = 0
-                for j, e in enumerate(row):
-                    m |= e << j
-                masks.append(m)
-            self.row_masks = tuple(masks)
-            self.row_entries = None
+        if field.p == 2:
+            self.packed_rows = _pack_rows(field, grid)
+            self.row_masks = self.packed_rows if field.m == 1 else None
+            self._grid = None
         else:
-            self.row_masks = None
-            self.row_entries = tuple(tuple(row) for row in grid)
+            for row in grid:
+                for e in row:
+                    field.check_element(e)
+            self.packed_rows = self.row_masks = None
+            self._grid = tuple(tuple(row) for row in grid)
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "FieldMatrix":
-        if field.p == 2 and field.m == 1:
-            return cls(field, cols=n, row_masks=[1 << i for i in range(n)])
+        s = _slot(field)
+        if s is not None:
+            return _mat(field, n, [1 << (s * i) for i in range(n)])
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "FieldMatrix":
-        if field.p == 2 and field.m == 1:
-            return cls(field, cols=cols, row_masks=[0] * rows)
-        return cls(field, [[0] * cols for _ in range(rows)])
+        if field.p == 2:
+            return _mat(field, cols, [0] * rows)
+        return cls(field, [[0] * cols for _ in range(rows)], cols=cols)
 
     # -- accessors ------------------------------------------------------------
 
+    @property
+    def row_entries(self):
+        """Rows as tuples of canonical entries; None over GF(2)."""
+        if self._grid is not None:
+            return self._grid
+        if self.field.m == 1:
+            return None
+        return tuple(_unpack(self.field, r, self.cols) for r in self.packed_rows)
+
     def row(self, i: int) -> FieldVector:
-        if self.row_masks is not None:
-            return FieldVector(self.field, n=self.cols, bits=self.row_masks[i])
-        return FieldVector(self.field, self.row_entries[i])
+        if self.packed_rows is not None:
+            return _vec(self.field, self.cols, self.packed_rows[i])
+        return FieldVector(self.field, self._grid[i])
 
     def to_grid(self) -> list[list[int]]:
-        if self.row_masks is not None:
-            return [[(r >> j) & 1 for j in range(self.cols)] for r in self.row_masks]
-        return [list(row) for row in self.row_entries]
+        if self.packed_rows is not None:
+            return [list(_unpack(self.field, r, self.cols)) for r in self.packed_rows]
+        return [list(row) for row in self._grid]
 
     def __eq__(self, other):
         return (
@@ -278,13 +472,13 @@ class FieldMatrix:
             and self.field == other.field
             and self.rows == other.rows
             and self.cols == other.cols
-            and (self.row_masks == other.row_masks
-                 if self.row_masks is not None else self.row_entries == other.row_entries)
+            and (self.packed_rows == other.packed_rows
+                 if self.packed_rows is not None else self._grid == other._grid)
         )
 
     def __hash__(self):
         return hash((self.field, self.rows, self.cols,
-                     self.row_masks if self.row_masks is not None else self.row_entries))
+                     self.packed_rows if self.packed_rows is not None else self._grid))
 
     def __repr__(self):
         return f"FieldMatrix({self.field!r}, {self.rows}x{self.cols})"
@@ -293,31 +487,94 @@ class FieldMatrix:
 
     def transpose(self) -> "FieldMatrix":
         """Over GF(2) through the rows' binary strings: row j of the result
-        reads character j from the right of every string, row 0 lowest."""
-        if self.row_masks is not None:
-            if not (self.rows and self.cols):
-                return FieldMatrix.zeros(self.field, self.cols, self.rows)
-            rows = [format(r, f"0{self.cols}b") for r in reversed(self.row_masks)]
+        reads character j from the right of every string, row 0 lowest.
+        Over GF(2^m) through the rows' bytes: row j of the result is every
+        (s/8)-th byte group of the joined rows, starting at group j."""
+        f = self.field
+        if not (self.rows and self.cols):
+            return FieldMatrix.zeros(f, self.cols, self.rows)
+        s = _slot(f)
+        if s == 1:
+            rows = [format(r, f"0{self.cols}b") for r in reversed(self.packed_rows)]
             out = [int("".join(col), 2) for col in zip(*rows)]
             out.reverse()
-            return FieldMatrix(self.field, cols=self.rows, row_masks=out)
-        grid = [[row[j] for row in self.row_entries] for j in range(self.cols)]
-        return FieldMatrix(self.field, grid, cols=self.rows)
+            return _mat(f, self.rows, out)
+        if s is not None:
+            step = s // 8
+            raw = memoryview(_join_rows(self.packed_rows, self.cols * step))
+            if step == 2:
+                raw = raw.cast("H")  # moves whole two-byte slots; their byte order is kept
+            return _mat(f, self.rows, [int.from_bytes(raw[j::self.cols].tobytes(), "little")
+                                       for j in range(self.cols)])
+        grid = [[row[j] for row in self._grid] for j in range(self.cols)]
+        return FieldMatrix(f, grid, cols=self.rows)
+
+    def scale(self, c: int) -> "FieldMatrix":
+        """Every entry times the field element c."""
+        f = self.field
+        f.check_element(c)
+        if self.packed_rows is not None:
+            if f.m == 1:
+                return self if c else FieldMatrix.zeros(f, self.rows, self.cols)
+            # all rows at once, as one word of rows * cols slots
+            nbytes = self.cols * _slot(f) // 8
+            word = int.from_bytes(_join_rows(self.packed_rows, nbytes), "little")
+            word = _Slots(f, self.rows * self.cols).combine(((c, word),))
+            raw = word.to_bytes(self.rows * nbytes, "little")
+            return _mat(f, self.cols, _split_rows(raw, nbytes, self.rows))
+        return FieldMatrix(f, [[f.mul(c, e) for e in row] for row in self._grid], cols=self.cols)
+
+    def row_multiples(self) -> list:
+        """Over GF(2^m), m > 1: for each row w, the packed words c*w for
+        c = 0 .. q-1 (list index c), each the XOR of the x-powers of w that
+        the bits of c select, built by doubling the list once per power."""
+        sl = _Slots(self.field, self.cols)
+        out = []
+        for r in self.packed_rows:
+            mult = [0]
+            for p in sl.x_powers(r):
+                mult += [w ^ p for w in mult]
+            out.append(mult)
+        return out
+
+    def row_scalars(self, v: FieldVector) -> list:
+        """Over GF(2^m), m > 1: the pairs (j, c), c != 0, with c*row j = v,
+        in (j, c) order.  A non-zero row has at most one such c, fixed by
+        one division at its first non-zero entry; a zero row has every c
+        when v = 0 and none otherwise."""
+        f = self.field
+        sl = _Slots(f, self.cols)
+        s, mask, t = sl.s, sl.mask, v.packed
+        out = []
+        for j, w in enumerate(self.packed_rows):
+            if not w:
+                if not t:
+                    out += [(j, c) for c in range(1, f.q)]
+                continue
+            at = ((w & -w).bit_length() - 1) // s * s
+            c = f.div((t >> at) & mask, (w >> at) & mask)
+            if c and sl.combine(((c, w),)) == t:
+                out.append((j, c))
+        return out
 
     def mat_vec(self, v: FieldVector) -> FieldVector:
         _check_same_field(self, v)
         if v.n != self.cols:
             raise ValueError(f"dimension mismatch: {self.rows}x{self.cols} times length {v.n}")
+        f = self.field
         if self.row_masks is not None:
             out = 0
             vb = v.bits
             for i, r in enumerate(self.row_masks):
                 out |= ((r & vb).bit_count() & 1) << i
-            return FieldVector(self.field, n=self.rows, bits=out)
-        f = self.field
+            return _vec(f, self.rows, out)
+        if self.packed_rows is not None:
+            # the columns weighted by the entries of v
+            cols = self.transpose().packed_rows
+            return _vec(f, self.rows, _Slots(f, self.rows).combine(zip(v.entries, cols)))
         ve = v.entries
         out = []
-        for row in self.row_entries:
+        for row in self._grid:
             acc = 0
             for a, x in zip(row, ve):
                 if a and x:
@@ -330,6 +587,7 @@ class FieldMatrix:
         if self.cols != other.rows:
             raise ValueError(
                 f"dimension mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
+        f = self.field
         if self.row_masks is not None:
             orows = other.row_masks
             out = []
@@ -341,11 +599,16 @@ class FieldMatrix:
                     acc ^= orows[k]
                     rr &= rr - 1
                 out.append(acc)
-            return FieldMatrix(self.field, cols=other.cols, row_masks=out)
-        f = self.field
-        ogrid = other.row_entries
+            return _mat(f, other.cols, out)
+        if self.packed_rows is not None:
+            # row i of the product weights the rows of other by row i of self
+            sl = _Slots(f, other.cols)
+            orows = other.packed_rows
+            return _mat(f, other.cols, [sl.combine(zip(_unpack(f, r, self.cols), orows))
+                                        for r in self.packed_rows])
+        ogrid = other._grid
         out = []
-        for row in self.row_entries:
+        for row in self._grid:
             acc = [0] * other.cols
             for k, a in enumerate(row):
                 if a:
@@ -369,10 +632,11 @@ def concat_cols(A: FieldMatrix, B: FieldMatrix) -> FieldMatrix:
     _check_same_field(A, B)
     if A.rows != B.rows:
         raise ValueError(f"row mismatch: {A.rows} vs {B.rows}")
-    if A.row_masks is not None:
-        masks = [a | (b << A.cols) for a, b in zip(A.row_masks, B.row_masks)]
-        return FieldMatrix(A.field, cols=A.cols + B.cols, row_masks=masks)
-    grid = [list(ra) + list(rb) for ra, rb in zip(A.row_entries, B.row_entries)]
+    if A.packed_rows is not None:
+        shift = _slot(A.field) * A.cols
+        return _mat(A.field, A.cols + B.cols,
+                    [a | (b << shift) for a, b in zip(A.packed_rows, B.packed_rows)])
+    grid = [list(ra) + list(rb) for ra, rb in zip(A._grid, B._grid)]
     return FieldMatrix(A.field, grid)
 
 
@@ -380,9 +644,9 @@ def permuted_rows(M: FieldMatrix, index_map) -> FieldMatrix:
     """Matrix whose row i is row index_map[i] of M."""
     if len(index_map) != M.rows:
         raise ValueError("index map length must equal row count")
-    if M.row_masks is not None:
-        return FieldMatrix(M.field, cols=M.cols, row_masks=[M.row_masks[j] for j in index_map])
-    return FieldMatrix(M.field, [M.row_entries[j] for j in index_map])
+    if M.packed_rows is not None:
+        return _mat(M.field, M.cols, [M.packed_rows[j] for j in index_map])
+    return FieldMatrix(M.field, [M._grid[j] for j in index_map])
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +682,43 @@ def _reduce_gf2(masks, ncols: int):
     return pivots, zero
 
 
+def _reduce_packed(words, ncols: int, width: int, f: FieldSpec):
+    """:func:`_reduce_gf2` for packed GF(2^m) rows of ``width`` slots;
+    pivots are scaled to 1.  A new row is reduced against all pivot rows
+    in one combination (pivot rows are zero in each other's pivot columns,
+    so its coefficients are its own entries there), and the new pivot
+    column is cleared from the pivot rows with the x-powers of the new row.
+    """
+    sl = _Slots(f, width)
+    s, mask = sl.s, sl.mask
+    low = (1 << (s * ncols)) - 1
+    pivots: dict[int, int] = {}
+    zero = []
+    for a in words:
+        if pivots:
+            ent = _unpack(f, a & low, ncols)
+            a ^= sl.combine([(ent[pc], row) for pc, row in pivots.items()])
+        g = a & low
+        if not g:
+            zero.append(a >> (s * ncols))
+            continue
+        col = ((g & -g).bit_length() - 1) // s
+        shift = s * col
+        lead = (a >> shift) & mask
+        if lead != 1:
+            a = sl.combine(((f.inv(lead), a),))
+        powers = sl.x_powers(a)
+        for pc, row in pivots.items():
+            c = (row >> shift) & mask
+            if c:
+                pivots[pc] = row ^ _select(powers, c)
+        pivots[col] = a
+    return pivots, zero
+
+
 def _reduce_dense(grid, ncols: int, f: FieldSpec):
-    """:func:`_reduce_gf2` for rows of field elements; pivots are scaled to 1."""
+    """:func:`_reduce_gf2` for rows of field elements of odd characteristic;
+    pivots are scaled to 1."""
     pivots: dict[int, list] = {}
     zero = []
     for row in grid:
@@ -446,24 +745,30 @@ class RowReduction:
     """One reduction of the rows of [M | B], pivoting on the M part only.
 
     B is the identity unless given.  ``pivot_rows`` (in ``pivot_cols``
-    order) are the reduced row echelon form of M.  Row i of ``ops`` is the
-    B part of pivot row i and ``left_kernel`` holds the B parts of the rows
-    that became zero; with B = I they are the combinations of M's rows that
-    give pivot row i, and a basis of {h : h M = 0}.
+    order; packed words in characteristic 2, entry lists otherwise) are the
+    reduced row echelon form of M.  Row i of ``ops`` is the B part of pivot
+    row i and ``left_kernel`` holds the B parts of the rows that became
+    zero; with B = I they are the combinations of M's rows that give pivot
+    row i, and a basis of {h : h M = 0}.
     """
 
     def __init__(self, M: FieldMatrix, B: FieldMatrix | None = None):
         self.field, self.cols = f, n = M.field, M.cols
         B = FieldMatrix.identity(f, M.rows) if B is None else B
-        if M.row_masks is not None:
-            pivots, left = _reduce_gf2([r | (b << n) for r, b in zip(M.row_masks, B.row_masks)], n)
+        s = _slot(f)
+        if s is not None:
+            split = s * n
+            words = [r | (b << split) for r, b in zip(M.packed_rows, B.packed_rows)]
+            if s == 1:
+                pivots, left = _reduce_gf2(words, n)
+            else:
+                pivots, left = _reduce_packed(words, n, n + B.cols, f)
             self.pivot_cols = pcs = sorted(pivots)
-            self.pivot_rows = [pivots[c] & ((1 << n) - 1) for c in pcs]
-            self.ops = FieldMatrix(f, cols=B.cols, row_masks=[pivots[c] >> n for c in pcs])
-            self.left_kernel = FieldMatrix(f, cols=B.cols, row_masks=left)
+            self.pivot_rows = [pivots[c] & ((1 << split) - 1) for c in pcs]
+            self.ops = _mat(f, B.cols, [pivots[c] >> split for c in pcs])
+            self.left_kernel = _mat(f, B.cols, left)
             return
-        pivots, left = _reduce_dense([list(r) + list(b)
-                                      for r, b in zip(M.row_entries, B.row_entries)], n, f)
+        pivots, left = _reduce_dense([list(r) + list(b) for r, b in zip(M._grid, B._grid)], n, f)
         self.pivot_cols = pcs = sorted(pivots)
         self.pivot_rows = [pivots[c][:n] for c in pcs]
         self.ops = FieldMatrix(f, [pivots[c][n:] for c in pcs], cols=B.cols)
@@ -479,14 +784,18 @@ class RowReduction:
         f, n = self.field, self.cols
         pivot_set = set(self.pivot_cols)
         free = [j for j in range(n) if j not in pivot_set]
-        if f.p == 2 and f.m == 1:
+        s = _slot(f)
+        if s is not None:
+            mask = (1 << f.m) - 1
+            pivots = list(zip(self.pivot_cols, self.pivot_rows))
             out = [0] * n
             for i, fc in enumerate(free):
-                out[fc] = bit = 1 << i
-                for pc, row in zip(self.pivot_cols, self.pivot_rows):
-                    if (row >> fc) & 1:
-                        out[pc] |= bit
-            return FieldMatrix(f, cols=len(free), row_masks=out)
+                at, to = s * fc, s * i
+                out[fc] = 1 << to
+                for pc, row in pivots:
+                    if e := (row >> at) & mask:
+                        out[pc] |= e << to  # -e = e in characteristic 2
+            return _mat(f, len(free), out)
         grid = [[int(fc == j) for fc in free] for j in range(n)]
         for pc, row in zip(self.pivot_cols, self.pivot_rows):
             grid[pc] = [f.neg(row[fc]) for fc in free]
@@ -500,9 +809,15 @@ class RowReduction:
         if (self.left_kernel @ y).weight():
             raise NoSolutionError("inconsistent linear system")
         t = self.ops @ y
-        if t.bits is not None:
-            return FieldVector(self.field, n=self.cols, bits=sum(
-                ((t.bits >> i) & 1) << c for i, c in enumerate(self.pivot_cols)))
+        s = _slot(self.field)
+        if s is not None:
+            mask = (1 << self.field.m) - 1
+            x, word = 0, t.packed
+            for c in self.pivot_cols:
+                if word & mask:
+                    x |= (word & mask) << (s * c)
+                word >>= s
+            return _vec(self.field, self.cols, x)
         xs = [0] * self.cols
         for c, v in zip(self.pivot_cols, t.entries):
             xs[c] = v

@@ -1,6 +1,9 @@
 import dataclasses
+import hashlib
+import json
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -159,12 +162,13 @@ def _all_hits(H, s, b, reference=False):
 @pytest.mark.parametrize("f,rows,cols,b", [
     (GF2, 6, 14, 3), (GF2, 4, 10, 4), (GF3, 4, 8, 2), (field(2, 2), 3, 6, 2),
     (GF2, 7, 12, 5), (GF2, 12, 14, 6), (GF2, 8, 12, 6),
-    (GF3, 4, 8, 3), (field(2, 2), 3, 7, 3), (field(3, 2), 3, 6, 3)])
+    (GF3, 4, 8, 3), (field(2, 2), 3, 7, 3), (field(3, 2), 3, 6, 3), (field(2, 3), 3, 6, 3)])
 def test_scan_matches_reference(rng, f, rows, cols, b):
     """Full hit lists of the fast scan equal the naive scan's, on random H
     and, every other round, on H with zero and proportional columns.  GF(2)
     covers the pair-table classes 3 to 6, with b = 3 and with larger b, and
-    the meet-in-the-middle guarded class 6; q > 2 the projective table."""
+    the meet-in-the-middle guarded class 6; GF(4) and GF(8) the table of
+    column multiples; GF(3) and GF(9) the projective table."""
     for i in range(16):
         H = _random_check_matrix(f, rng, rows, cols, degenerate=i % 2 == 1)
         s = H @ random_weight_vector(f, cols, int(rng.integers(0, b + 1)), rng)
@@ -173,17 +177,18 @@ def test_scan_matches_reference(rng, f, rows, cols, b):
         assert fast  # the planted pattern guarantees at least one hit
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([(2, 1), (3, 1), (2, 2)]), st.data())
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (2, 3), (2, 9)]), st.data())
 def test_scan_matches_reference_property(pm, data):
     f = field(*pm)
-    n = data.draw(st.integers(1, 11 if f.q == 2 else 6))
+    # the reference walks every pattern, so GF(8) and GF(2^9) stay short
+    n = data.draw(st.integers(1, {2: 11, 8: 4, 512: 4}.get(f.q, 6)))
     rows = data.draw(st.integers(1, 6))
     elements = st.integers(0, f.q - 1)
     H = FieldMatrix(f, data.draw(st.lists(st.lists(elements, min_size=n, max_size=n),
                                           min_size=rows, max_size=rows)))
     s = FieldVector(f, data.draw(st.lists(elements, min_size=rows, max_size=rows)))
-    b = data.draw(st.integers(0, min(6, n)))
+    b = data.draw(st.integers(0, min(1 if f.q == 512 else 6, n)))
     assert _all_hits(H, s, b) == _all_hits(H, s, b, reference=True)
 
 
@@ -506,6 +511,42 @@ def test_affine_reduction_breaks_affine_sigma(rng):
         out = affine_reduction_attack(c, (r1.commitment, t1), (r2.commitment, t2), 1)
         assert out.related
         assert out.candidates[0] - out.candidates[1] == w1 - w2
+
+
+def _c10_code():
+    """The GF(32) (20, 8) Vandermonde code of acceptance criterion c10."""
+    g32 = field(2, 5)
+    G = FieldMatrix(g32, [[g32.pow(i + 1, j) for j in range(8)] for i in range(20)])
+    return generic_code(G, 13)
+
+
+def test_affine_reduction_outcomes_pinned():
+    # every outcome field but the time, on c10's code: related pairs at
+    # distance 0..2 and unrelated pairs, with b = 1 and 2 (digests do not
+    # apply: G~ = (G/a1 | G/a2) has cosets of 32^8 solutions)
+    c = _c10_code()
+    g32, n = c.field, c.n
+    rng = np.random.default_rng(77)
+    h = hashlib.sha256()
+    related = []
+    for i in range(16):
+        sigmas = []
+        for _ in range(2):
+            a, s = int(rng.integers(1, 32)), int(rng.integers(0, 32))
+            sigmas.append(tuple(g32.add(g32.mul(a, x), s) for x in range(32)))
+        t1, t2 = (TransformDescriptor("field-permutation", n, g32, sigma=sg) for sg in sigmas)
+        w1 = random_vector(g32, n, rng)
+        w2 = (w1 + random_weight_vector(g32, n, i % 3, rng) if i < 12
+              else random_vector(g32, n, rng))
+        r1, r2 = enroll(w1, c, t1, rng=rng), enroll(w2, c, t2, rng=rng)
+        out = affine_reduction_attack(c, (r1.commitment, t1), (r2.commitment, t2), 1 + i % 2)
+        related.append(out.related)
+        fields = _fields_but_elapsed(out)
+        fields["candidates"] = out.candidates and [list(v.entries) for v in out.candidates]
+        fields["error_pattern"] = out.error_pattern and list(out.error_pattern.entries)
+        h.update(json.dumps(fields, sort_keys=True).encode())
+    assert related == [i < 12 and i % 3 <= 1 + i % 2 for i in range(16)]
+    assert h.hexdigest() == "ecb83252181bca6433c10a1b83417d504571c87a82d62f882447a502deee3b53"
 
 
 def test_affine_reduction_rejects_non_affine(rng):

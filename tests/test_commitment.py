@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzylink.codes import bch_build
+from fuzzylink.codes import bch_build, generic_code, random_codeword
 from fuzzylink.commitment import (
     HASH_ALGORITHMS,
     HASH_BY_SIZE,
@@ -19,10 +19,11 @@ from fuzzylink.commitment import (
     parse_record,
     resolve_code,
     serialize_record,
+    vector_to_text,
     verify,
 )
 from fuzzylink.fields import GF2, field
-from fuzzylink.linalg import FieldVector, random_vector, random_weight_vector
+from fuzzylink.linalg import FieldMatrix, FieldVector, random_vector, random_weight_vector
 from fuzzylink.transforms import identity_transform, random_transform
 
 
@@ -36,6 +37,62 @@ def test_canonical_bytes_big_endian_packing():
     assert canonical_bytes(v) == bytes([0x80, 0x80])
     w = FieldVector(field(5), (0, 4, 2))
     assert canonical_bytes(w) == bytes([0, 4, 2])
+
+
+def _canonical_bytes_by_bit(v):
+    """The per-bit GF(2) encoding: bit i is bit 7 - i % 8 of byte i // 8."""
+    out = bytearray((v.n + 7) // 8)
+    for i in range(v.n):
+        if (v.bits >> i) & 1:
+            out[i // 8] |= 0x80 >> (i % 8)
+    return bytes(out)
+
+
+def test_canonical_bytes_matches_bit_loop(rng):
+    for n in [*range(70), 127, 255, 1000]:
+        for _ in range(3):
+            v = random_vector(GF2, n, rng)
+            assert canonical_bytes(v) == _canonical_bytes_by_bit(v)
+        ones = FieldVector(GF2, n=n, bits=(1 << n) - 1)
+        assert canonical_bytes(ones) == _canonical_bytes_by_bit(ones)
+
+
+def _pinned_records():
+    """(record, codeword) pairs over GF(8), GF(32) and GF(2^9), with field-
+    and bit-permutation transforms, unbound and bound by each digest."""
+    rng = np.random.default_rng(2027)
+    for m, n, k in ((3, 7, 3), (5, 12, 5), (9, 10, 4)):
+        f = field(2, m)
+        G = FieldMatrix(f, [[int(x) for x in rng.integers(0, f.q, size=k)] for _ in range(n)])
+        c = generic_code(G, 1)
+        for kind in ("field-permutation", "bit-permutation"):
+            for alg in (None,) + HASH_ALGORITHMS:
+                w = random_vector(f, n, rng)
+                t = random_transform(kind, n, f, rng)
+                rec = enroll(w, c, t, with_hash=alg is not None, hash_id=alg or "sha256",
+                             rng=rng)
+                yield rec, random_codeword(c, rng)
+
+
+def test_extension_field_record_bytes_pinned():
+    # serialized records, canonical bytes, digests and text of extension-field
+    # vectors, as produced before GF(2^m) vectors were packed into integers
+    h = hashlib.sha256()
+    for rec, cw in _pinned_records():
+        h.update(serialize_record(rec))
+        h.update(canonical_bytes(cw))
+        for alg in HASH_ALGORITHMS:
+            h.update(codeword_digest(cw, alg))
+        h.update(vector_to_text(rec.commitment).encode())
+    assert h.hexdigest() == "6063fadc497255130224c89d0f25b54fd2f8e23afcf92d926d1029a2ba9dc338"
+
+
+def test_vector_to_text_pinned():
+    assert vector_to_text(FieldVector(GF2, [1, 0, 0, 0, 0, 0, 0, 0, 1, 1])) == "80c0"
+    assert vector_to_text(FieldVector(field(5), (0, 4, 2))) == "0,4,2"
+    assert vector_to_text(FieldVector(field(2, 3), (7, 0, 1))) == "7,0,1"
+    assert vector_to_text(FieldVector(field(2, 5), (31, 16, 0, 5))) == "31,16,0,5"
+    assert vector_to_text(FieldVector(field(2, 9), (511, 256, 0, 255))) == "511,256,0,255"
 
 
 def test_enroll_identity_commitment_difference(code, rng):

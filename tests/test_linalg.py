@@ -37,7 +37,9 @@ def ref_matvec(grid, vec):
     return [sum(a * x for a, x in zip(row, vec)) % 2 for row in grid]
 
 
-def ref_rref(grid):
+def ref_rref(grid, f=GF2):
+    """Column-order Gauss-Jordan, entry by entry: (RREF rows, then the
+    zero rows; pivot columns)."""
     grid = [row[:] for row in grid]
     rows = len(grid)
     cols = len(grid[0]) if grid else 0
@@ -48,9 +50,12 @@ def ref_rref(grid):
         if sel is None:
             continue
         grid[r], grid[sel] = grid[sel], grid[r]
+        inv = f.inv(grid[r][c])
+        grid[r] = [f.mul(inv, x) for x in grid[r]]
         for i in range(rows):
             if i != r and grid[i][c]:
-                grid[i] = [(x + y) % 2 for x, y in zip(grid[i], grid[r])]
+                k = grid[i][c]
+                grid[i] = [f.sub(x, f.mul(k, y)) for x, y in zip(grid[i], grid[r])]
         pivots.append(c)
         r += 1
     return grid, pivots
@@ -375,6 +380,149 @@ PINNED_INVERSES = {
 def test_kernel_basis_and_invert_pinned(seed):
     assert matrices_sha256(kernel_basis(M) for M in seeded_matrices(seed)) == PINNED_KERNELS[seed]
     assert matrices_sha256(invert(M) for M in seeded_invertibles(seed)) == PINNED_INVERSES[seed]
+
+
+# ---------------------------------------------------------------------------
+# packed GF(2^m) storage against entrywise FieldSpec arithmetic
+# ---------------------------------------------------------------------------
+
+# both slot widths: 8 bits for m <= 8, 16 above
+PACKED_FIELDS = [field(2, m) for m in (2, 3, 5, 8, 9, 16)]
+
+
+def _elements(f):
+    return st.one_of(st.sampled_from([0, 1, f.q - 1]), st.integers(0, f.q - 1))
+
+
+def _grid(draw, f, rows, cols):
+    return draw(st.lists(st.lists(_elements(f), min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+@st.composite
+def packed_operands(draw):
+    f = draw(st.sampled_from(PACKED_FIELDS))
+    rows, inner, cols = (draw(st.integers(0, 5)) for _ in range(3))
+    A, B, C = _grid(draw, f, rows, inner), _grid(draw, f, inner, cols), _grid(draw, f, rows, cols)
+    x, y = (draw(st.lists(_elements(f), min_size=inner, max_size=inner)) for _ in range(2))
+    return f, cols, A, B, C, x, y, draw(_elements(f)), draw(st.permutations(range(rows)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_operands(), st.data())
+def test_packed_arithmetic_matches_entrywise(operands, data):
+    f, cols, A, B, C, x, y, c, perm = operands
+    rows, inner = len(A), len(x)
+    MA, MB, MC = FieldMatrix(f, A, cols=inner), FieldMatrix(f, B, cols=cols), FieldMatrix(f, C, cols=cols)
+    vx, vy = FieldVector(f, x), FieldVector(f, y)
+    assert vx.bits is None and MA.row_masks is None
+    assert vx.entries == tuple(x) and [vx[i] for i in range(inner)] == x
+    assert FieldVector(f, n=inner, packed=vx.packed) == vx
+    assert (vx + vy).entries == tuple(f.add(a, b) for a, b in zip(x, y))
+    assert (vx - vy).entries == tuple(f.sub(a, b) for a, b in zip(x, y))
+    assert (-vx) == vx
+    assert vx.scale(c).entries == tuple(f.mul(c, a) for a in x)
+    assert vx.weight() == sum(1 for a in x if a)
+    lo = data.draw(st.integers(0, inner))
+    hi = data.draw(st.integers(lo, inner))
+    assert vx[lo:hi].entries == tuple(x[lo:hi])
+    assert MA.row_entries == tuple(tuple(r) for r in A)
+    assert [MA.row(i).entries for i in range(rows)] == [tuple(r) for r in A]
+    ref_mv = []
+    for row in A:
+        acc = 0
+        for a, e in zip(row, x):
+            acc = f.add(acc, f.mul(a, e))
+        ref_mv.append(acc)
+    assert (MA @ vx).entries == tuple(ref_mv)
+    ref_mm = []
+    for row in A:
+        out = [0] * MB.cols
+        for a, brow in zip(row, B):
+            out = [f.add(o, f.mul(a, e)) for o, e in zip(out, brow)]
+        ref_mm.append(out)
+    assert (MA @ MB).to_grid() == ref_mm
+    assert MA.transpose().to_grid() == [[row[j] for row in A] for j in range(inner)]
+    assert concat_cols(MA, MC).to_grid() == [a + b for a, b in zip(A, C)]
+    assert permuted_rows(MA, perm).to_grid() == [A[j] for j in perm]
+    assert MA.scale(c).to_grid() == [[f.mul(c, e) for e in row] for row in A]
+    multiples = MA.row_multiples()
+    for row, mult in zip(A, multiples):
+        assert len(mult) == f.q
+        for v in {0, 1, c, f.q - 1}:
+            assert mult[v] == FieldVector(f, [f.mul(v, e) for e in row]).packed
+    if rows:
+        target = [f.mul(c, e) for e in A[0]]
+        pairs = MA.row_scalars(FieldVector(f, target))
+        assert pairs == sorted(pairs)
+        assert all([f.mul(k, e) for e in A[j]] == target for j, k in pairs)
+        assert (0, c) in pairs or not (c and any(A[0]))
+        if f.q <= 512:
+            assert pairs == [(j, k) for j in range(rows) for k in range(1, f.q)
+                             if [f.mul(k, e) for e in A[j]] == target]
+
+
+@st.composite
+def packed_systems(draw):
+    f = draw(st.sampled_from(PACKED_FIELDS))
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    grid = _grid(draw, f, rows, cols)
+    if draw(st.booleans()):  # repeat rows, possibly scaled, for rank deficiency
+        grid += [[f.mul(draw(_elements(f)), e) for e in grid[0]]]
+    return f, grid
+
+
+@settings(max_examples=120, deadline=None)
+@given(packed_systems(), st.data())
+def test_packed_row_reduction_matches_reference(system, data):
+    """Pivots and RREF equal column-order Gauss-Jordan.  ``ops`` and
+    ``left_kernel`` are pinned down by insertion order: pivot rows combine
+    only rows that raised the rank when inserted, and the left-kernel row
+    of a dependent row a is 1 at a and 0 at every later or dependent row."""
+    f, grid = system
+    rows, cols = len(grid), len(grid[0])
+    M = FieldMatrix(f, grid)
+    red = RowReduction(M)
+    rref, pivots = ref_rref(grid, f)
+    assert red.pivot_cols == pivots
+    assert [list(FieldVector(f, n=cols, packed=r).entries) for r in red.pivot_rows] \
+        == rref[:len(pivots)]
+    ranks = [len(ref_rref(grid[:i + 1], f)[1]) for i in range(rows)]
+    raised = [i for i in range(rows) if ranks[i] > (ranks[i - 1] if i else 0)]
+    dependent = [i for i in range(rows) if i not in raised]
+    assert (red.ops @ M).to_grid() == rref[:len(pivots)]
+    assert all(row[i] == 0 for row in red.ops.to_grid() for i in dependent)
+    assert red.left_kernel.rows == len(dependent)
+    for a, h in zip(dependent, red.left_kernel.to_grid()):
+        assert h[a] == 1
+        assert all(h[i] == 0 for i in range(rows) if i > a or (i in dependent and i != a))
+    assert all(v == 0 for row in (red.left_kernel @ M).to_grid() for v in row)
+    x = data.draw(st.lists(_elements(f), min_size=cols, max_size=cols))
+    y = M @ FieldVector(f, x)
+    ref_x, ref_kernel = ref_solve(f, grid, list(y.entries))
+    assert list(red.particular(y).entries) == ref_x
+    kernel = red.null_space()
+    assert [list(kernel.transpose().row(j).entries) for j in range(kernel.cols)] == ref_kernel
+
+
+@pytest.mark.parametrize("m", [1, 3, 9])
+def test_packed_words_are_checked_once(m):
+    f = field(2, m)
+    s = 1 if m == 1 else 8 if m <= 8 else 16
+    good = [0, 1 << (2 * s), 1 | (1 << s)]
+    assert FieldMatrix(f, cols=3, packed_rows=good).to_grid() == [[0, 0, 0], [0, 0, 1], [1, 1, 0]]
+    bad = [1 << (3 * s), -1]  # a bit beyond cols, a negative word
+    if m > 1:
+        bad += [1 << m, 1 << (s + m)]  # a slot bit at or above m
+    for word in bad:
+        with pytest.raises(ValueError):
+            FieldMatrix(f, cols=3, packed_rows=[0, word])
+        with pytest.raises(ValueError):
+            FieldVector(f, n=3, packed=word)
+    with pytest.raises(ValueError):
+        FieldVector(GF5, n=1, packed=1)
+    with pytest.raises(ValueError):
+        FieldVector(f, [0, f.q])
 
 
 # ---------------------------------------------------------------------------
