@@ -7,17 +7,18 @@ patterns in canonical order (weight ascending, support lexicographic,
 non-zero values in field order) and testing syndromes incrementally:
 the syndrome of a weight-w pattern is a combination of w precomputed
 column syndromes, so no full matrix-vector product is ever taken per
-pattern.  The tail of each pattern is looked up, not looped over.  Over
-GF(2), weights 1 and 2 take the last position from a hash map of column
-syndromes; weights >= 3 take the last two from a pair-syndrome table
-cols[i] ^ cols[j] -> (i, j), built once per scan, and classes of weight
->= 6 are first ruled out by a meet-in-the-middle existence check.  Over
-GF(2^m), m > 1, the last position and its value come from one table of
-every non-zero multiple v*cols[j] of every column, so each target is an
-XOR of packed words and a lookup; for odd characteristic they come from a
-projective column table (columns up to a non-zero scale).  All of them
-preserve first-hit order and indices exactly (differentially tested
-against the naive itertools scan that defines the order).
+pattern.  The tail of each pattern is looked up, not looped over, by one
+of two scans chosen by q.  Over GF(2), weights 1 and 2 take the last
+position from a hash map of column syndromes; weights >= 3 take the last
+two from a pair-syndrome table cols[i] ^ cols[j] -> (i, j), built once per
+scan, and classes of weight >= 6 are first ruled out by a
+meet-in-the-middle existence check.  Over every other field the last
+position and its value come from one table of the words s - v*cols[j],
+v != 0, so each pattern costs the sum of its head's column multiples and
+one lookup: packed words added by XOR in characteristic 2, entry tuples
+for odd p.  Both preserve first-hit order and indices exactly
+(differentially tested against the naive itertools scan that defines the
+order).
 
 The linear algebra is one reduction of [G~ | I_n], G~ = (G1 | G2): rows
 whose G~ part vanishes form the annihilator H~ the scan tests against, and
@@ -37,8 +38,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, product
 from math import comb
+from operator import xor
 from time import perf_counter
 
 from .codes import LinearCode
@@ -258,30 +261,44 @@ def _scan_gf2(cols, s: int, n: int, b: int):
         yield from _scan_pair_class(*pairs, cols, s, n, w)
 
 
-def _scan_packed(cols: FieldMatrix, s: FieldVector, n: int, b: int):
-    """Yield (support, values) hits in canonical order over GF(2^m), m > 1.
+def _scan_multiples(cols: FieldMatrix, s: FieldVector, n: int, b: int):
+    """Yield (support, values) hits in canonical order over GF(q), q > 2.
 
-    ``cols`` holds the columns as rows.  A scan that reaches class 2 first
-    builds one table of the n(q - 1) multiples v*cols[j], v != 0, mapping
-    each to its entry index j*(q - 1) + v - 1: the last position and value
-    of a pattern are then one lookup of the target, an XOR of packed
-    words, and a zero column's multiples are all 0, so a zero target needs
-    no special case.  Hits of one head support are sorted by (last
-    position, values) before they are yielded, which is canonical order.
-    A scan that stops at class 1 skips the table, whose size grows with q:
-    each column has at most one scalar (:meth:`FieldMatrix.row_scalars`)."""
-    if s.packed == 0:
+    ``cols`` holds the columns as rows.  Words are packed ints in
+    characteristic 2, where + and - are XOR, and entry tuples for odd p.
+    A scan that reaches class 2 first builds one table of the n(q - 1)
+    words s - v*cols[j], v != 0, mapping each to its entry index
+    j*(q - 1) + v - 1: a head support with values u completes to a hit at
+    (j, v) exactly when the head's sum of u_i*cols[i] is s - v*cols[j].
+    Class 1 looks up the zero word, class 2 each precomputed multiple and
+    classes >= 3 the sum of the head's multiples; zero and proportional
+    columns repeat keys, which then list all their entries.  Hits of one
+    head support are sorted by (last position, values) before they are
+    yielded, which is canonical order.  A scan that stops at class 1 skips
+    the table, whose size grows with q: each column has at most one scalar
+    (:meth:`FieldMatrix.row_scalars`)."""
+    f = cols.field
+    q = f.q
+    if f.p == 2:
+        add, negs = xor, range(1, q)
+        target, zero = s.packed, 0
+    else:
+        def add(x, y):
+            return tuple(map(f.add, x, y))
+        negs = [f.neg(v) for v in range(1, q)]
+        target, zero = s.entries, (0,) * s.n
+    if target == zero:
         yield (), ()
     if b < 2:
         for j, v in cols.row_scalars(s) if b else ():
             yield (j,), (v,)
         return
-    q = cols.field.q
     q1 = q - 1
     multiples = cols.row_multiples()
-    keys = [key for mult in multiples for key in mult[1:]]
+    # s - v*cols[j] is s + (-v)*cols[j]; -v = v in characteristic 2
+    keys = [add(target, mult[v]) for mult in multiples for v in negs]
     table = dict(zip(keys, range(len(keys))))
-    if len(table) < len(keys):  # zero or proportional columns: a key lists all its entries
+    if len(table) < len(keys):  # repeated keys: each lists all its entries
         table = {}
         for i, key in enumerate(keys):
             table.setdefault(key, []).append(i)
@@ -291,82 +308,27 @@ def _scan_packed(cols: FieldMatrix, s: FieldVector, n: int, b: int):
         """The ascending entry indices of a table value."""
         return (found,) if isinstance(found, int) else found
 
-    found = get(s.packed)
+    found = get(zero)
     for i in indices(found) if found is not None else ():
         yield (i // q1,), (i % q1 + 1,)
     for w in range(2, b + 1):
         for head in combinations(range(n - 1), w - 1):
             # the last head position loops innermost, over its row of multiples
             *outer, j = head
-            row = multiples[j]
+            row = multiples[j][1:]
             lo = (j + 1) * q1
             hits = []
             for prefix in product(range(1, q), repeat=w - 2):
-                t = s.packed
-                for i, v in zip(outer, prefix):
-                    t ^= multiples[i][v]
-                for v in range(1, q):
-                    found = get(t ^ row[v])
+                if prefix:
+                    t = reduce(add, [multiples[i][u] for i, u in zip(outer, prefix)])
+                    lookups = [add(t, m) for m in row]
+                else:
+                    lookups = row
+                for v, key in enumerate(lookups, 1):
+                    found = get(key)
                     if found is not None:
                         hits += [(i // q1, prefix + (v, i % q1 + 1))
                                  for i in indices(found) if i >= lo]
-            hits.sort()
-            for last, values in hits:
-                yield head + (last,), values
-
-
-def _projective(f: FieldSpec, vec):
-    """(vec / lead, lead) for the first non-zero entry lead of vec, or None
-    for the zero vector."""
-    for lead in vec:
-        if lead:
-            inv = f.inv(lead)
-            mul = f.mul
-            return tuple([mul(x, inv) for x in vec]), lead
-    return None
-
-
-def _scan_generic(f: FieldSpec, cols, s, n: int, b: int):
-    """Yield (support, values) hits in canonical order for odd
-    characteristic.
-
-    The last position comes from a projective column table: each non-zero
-    column, divided by its first non-zero entry, maps to the (j, entry)
-    pairs that share it.  v*cols[j] equals a target t != 0 exactly when
-    t/lead(t) is cols[j]/lead(cols[j]), with v = lead(t)/lead(cols[j]);
-    a zero target matches only zero columns, with every non-zero v.  Hits
-    of one head support are sorted by (last position, values) before they
-    are yielded, which is canonical order."""
-    q, mul, sub = f.q, f.mul, f.sub
-    if all(e == 0 for e in s):
-        yield (), ()
-    table: dict[tuple, list] = {}
-    zeros = []
-    for j, col in enumerate(cols):
-        proj = _projective(f, col)
-        if proj is None:
-            zeros.append(j)
-        else:
-            table.setdefault(proj[0], []).append((j, proj[1]))
-    for w in range(1, b + 1):
-        for head in combinations(range(n - 1), w - 1):
-            lo = head[-1] + 1 if head else 0
-            hits = []
-            for prefix in product(range(1, q), repeat=w - 1):
-                target = list(s)
-                for j, v in zip(head, prefix):
-                    for i, c in enumerate(cols[j]):
-                        if c:
-                            target[i] = sub(target[i], mul(v, c))
-                proj = _projective(f, target)
-                if proj is None:
-                    hits.extend((last, prefix + (v,)) for last in zeros if last >= lo
-                                for v in range(1, q))
-                    continue
-                key, lead = proj
-                for last, col_lead in table.get(key, ()):
-                    if last >= lo:
-                        hits.append((last, prefix + (f.div(lead, col_lead),)))
             hits.sort()
             for last, values in hits:
                 yield head + (last,), values
@@ -378,15 +340,21 @@ def scan_syndrome_hits(H: FieldMatrix, s: FieldVector, b: int, *, reference: boo
 
     The generator is lazy: taking its first element is the first-hit scan,
     continuing it resumes the scan (hash filtering does this), exhausting
-    it is the all-hits diagnostic mode.  With ``reference=True`` a naive
-    scan walks every pattern and takes a full matrix-vector product for
-    each; its walk defines canonical order (weight ascending, supports in
-    lexicographic order, values in field order, last position fastest)
-    and its running count the index, so it is an independent oracle for
-    both the fast path and :func:`pattern_index`.
+    it is the all-hits diagnostic mode.  There are two fast scans, chosen
+    by q: the pair-table scan over GF(2) and the table of column multiples
+    over every other field.  With ``reference=True`` a naive scan walks
+    every pattern and takes a full matrix-vector product for each; its
+    walk defines canonical order (weight ascending, supports in
+    lexicographic order, values in field order, last position fastest) and
+    its running count the index, so it is an independent oracle for both
+    fast scans and :func:`pattern_index`.  A syndrome whose field or length
+    does not fit H raises ValueError.
     """
     f = H.field
     n = H.cols
+    if s.field != f or s.n != H.rows:
+        raise ValueError(f"syndrome of length {s.n} over {s.field} does not fit "
+                         f"a {H.rows}-row check matrix over {f}")
     if not 0 <= b <= n:
         raise ValueError(f"weight bound {b} out of range for length {n}")
     if reference:
@@ -404,11 +372,7 @@ def scan_syndrome_hits(H: FieldMatrix, s: FieldVector, b: int, *, reference: boo
             ones = (1,) * len(support)
             yield Hit(support, ones, pattern_index(2, n, support, ones))
         return
-    if f.p == 2:
-        hits = _scan_packed(cols, s, n, b)
-    else:
-        hits = _scan_generic(f, cols.row_entries, tuple(s.entries), n, b)
-    for support, values in hits:
+    for support, values in _scan_multiples(cols, s, n, b):
         yield Hit(support, values, pattern_index(f.q, n, support, values))
 
 

@@ -525,10 +525,15 @@ class FieldMatrix:
         return FieldMatrix(f, [[f.mul(c, e) for e in row] for row in self._grid], cols=self.cols)
 
     def row_multiples(self) -> list:
-        """Over GF(2^m), m > 1: for each row w, the packed words c*w for
-        c = 0 .. q-1 (list index c), each the XOR of the x-powers of w that
-        the bits of c select, built by doubling the list once per power."""
-        sl = _Slots(self.field, self.cols)
+        """For each row w, the words c*w for c = 0 .. q-1 (list index c).
+        In characteristic 2 a word is packed, the XOR of the x-powers of w
+        that the bits of c select, built by doubling the list once per
+        power; for odd p it is a tuple of entries."""
+        f = self.field
+        if self._grid is not None:
+            mul = f.mul
+            return [[tuple([mul(c, e) for e in row]) for c in range(f.q)] for row in self._grid]
+        sl = _Slots(f, self.cols)
         out = []
         for r in self.packed_rows:
             mult = [0]
@@ -538,22 +543,38 @@ class FieldMatrix:
         return out
 
     def row_scalars(self, v: FieldVector) -> list:
-        """Over GF(2^m), m > 1: the pairs (j, c), c != 0, with c*row j = v,
-        in (j, c) order.  A non-zero row has at most one such c, fixed by
-        one division at its first non-zero entry; a zero row has every c
-        when v = 0 and none otherwise."""
+        """The pairs (j, c), c != 0, with c*row j = v, in (j, c) order.  A
+        non-zero row has at most one such c, fixed by one division at its
+        first non-zero entry; a zero row has every c when v = 0 and none
+        otherwise."""
         f = self.field
-        sl = _Slots(f, self.cols)
-        s, mask, t = sl.s, sl.mask, v.packed
+        if self._grid is not None:
+            t, rows, zero, mul = v.entries, self._grid, (0,) * self.cols, f.mul
+
+            def lead(w):
+                at = next(i for i, e in enumerate(w) if e)
+                return t[at], w[at]
+
+            def times(c, w):
+                return tuple([mul(c, e) for e in w])
+        else:
+            sl = _Slots(f, self.cols)
+            s, mask, t, rows, zero = sl.s, sl.mask, v.packed, self.packed_rows, 0
+
+            def lead(w):
+                at = ((w & -w).bit_length() - 1) // s * s
+                return (t >> at) & mask, (w >> at) & mask
+
+            def times(c, w):
+                return sl.combine(((c, w),))
         out = []
-        for j, w in enumerate(self.packed_rows):
-            if not w:
-                if not t:
+        for j, w in enumerate(rows):
+            if w == zero:
+                if t == zero:
                     out += [(j, c) for c in range(1, f.q)]
                 continue
-            at = ((w & -w).bit_length() - 1) // s * s
-            c = f.div((t >> at) & mask, (w >> at) & mask)
-            if c and sl.combine(((c, w),)) == t:
+            c = f.div(*lead(w))
+            if c and times(c, w) == t:
                 out.append((j, c))
         return out
 
@@ -637,7 +658,7 @@ def concat_cols(A: FieldMatrix, B: FieldMatrix) -> FieldMatrix:
         return _mat(A.field, A.cols + B.cols,
                     [a | (b << shift) for a, b in zip(A.packed_rows, B.packed_rows)])
     grid = [list(ra) + list(rb) for ra, rb in zip(A._grid, B._grid)]
-    return FieldMatrix(A.field, grid)
+    return FieldMatrix(A.field, grid, cols=A.cols + B.cols)
 
 
 def permuted_rows(M: FieldMatrix, index_map) -> FieldMatrix:
@@ -646,7 +667,7 @@ def permuted_rows(M: FieldMatrix, index_map) -> FieldMatrix:
         raise ValueError("index map length must equal row count")
     if M.packed_rows is not None:
         return _mat(M.field, M.cols, [M.packed_rows[j] for j in index_map])
-    return FieldMatrix(M.field, [M._grid[j] for j in index_map])
+    return FieldMatrix(M.field, [M._grid[j] for j in index_map], cols=M.cols)
 
 
 # ---------------------------------------------------------------------------

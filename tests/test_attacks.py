@@ -144,7 +144,7 @@ def test_pattern_rank_unrank_round_trip(n, q, data):
 def _random_check_matrix(f, rng, rows, cols, degenerate=False):
     """Random H; degenerate=True zeroes column 1 and makes columns 3 and 5
     non-zero multiples of columns 0 and 2 (duplicates over GF(2)), which
-    repeats keys of both the pair table and the projective column table."""
+    repeats keys of both the pair table and the table of column multiples."""
     grid = [[int(x) for x in rng.integers(0, f.q, size=cols)] for _ in range(rows)]
     if degenerate:
         for row in grid:
@@ -162,13 +162,16 @@ def _all_hits(H, s, b, reference=False):
 @pytest.mark.parametrize("f,rows,cols,b", [
     (GF2, 6, 14, 3), (GF2, 4, 10, 4), (GF3, 4, 8, 2), (field(2, 2), 3, 6, 2),
     (GF2, 7, 12, 5), (GF2, 12, 14, 6), (GF2, 8, 12, 6),
-    (GF3, 4, 8, 3), (field(2, 2), 3, 7, 3), (field(3, 2), 3, 6, 3), (field(2, 3), 3, 6, 3)])
+    (GF3, 4, 8, 3), (field(2, 2), 3, 7, 3), (field(3, 2), 3, 6, 3), (field(2, 3), 3, 6, 3),
+    (field(5), 3, 8, 1), (field(5), 4, 12, 2), (field(7), 3, 7, 3)])
 def test_scan_matches_reference(rng, f, rows, cols, b):
     """Full hit lists of the fast scan equal the naive scan's, on random H
     and, every other round, on H with zero and proportional columns.  GF(2)
     covers the pair-table classes 3 to 6, with b = 3 and with larger b, and
-    the meet-in-the-middle guarded class 6; GF(4) and GF(8) the table of
-    column multiples; GF(3) and GF(9) the projective table."""
+    the meet-in-the-middle guarded class 6; every other field the table of
+    column multiples, packed words in characteristic 2 (GF(4), GF(8)) and
+    entry tuples for odd p (GF(3), GF(5), GF(7), GF(9)); b = 1 over GF(5)
+    takes the per-column scalars instead of the table."""
     for i in range(16):
         H = _random_check_matrix(f, rng, rows, cols, degenerate=i % 2 == 1)
         s = H @ random_weight_vector(f, cols, int(rng.integers(0, b + 1)), rng)
@@ -190,6 +193,16 @@ def test_scan_matches_reference_property(pm, data):
     s = FieldVector(f, data.draw(st.lists(elements, min_size=rows, max_size=rows)))
     b = data.draw(st.integers(0, min(1 if f.q == 512 else 6, n)))
     assert _all_hits(H, s, b) == _all_hits(H, s, b, reference=True)
+
+
+@pytest.mark.parametrize("reference", [False, True])
+def test_scan_rejects_mismatched_syndrome(reference):
+    H3 = FieldMatrix(GF2, cols=5, row_masks=[0b10110, 0b01101, 0b11011])
+    H4 = FieldMatrix(field(2, 2), [[1, 2, 3, 0, 1]])
+    for H, s in ((H3, FieldVector(GF2, n=4, bits=0b1011)),  # one entry too many
+                 (H4, FieldVector(field(2, 3), [5]))):      # a GF(8) syndrome for a GF(4) H
+        with pytest.raises(ValueError, match="does not fit"):
+            next(scan_syndrome_hits(H, s, 2, reference=reference))
 
 
 def test_scan_empty_check_matrix():

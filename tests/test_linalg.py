@@ -446,20 +446,43 @@ def test_packed_arithmetic_matches_entrywise(operands, data):
     assert concat_cols(MA, MC).to_grid() == [a + b for a, b in zip(A, C)]
     assert permuted_rows(MA, perm).to_grid() == [A[j] for j in perm]
     assert MA.scale(c).to_grid() == [[f.mul(c, e) for e in row] for row in A]
+    _assert_row_multiples_and_scalars(f, MA, A, c)
+
+
+def _assert_row_multiples_and_scalars(f, MA, A, c):
+    """row_multiples and row_scalars of MA (rows A) against entrywise
+    FieldSpec products; a word is packed in characteristic 2 and a tuple of
+    entries otherwise."""
+    def word(entries):
+        v = FieldVector(f, entries)
+        return v.entries if v.packed is None else v.packed
+
     multiples = MA.row_multiples()
+    assert len(multiples) == len(A)
     for row, mult in zip(A, multiples):
         assert len(mult) == f.q
         for v in {0, 1, c, f.q - 1}:
-            assert mult[v] == FieldVector(f, [f.mul(v, e) for e in row]).packed
-    if rows:
+            assert mult[v] == word([f.mul(v, e) for e in row])
+    if A:
         target = [f.mul(c, e) for e in A[0]]
         pairs = MA.row_scalars(FieldVector(f, target))
         assert pairs == sorted(pairs)
         assert all([f.mul(k, e) for e in A[j]] == target for j, k in pairs)
         assert (0, c) in pairs or not (c and any(A[0]))
         if f.q <= 512:
-            assert pairs == [(j, k) for j in range(rows) for k in range(1, f.q)
+            assert pairs == [(j, k) for j in range(len(A)) for k in range(1, f.q)
                              if [f.mul(k, e) for e in A[j]] == target]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([GF3, GF5, field(3, 2)]), st.data())
+def test_dense_row_multiples_and_scalars_match_entrywise(f, data):
+    """The odd-characteristic branches, on rows with zero and scaled copies."""
+    rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    A = _grid(data.draw, f, rows, cols)
+    if rows and data.draw(st.booleans()):  # a scaled copy of row 0 repeats its scalars
+        A.append([f.mul(data.draw(_elements(f)), e) for e in A[0]])
+    _assert_row_multiples_and_scalars(f, FieldMatrix(f, A, cols=cols), A, data.draw(_elements(f)))
 
 
 @st.composite
@@ -555,6 +578,13 @@ def test_permuted_rows(rng):
     P = permuted_rows(M, order)
     for i, j in enumerate(order):
         assert P.row(i) == M.row(j)
+
+
+@pytest.mark.parametrize("f", [GF2, field(2, 2), GF3])
+def test_zero_row_matrices_keep_their_width(f):
+    A, B = FieldMatrix.zeros(f, 0, 3), FieldMatrix.zeros(f, 0, 2)
+    assert (concat_cols(A, B).rows, concat_cols(A, B).cols) == (0, 5)
+    assert (permuted_rows(A, []).rows, permuted_rows(A, []).cols) == (0, 3)
 
 
 # ---------------------------------------------------------------------------
