@@ -20,8 +20,6 @@ import numpy as np
 from .fields import FieldSpec, GF2, _poly_mul, exp_log_tables, field
 from .linalg import FieldMatrix, FieldVector, RowReduction, random_vector, rank
 
-EXHAUSTIVE_DECODE_MAX_N = 24
-
 
 @dataclass(frozen=True)
 class BCHParams:
@@ -146,8 +144,8 @@ def bch_build(m: int, t: int) -> LinearCode:
 
 def generic_code(G: FieldMatrix, d: int) -> LinearCode:
     """Code from a supplied generator matrix with exhaustive bounded-distance
-    decoding (block length capped at 24 to keep the error-pattern scan
-    tractable)."""
+    decoding (refused when its error-pattern scan exceeds the pattern
+    budget)."""
     if d < 1:
         raise ValueError("distance must be >= 1")
     H = RowReduction(G).left_kernel
@@ -275,13 +273,19 @@ def _decode_bch(code: LinearCode, v: FieldVector):
 
 def _decode_exhaustive(code: LinearCode, v: FieldVector):
     """Scan error patterns of weight <= t in weight order; return the first
-    codeword hit.  Usable on any code with n <= 24 regardless of its
-    configured decoder (serves as the reference decoder in tests)."""
-    if code.n > EXHAUSTIVE_DECODE_MAX_N:
-        raise ValueError(f"exhaustive decoding capped at n = {EXHAUSTIVE_DECODE_MAX_N}")
-    from .attacks import scan_syndrome_hits
+    codeword hit.  A codeword is returned at once; any other word needs a
+    scan within the pattern budget, else ResourceCapError before scanning.
+    Usable on any code regardless of its configured decoder (serves as the
+    reference decoder in tests)."""
+    from .attacks import PATTERN_BUDGET, ResourceCapError, pattern_count, scan_syndrome_hits
 
     s = code.H @ v
+    if not s.weight():
+        return v
+    total = pattern_count(code.field.q, code.n, code.t)
+    if total > PATTERN_BUDGET:
+        raise ResourceCapError(f"exhaustive decoding with t={code.t} scans up to {total} "
+                               f"patterns (> {PATTERN_BUDGET})")
     hit = next(scan_syndrome_hits(code.H, s, code.t), None)
     if hit is None:
         return None

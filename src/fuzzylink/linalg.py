@@ -1,34 +1,42 @@
 """Dense exact linear algebra over finite fields.
 
-Vectors and matrices are immutable and come in two storage styles.
+Vectors and matrices are immutable and stored one way over every field: a
+vector, and each matrix row, is one Python integer whose slot j of s bits
+holds entry j.  The slot width depends on q alone: s = 1 over GF(2), s = 8
+for q <= 256 and s = 16 above.  Packing and unpacking is one
+``int.from_bytes``/``to_bytes`` call, through ``bytes`` for 8-bit slots and
+``struct`` for 16-bit slots (a bit loop over GF(2)); the packed integers
+are the ``packed`` / ``packed_rows`` views.  Indexing, slicing,
+comparison, weight, transposition, concatenation, row permutation and
+reading kernels and solutions off a reduction act on the words, whatever
+the field.
 
-* Characteristic 2: a vector, and each matrix row, is one Python integer.
-  Entry j sits in bits [s*j, s*j + m) of a slot of s bits: s = 1 over
-  GF(2), s = 8 over GF(2^m) for 2 <= m <= 8 and s = 16 above.  Addition
-  is XOR, packing and unpacking is one ``struct`` and one
-  ``int.from_bytes``/``to_bytes`` call, and multiplying every slot by x
-  is a shift and one carry-free product (the modulus' low part times the
+Arithmetic goes by characteristic.
+
+* Characteristic 2: addition is XOR, and multiplying every slot by x is a
+  shift and one carry-free product (the modulus' low part times the
   overflowing bit plane), so a scalar multiple or a linear combination of
   rows costs O(m) whole-row operations, whatever the length (the
   bit-sliced arithmetic of McBits, Bernstein, Chou and Schwabe, CHES
-  2013).  The packed integers are the ``packed`` / ``packed_rows`` views.
-* Odd characteristic: tuples of canonical integer entries.
+  2013).
+* Odd characteristic: the words are unpacked and combined entry by entry
+  with :class:`~fuzzylink.fields.FieldSpec` arithmetic.
 
 Every field keeps the canonical views ``entries`` (and, except over GF(2),
 ``row_entries``); the GF(2) views ``bits`` / ``row_masks`` are the packed
 integers and are None over every other field.  Matrices are read by rows
 only; whoever needs columns takes the rows of :meth:`FieldMatrix.transpose`,
 which regroups the bits of the rows' binary strings over GF(2) and the
-bytes of the rows over GF(2^m).
+slots of the rows' bytes over every other field.
 
-Elimination has one routine per kind of row behind :class:`RowReduction`
-(``_reduce_gf2`` for s = 1, ``_reduce_packed`` for s = 8 and 16,
-``_reduce_dense`` for odd p): the rows of [M | B] (B = I or a right-hand
-side) are inserted one at a time and pivot on the M part only, at their
-lowest non-zero column (scaled to 1); each new pivot column is cleared
-from the other pivot rows, so the M parts end as the unique reduced row
-echelon form of M.  Rank, kernel, left kernel, solving and inversion all
-read off that one pass.  Arithmetic is exact.
+Elimination has one routine per kind of arithmetic behind
+:class:`RowReduction` (``_reduce_gf2`` for GF(2), ``_reduce_packed`` for
+GF(2^m), m > 1, ``_reduce_dense`` for odd p): the rows of [M | B] (B = I or
+a right-hand side) are inserted one at a time and pivot on the M part only,
+at their lowest non-zero column (scaled to 1); each new pivot column is
+cleared from the other pivot rows, so the M parts end as the unique
+reduced row echelon form of M.  Rank, kernel, left kernel, solving and
+inversion all read off that one pass.  Arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -55,17 +63,12 @@ def _check_same_field(a, b):
 
 
 # ---------------------------------------------------------------------------
-# packed characteristic-2 words
+# packed words
 # ---------------------------------------------------------------------------
 
-_STRUCT_CODE = {8: "B", 16: "H"}
-
-
-def _slot(f: FieldSpec):
-    """Slot width of the packed storage of f, or None for odd characteristic."""
-    if f.p != 2:
-        return None
-    return 1 if f.m == 1 else 8 if f.m <= 8 else 16
+def _slot(f: FieldSpec) -> int:
+    """Slot width of the packed storage of f."""
+    return 1 if f.q == 2 else 8 if f.q <= 256 else 16
 
 
 @lru_cache(maxsize=1024)
@@ -75,8 +78,21 @@ def _ones(s: int, n: int) -> int:
 
 
 def _valid_bits(f: FieldSpec, n: int) -> int:
-    """The bits a packed length-n word over f may have set."""
+    """The bits a packed length-n word over f, of characteristic 2, may
+    have set."""
     return _ones(_slot(f), n) * ((1 << f.m) - 1)
+
+
+def _pack(f: FieldSpec, row) -> int:
+    """Packed word of a sequence of canonical entries (not checked)."""
+    s = _slot(f)
+    if s == 1:
+        word = 0
+        for i, e in enumerate(row):
+            word |= e << i
+        return word
+    raw = bytes(row) if s == 8 else struct.pack(f"<{len(row)}H", *row)
+    return int.from_bytes(raw, "little")
 
 
 def _pack_rows(f: FieldSpec, grid) -> tuple:
@@ -84,24 +100,15 @@ def _pack_rows(f: FieldSpec, grid) -> tuple:
     rows = [row for row in grid if row]
     if rows and (min(map(min, rows)) < 0 or max(map(max, rows)) >= f.q):
         f.check_element(next(e for row in rows for e in row if not 0 <= e < f.q))
-    s = _slot(f)
-    if s == 1:
-        out = []
-        for row in grid:
-            word = 0
-            for i, e in enumerate(row):
-                word |= e << i
-            out.append(word)
-        return tuple(out)
-    code = _STRUCT_CODE[s]
-    return tuple(int.from_bytes(struct.pack(f"<{len(row)}{code}", *row), "little") for row in grid)
+    return tuple(_pack(f, row) for row in grid)
 
 
 def _unpack(f: FieldSpec, word: int, n: int) -> tuple:
     s = _slot(f)
     if s == 1:
         return tuple((word >> i) & 1 for i in range(n))
-    return struct.unpack(f"<{n}{_STRUCT_CODE[s]}", word.to_bytes(n * s // 8, "little"))
+    raw = word.to_bytes(n * s // 8, "little")
+    return tuple(raw) if s == 8 else struct.unpack(f"<{n}H", raw)
 
 
 class _Slots:
@@ -167,8 +174,7 @@ def _vec(f: FieldSpec, n: int, word: int) -> "FieldVector":
     v.field = f
     v.n = n
     v.packed = word
-    v.bits = word if f.m == 1 else None
-    v._entries = None
+    v.bits = word if f.q == 2 else None
     return v
 
 
@@ -180,12 +186,12 @@ class FieldVector:
     both are checked once for bits outside the n slots or above m.
     """
 
-    __slots__ = ("field", "n", "packed", "bits", "_entries")
+    __slots__ = ("field", "n", "packed", "bits")
 
     def __init__(self, field: FieldSpec, entries=None, *, n=None, bits=None, packed=None):
         self.field = field
         if bits is not None:
-            if field.p != 2 or field.m != 1:
+            if field.q != 2:
                 raise ValueError("bit masks are only valid over GF(2)")
             packed = bits
         if packed is not None:
@@ -196,35 +202,25 @@ class FieldVector:
             if packed & ~_valid_bits(field, n):  # a negative word fails too
                 raise ValueError("packed word has bits outside its n slots of m bits")
             self.n = n
-            word = packed
         else:
             entries = [int(e) for e in entries]
             self.n = len(entries)
-            if field.p != 2:
-                for e in entries:
-                    field.check_element(e)
-                self.packed = self.bits = None
-                self._entries = tuple(entries)
-                return
-            word = _pack_rows(field, [entries])[0]
-        self.packed = word
-        self.bits = word if field.m == 1 else None
-        self._entries = None
+            packed = _pack_rows(field, [entries])[0]
+        self.packed = packed
+        self.bits = packed if field.q == 2 else None
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zeros(cls, field: FieldSpec, n: int) -> "FieldVector":
-        if field.p == 2:
-            return _vec(field, n, 0)
-        return cls(field, (0,) * n)
+        return _vec(field, n, 0)
 
     @classmethod
     def from_support(cls, field: FieldSpec, n: int, support, values=None) -> "FieldVector":
         """Length-n vector with values[i] at position support[i] (Python
         ints) and zeros elsewhere; over GF(2) every value is 1 and values
         may be omitted."""
-        if field.p == 2 and field.m == 1:
+        if field.q == 2:
             mask = 0
             for j in support:
                 mask |= 1 << j
@@ -238,30 +234,23 @@ class FieldVector:
 
     @property
     def entries(self) -> tuple:
-        if self._entries is None:
-            return _unpack(self.field, self.packed, self.n)
-        return self._entries
+        return _unpack(self.field, self.packed, self.n)
 
     def __len__(self):
         return self.n
 
     def __getitem__(self, i):
         """Entry i, or for a slice with step 1 the sub-vector it selects."""
+        s = _slot(self.field)
         if isinstance(i, slice):
             start, stop, step = i.indices(self.n)
             if step != 1:
                 raise ValueError("vector slices take step 1")
             k = max(stop - start, 0)
-            if self.packed is None:
-                return FieldVector(self.field, self._entries[start:start + k])
-            s = _slot(self.field)
             return _vec(self.field, k, (self.packed >> (s * start)) & ((1 << (s * k)) - 1))
         if not 0 <= i < self.n:
             raise IndexError(i)
-        if self.packed is not None:
-            s = _slot(self.field)
-            return (self.packed >> (s * i)) & ((1 << self.field.m) - 1)
-        return self._entries[i]
+        return (self.packed >> (s * i)) & ((1 << s) - 1)
 
     def __iter__(self):
         return iter(self.entries)
@@ -271,12 +260,11 @@ class FieldVector:
             isinstance(other, FieldVector)
             and self.field == other.field
             and self.n == other.n
-            and (self.packed == other.packed if self.packed is not None
-                 else self._entries == other._entries)
+            and self.packed == other.packed
         )
 
     def __hash__(self):
-        return hash((self.field, self.n, self.packed if self.packed is not None else self._entries))
+        return hash((self.field, self.n, self.packed))
 
     def __repr__(self):
         if self.bits is not None:
@@ -291,47 +279,44 @@ class FieldVector:
         _check_same_field(self, other)
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} vs {other.n}")
-        if self.packed is not None:
-            return _vec(self.field, self.n, self.packed ^ other.packed)
         f = self.field
-        return FieldVector(f, tuple(f.add(a, b) for a, b in zip(self._entries, other._entries)))
+        if f.p == 2:
+            return _vec(f, self.n, self.packed ^ other.packed)
+        return _vec(f, self.n, _pack(f, list(map(f.add, self.entries, other.entries))))
 
     def __sub__(self, other: "FieldVector") -> "FieldVector":
         _check_same_field(self, other)
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} vs {other.n}")
-        if self.packed is not None:
-            return _vec(self.field, self.n, self.packed ^ other.packed)
         f = self.field
-        return FieldVector(f, tuple(f.sub(a, b) for a, b in zip(self._entries, other._entries)))
+        if f.p == 2:
+            return _vec(f, self.n, self.packed ^ other.packed)
+        return _vec(f, self.n, _pack(f, list(map(f.sub, self.entries, other.entries))))
 
     def __neg__(self) -> "FieldVector":
-        if self.packed is not None:
-            return self
         f = self.field
-        return FieldVector(f, tuple(f.neg(a) for a in self._entries))
+        if f.p == 2:
+            return self
+        return _vec(f, self.n, _pack(f, list(map(f.neg, self.entries))))
 
     def scale(self, c: int) -> "FieldVector":
         f = self.field
         f.check_element(c)
         if self.bits is not None:
             return self if c else FieldVector.zeros(f, self.n)
-        if self.packed is not None:
+        if f.p == 2:
             return _vec(f, self.n, _Slots(f, self.n).combine(((c, self.packed),)))
-        return FieldVector(f, tuple(f.mul(c, a) for a in self._entries))
+        return _vec(f, self.n, _pack(f, [f.mul(c, a) for a in self.entries]))
 
     def weight(self) -> int:
-        if self.bits is not None:
-            return self.bits.bit_count()
-        if self.packed is not None:
-            # OR every slot's bits down into its bit 0, then count those
-            w = self.packed
-            shift = 1
-            while shift < self.field.m:
-                w |= w >> shift
-                shift *= 2
-            return (w & _ones(_slot(self.field), self.n)).bit_count()
-        return sum(1 for e in self._entries if e)
+        # OR every slot's bits down into its bit 0, then count those
+        w = self.packed
+        top = (self.field.q - 1).bit_length()
+        shift = 1
+        while shift < top:
+            w |= w >> shift
+            shift *= 2
+        return (w & _ones(_slot(self.field), self.n)).bit_count()
 
 
 def hamming_distance(a: FieldVector, b: FieldVector) -> int:
@@ -340,7 +325,7 @@ def hamming_distance(a: FieldVector, b: FieldVector) -> int:
 
 def random_vector(field: FieldSpec, n: int, rng) -> FieldVector:
     """Uniform element of F^n."""
-    if field.p == 2 and field.m == 1:
+    if field.q == 2:
         raw = rng.integers(0, 256, size=(n + 7) // 8)
         mask = int.from_bytes(bytes(int(x) for x in raw), "little") & ((1 << n) - 1)
         return FieldVector(field, n=n, bits=mask)
@@ -368,8 +353,7 @@ def _mat(f: FieldSpec, cols: int, rows) -> "FieldMatrix":
     M.rows = len(rows)
     M.cols = cols
     M.packed_rows = rows = tuple(rows)
-    M.row_masks = rows if f.m == 1 else None
-    M._grid = None
+    M.row_masks = rows if f.q == 2 else None
     return M
 
 
@@ -382,21 +366,18 @@ def _split_rows(raw, nbytes: int, count: int) -> list:
 
 
 class FieldMatrix:
-    """Immutable rows x cols matrix over a finite field.
-
-    Characteristic 2 stores one packed word per row (``row_masks=`` takes
-    GF(2) rows, ``packed_rows=`` rows over any field of characteristic 2;
-    the rows are ORed together and checked once); odd characteristic stores
-    a tuple of row tuples.
+    """Immutable rows x cols matrix over a finite field, one packed word per
+    row.  ``row_masks=`` takes GF(2) rows, ``packed_rows=`` rows over any
+    field of characteristic 2; the rows are ORed together and checked once.
     """
 
-    __slots__ = ("field", "rows", "cols", "packed_rows", "row_masks", "_grid")
+    __slots__ = ("field", "rows", "cols", "packed_rows", "row_masks")
 
     def __init__(self, field: FieldSpec, entries=None, *, cols=None, row_masks=None,
                  packed_rows=None):
         self.field = field
         if row_masks is not None:
-            if field.p != 2 or field.m != 1:
+            if field.q != 2:
                 raise ValueError("row masks are only valid over GF(2)")
             packed_rows = row_masks
         if packed_rows is not None:
@@ -407,64 +388,43 @@ class FieldMatrix:
             rows = tuple(packed_rows)
             if reduce(or_, rows, 0) & ~_valid_bits(field, cols):  # a negative row fails too
                 raise ValueError("packed row has bits outside its cols slots of m bits")
-            self.rows = len(rows)
-            self.cols = cols
-            self.packed_rows = rows
-            self.row_masks = rows if field.m == 1 else None
-            self._grid = None
-            return
-        grid = [[int(e) for e in row] for row in entries]
-        self.rows = len(grid)
-        self.cols = len(grid[0]) if grid else (cols or 0)
-        for row in grid:
-            if len(row) != self.cols:
-                raise ValueError("ragged rows")
-        if field.p == 2:
-            self.packed_rows = _pack_rows(field, grid)
-            self.row_masks = self.packed_rows if field.m == 1 else None
-            self._grid = None
         else:
+            grid = [[int(e) for e in row] for row in entries]
+            cols = len(grid[0]) if grid else (cols or 0)
             for row in grid:
-                for e in row:
-                    field.check_element(e)
-            self.packed_rows = self.row_masks = None
-            self._grid = tuple(tuple(row) for row in grid)
+                if len(row) != cols:
+                    raise ValueError("ragged rows")
+            rows = _pack_rows(field, grid)
+        self.rows = len(rows)
+        self.cols = cols
+        self.packed_rows = rows
+        self.row_masks = rows if field.q == 2 else None
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "FieldMatrix":
         s = _slot(field)
-        if s is not None:
-            return _mat(field, n, [1 << (s * i) for i in range(n)])
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return _mat(field, n, [1 << (s * i) for i in range(n)])
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "FieldMatrix":
-        if field.p == 2:
-            return _mat(field, cols, [0] * rows)
-        return cls(field, [[0] * cols for _ in range(rows)], cols=cols)
+        return _mat(field, cols, [0] * rows)
 
     # -- accessors ------------------------------------------------------------
 
     @property
     def row_entries(self):
         """Rows as tuples of canonical entries; None over GF(2)."""
-        if self._grid is not None:
-            return self._grid
-        if self.field.m == 1:
+        if self.field.q == 2:
             return None
         return tuple(_unpack(self.field, r, self.cols) for r in self.packed_rows)
 
     def row(self, i: int) -> FieldVector:
-        if self.packed_rows is not None:
-            return _vec(self.field, self.cols, self.packed_rows[i])
-        return FieldVector(self.field, self._grid[i])
+        return _vec(self.field, self.cols, self.packed_rows[i])
 
     def to_grid(self) -> list[list[int]]:
-        if self.packed_rows is not None:
-            return [list(_unpack(self.field, r, self.cols)) for r in self.packed_rows]
-        return [list(row) for row in self._grid]
+        return [list(_unpack(self.field, r, self.cols)) for r in self.packed_rows]
 
     def __eq__(self, other):
         return (
@@ -472,13 +432,11 @@ class FieldMatrix:
             and self.field == other.field
             and self.rows == other.rows
             and self.cols == other.cols
-            and (self.packed_rows == other.packed_rows
-                 if self.packed_rows is not None else self._grid == other._grid)
+            and self.packed_rows == other.packed_rows
         )
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.cols,
-                     self.packed_rows if self.packed_rows is not None else self._grid))
+        return hash((self.field, self.rows, self.cols, self.packed_rows))
 
     def __repr__(self):
         return f"FieldMatrix({self.field!r}, {self.rows}x{self.cols})"
@@ -488,8 +446,8 @@ class FieldMatrix:
     def transpose(self) -> "FieldMatrix":
         """Over GF(2) through the rows' binary strings: row j of the result
         reads character j from the right of every string, row 0 lowest.
-        Over GF(2^m) through the rows' bytes: row j of the result is every
-        (s/8)-th byte group of the joined rows, starting at group j."""
+        Over every other field through the rows' bytes: row j of the result
+        is every (s/8)-th byte group of the joined rows, starting at group j."""
         f = self.field
         if not (self.rows and self.cols):
             return FieldMatrix.zeros(f, self.cols, self.rows)
@@ -499,30 +457,28 @@ class FieldMatrix:
             out = [int("".join(col), 2) for col in zip(*rows)]
             out.reverse()
             return _mat(f, self.rows, out)
-        if s is not None:
-            step = s // 8
-            raw = memoryview(_join_rows(self.packed_rows, self.cols * step))
-            if step == 2:
-                raw = raw.cast("H")  # moves whole two-byte slots; their byte order is kept
-            return _mat(f, self.rows, [int.from_bytes(raw[j::self.cols].tobytes(), "little")
-                                       for j in range(self.cols)])
-        grid = [[row[j] for row in self._grid] for j in range(self.cols)]
-        return FieldMatrix(f, grid, cols=self.rows)
+        step = s // 8
+        raw = memoryview(_join_rows(self.packed_rows, self.cols * step))
+        if step == 2:
+            raw = raw.cast("H")  # moves whole two-byte slots; their byte order is kept
+        return _mat(f, self.rows, [int.from_bytes(raw[j::self.cols].tobytes(), "little")
+                                   for j in range(self.cols)])
 
     def scale(self, c: int) -> "FieldMatrix":
         """Every entry times the field element c."""
         f = self.field
         f.check_element(c)
-        if self.packed_rows is not None:
-            if f.m == 1:
-                return self if c else FieldMatrix.zeros(f, self.rows, self.cols)
-            # all rows at once, as one word of rows * cols slots
-            nbytes = self.cols * _slot(f) // 8
-            word = int.from_bytes(_join_rows(self.packed_rows, nbytes), "little")
-            word = _Slots(f, self.rows * self.cols).combine(((c, word),))
-            raw = word.to_bytes(self.rows * nbytes, "little")
-            return _mat(f, self.cols, _split_rows(raw, nbytes, self.rows))
-        return FieldMatrix(f, [[f.mul(c, e) for e in row] for row in self._grid], cols=self.cols)
+        if f.p != 2:
+            return _mat(f, self.cols, [_pack(f, [f.mul(c, e) for e in row])
+                                       for row in self.row_entries])
+        if f.m == 1:
+            return self if c else FieldMatrix.zeros(f, self.rows, self.cols)
+        # all rows at once, as one word of rows * cols slots
+        nbytes = self.cols * _slot(f) // 8
+        word = int.from_bytes(_join_rows(self.packed_rows, nbytes), "little")
+        word = _Slots(f, self.rows * self.cols).combine(((c, word),))
+        raw = word.to_bytes(self.rows * nbytes, "little")
+        return _mat(f, self.cols, _split_rows(raw, nbytes, self.rows))
 
     def row_multiples(self) -> list:
         """For each row w, the words c*w for c = 0 .. q-1 (list index c).
@@ -530,9 +486,10 @@ class FieldMatrix:
         that the bits of c select, built by doubling the list once per
         power; for odd p it is a tuple of entries."""
         f = self.field
-        if self._grid is not None:
+        if f.p != 2:
             mul = f.mul
-            return [[tuple([mul(c, e) for e in row]) for c in range(f.q)] for row in self._grid]
+            return [[tuple([mul(c, e) for e in row]) for c in range(f.q)]
+                    for row in self.row_entries]
         sl = _Slots(f, self.cols)
         out = []
         for r in self.packed_rows:
@@ -547,34 +504,18 @@ class FieldMatrix:
         non-zero row has at most one such c, fixed by one division at its
         first non-zero entry; a zero row has every c when v = 0 and none
         otherwise."""
-        f = self.field
-        if self._grid is not None:
-            t, rows, zero, mul = v.entries, self._grid, (0,) * self.cols, f.mul
-
-            def lead(w):
-                at = next(i for i, e in enumerate(w) if e)
-                return t[at], w[at]
-
-            def times(c, w):
-                return tuple([mul(c, e) for e in w])
-        else:
-            sl = _Slots(f, self.cols)
-            s, mask, t, rows, zero = sl.s, sl.mask, v.packed, self.packed_rows, 0
-
-            def lead(w):
-                at = ((w & -w).bit_length() - 1) // s * s
-                return (t >> at) & mask, (w >> at) & mask
-
-            def times(c, w):
-                return sl.combine(((c, w),))
+        f, n = self.field, self.cols
+        s = _slot(f)
+        mask, t = (1 << s) - 1, v.packed
         out = []
-        for j, w in enumerate(rows):
-            if w == zero:
-                if t == zero:
+        for j, w in enumerate(self.packed_rows):
+            if not w:
+                if not t:
                     out += [(j, c) for c in range(1, f.q)]
                 continue
-            c = f.div(*lead(w))
-            if c and times(c, w) == t:
+            at = ((w & -w).bit_length() - 1) // s * s
+            c = f.div((t >> at) & mask, (w >> at) & mask)
+            if c and _vec(f, n, w).scale(c).packed == t:
                 out.append((j, c))
         return out
 
@@ -589,19 +530,19 @@ class FieldMatrix:
             for i, r in enumerate(self.row_masks):
                 out |= ((r & vb).bit_count() & 1) << i
             return _vec(f, self.rows, out)
-        if self.packed_rows is not None:
+        if f.p == 2:
             # the columns weighted by the entries of v
             cols = self.transpose().packed_rows
             return _vec(f, self.rows, _Slots(f, self.rows).combine(zip(v.entries, cols)))
         ve = v.entries
         out = []
-        for row in self._grid:
+        for row in self.row_entries:
             acc = 0
             for a, x in zip(row, ve):
                 if a and x:
                     acc = f.add(acc, f.mul(a, x))
             out.append(acc)
-        return FieldVector(f, out)
+        return _vec(f, self.rows, _pack(f, out))
 
     def mat_mul(self, other: "FieldMatrix") -> "FieldMatrix":
         _check_same_field(self, other)
@@ -621,15 +562,15 @@ class FieldMatrix:
                     rr &= rr - 1
                 out.append(acc)
             return _mat(f, other.cols, out)
-        if self.packed_rows is not None:
+        if f.p == 2:
             # row i of the product weights the rows of other by row i of self
             sl = _Slots(f, other.cols)
             orows = other.packed_rows
             return _mat(f, other.cols, [sl.combine(zip(_unpack(f, r, self.cols), orows))
                                         for r in self.packed_rows])
-        ogrid = other._grid
+        ogrid = other.row_entries
         out = []
-        for row in self._grid:
+        for row in self.row_entries:
             acc = [0] * other.cols
             for k, a in enumerate(row):
                 if a:
@@ -638,7 +579,7 @@ class FieldMatrix:
                         if orow[j]:
                             acc[j] = f.add(acc[j], f.mul(a, orow[j]))
             out.append(acc)
-        return FieldMatrix(f, out, cols=other.cols)
+        return _mat(f, other.cols, [_pack(f, row) for row in out])
 
     def __matmul__(self, other):
         if isinstance(other, FieldVector):
@@ -653,21 +594,16 @@ def concat_cols(A: FieldMatrix, B: FieldMatrix) -> FieldMatrix:
     _check_same_field(A, B)
     if A.rows != B.rows:
         raise ValueError(f"row mismatch: {A.rows} vs {B.rows}")
-    if A.packed_rows is not None:
-        shift = _slot(A.field) * A.cols
-        return _mat(A.field, A.cols + B.cols,
-                    [a | (b << shift) for a, b in zip(A.packed_rows, B.packed_rows)])
-    grid = [list(ra) + list(rb) for ra, rb in zip(A._grid, B._grid)]
-    return FieldMatrix(A.field, grid, cols=A.cols + B.cols)
+    shift = _slot(A.field) * A.cols
+    return _mat(A.field, A.cols + B.cols,
+                [a | (b << shift) for a, b in zip(A.packed_rows, B.packed_rows)])
 
 
 def permuted_rows(M: FieldMatrix, index_map) -> FieldMatrix:
     """Matrix whose row i is row index_map[i] of M."""
     if len(index_map) != M.rows:
         raise ValueError("index map length must equal row count")
-    if M.packed_rows is not None:
-        return _mat(M.field, M.cols, [M.packed_rows[j] for j in index_map])
-    return FieldMatrix(M.field, [M._grid[j] for j in index_map], cols=M.cols)
+    return _mat(M.field, M.cols, [M.packed_rows[j] for j in index_map])
 
 
 # ---------------------------------------------------------------------------
@@ -737,19 +673,21 @@ def _reduce_packed(words, ncols: int, width: int, f: FieldSpec):
     return pivots, zero
 
 
-def _reduce_dense(grid, ncols: int, f: FieldSpec):
-    """:func:`_reduce_gf2` for rows of field elements of odd characteristic;
-    pivots are scaled to 1."""
+def _reduce_dense(words, ncols: int, width: int, f: FieldSpec):
+    """:func:`_reduce_packed` for packed rows of odd characteristic, entry
+    by entry on the unpacked rows; the pivot rows and the high parts are
+    packed again at the end."""
     pivots: dict[int, list] = {}
     zero = []
-    for row in grid:
+    for a in words:
+        row = _unpack(f, a, width)
         for pc, prow in pivots.items():
             c = row[pc]
             if c:
                 row = [f.sub(e, f.mul(c, pe)) if pe else e for e, pe in zip(row, prow)]
         col = next((j for j in range(ncols) if row[j]), None)
         if col is None:
-            zero.append(tuple(row[ncols:]))
+            zero.append(row[ncols:])
             continue
         inv = f.inv(row[col])
         if inv != 1:
@@ -759,41 +697,36 @@ def _reduce_dense(grid, ncols: int, f: FieldSpec):
             if c:
                 pivots[pc] = [f.sub(e, f.mul(c, pe)) if pe else e for e, pe in zip(prow, row)]
         pivots[col] = row
-    return pivots, zero
+    return {c: _pack(f, row) for c, row in pivots.items()}, [_pack(f, row) for row in zero]
 
 
 class RowReduction:
     """One reduction of the rows of [M | B], pivoting on the M part only.
 
-    B is the identity unless given.  ``pivot_rows`` (in ``pivot_cols``
-    order; packed words in characteristic 2, entry lists otherwise) are the
-    reduced row echelon form of M.  Row i of ``ops`` is the B part of pivot
-    row i and ``left_kernel`` holds the B parts of the rows that became
-    zero; with B = I they are the combinations of M's rows that give pivot
-    row i, and a basis of {h : h M = 0}.
+    B is the identity unless given.  ``pivot_rows`` (packed words, in
+    ``pivot_cols`` order) are the reduced row echelon form of M.  Row i of
+    ``ops`` is the B part of pivot row i and ``left_kernel`` holds the B
+    parts of the rows that became zero; with B = I they are the
+    combinations of M's rows that give pivot row i, and a basis of
+    {h : h M = 0}.
     """
 
     def __init__(self, M: FieldMatrix, B: FieldMatrix | None = None):
         self.field, self.cols = f, n = M.field, M.cols
         B = FieldMatrix.identity(f, M.rows) if B is None else B
         s = _slot(f)
-        if s is not None:
-            split = s * n
-            words = [r | (b << split) for r, b in zip(M.packed_rows, B.packed_rows)]
-            if s == 1:
-                pivots, left = _reduce_gf2(words, n)
-            else:
-                pivots, left = _reduce_packed(words, n, n + B.cols, f)
-            self.pivot_cols = pcs = sorted(pivots)
-            self.pivot_rows = [pivots[c] & ((1 << split) - 1) for c in pcs]
-            self.ops = _mat(f, B.cols, [pivots[c] >> split for c in pcs])
-            self.left_kernel = _mat(f, B.cols, left)
-            return
-        pivots, left = _reduce_dense([list(r) + list(b) for r, b in zip(M._grid, B._grid)], n, f)
+        split = s * n
+        words = [r | (b << split) for r, b in zip(M.packed_rows, B.packed_rows)]
+        if s == 1:
+            pivots, left = _reduce_gf2(words, n)
+        elif f.p == 2:
+            pivots, left = _reduce_packed(words, n, n + B.cols, f)
+        else:
+            pivots, left = _reduce_dense(words, n, n + B.cols, f)
         self.pivot_cols = pcs = sorted(pivots)
-        self.pivot_rows = [pivots[c][:n] for c in pcs]
-        self.ops = FieldMatrix(f, [pivots[c][n:] for c in pcs], cols=B.cols)
-        self.left_kernel = FieldMatrix(f, left, cols=B.cols)
+        self.pivot_rows = [pivots[c] & ((1 << split) - 1) for c in pcs]
+        self.ops = _mat(f, B.cols, [pivots[c] >> split for c in pcs])
+        self.left_kernel = _mat(f, B.cols, left)
 
     @property
     def rank(self) -> int:
@@ -806,21 +739,17 @@ class RowReduction:
         pivot_set = set(self.pivot_cols)
         free = [j for j in range(n) if j not in pivot_set]
         s = _slot(f)
-        if s is not None:
-            mask = (1 << f.m) - 1
-            pivots = list(zip(self.pivot_cols, self.pivot_rows))
-            out = [0] * n
-            for i, fc in enumerate(free):
-                at, to = s * fc, s * i
-                out[fc] = 1 << to
-                for pc, row in pivots:
-                    if e := (row >> at) & mask:
-                        out[pc] |= e << to  # -e = e in characteristic 2
-            return _mat(f, len(free), out)
-        grid = [[int(fc == j) for fc in free] for j in range(n)]
-        for pc, row in zip(self.pivot_cols, self.pivot_rows):
-            grid[pc] = [f.neg(row[fc]) for fc in free]
-        return FieldMatrix(f, grid, cols=len(free))
+        mask = (1 << s) - 1
+        negate = f.p != 2  # -e = e in characteristic 2
+        pivots = list(zip(self.pivot_cols, self.pivot_rows))
+        out = [0] * n
+        for i, fc in enumerate(free):
+            at, to = s * fc, s * i
+            out[fc] = 1 << to
+            for pc, row in pivots:
+                if e := (row >> at) & mask:
+                    out[pc] |= (f.neg(e) if negate else e) << to
+        return _mat(f, len(free), out)
 
     def particular(self, y: FieldVector) -> FieldVector:
         """The solution of M x = B y with every free variable 0: x at the
@@ -831,18 +760,13 @@ class RowReduction:
             raise NoSolutionError("inconsistent linear system")
         t = self.ops @ y
         s = _slot(self.field)
-        if s is not None:
-            mask = (1 << self.field.m) - 1
-            x, word = 0, t.packed
-            for c in self.pivot_cols:
-                if word & mask:
-                    x |= (word & mask) << (s * c)
-                word >>= s
-            return _vec(self.field, self.cols, x)
-        xs = [0] * self.cols
-        for c, v in zip(self.pivot_cols, t.entries):
-            xs[c] = v
-        return FieldVector(self.field, xs)
+        mask = (1 << s) - 1
+        x, word = 0, t.packed
+        for c in self.pivot_cols:
+            if word & mask:
+                x |= (word & mask) << (s * c)
+            word >>= s
+        return _vec(self.field, self.cols, x)
 
 
 def rank(M: FieldMatrix) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import permutations as iter_permutations
 
 from .fields import FieldSpec
-from .linalg import FieldMatrix, FieldVector
+from .linalg import FieldMatrix, FieldVector, permuted_rows
 
 VARIANTS = ("identity", "bit-permutation", "field-permutation")
 
@@ -117,11 +117,7 @@ def as_matrix(T: TransformDescriptor) -> FieldMatrix:
         return FieldMatrix.identity(T.field, T.n)
     if T.kind != "bit-permutation":
         raise ValueError("field permutations are non-linear and have no matrix form")
-    if T.field.p == 2 and T.field.m == 1:
-        return FieldMatrix(T.field, cols=T.n,
-                           row_masks=[1 << p for p in T.permutation])
-    return FieldMatrix(T.field,
-                       [[1 if j == p else 0 for j in range(T.n)] for p in T.permutation])
+    return permuted_rows(FieldMatrix.identity(T.field, T.n), T.permutation)
 
 
 def random_transform(kind: str, n: int, field: FieldSpec, rng) -> TransformDescriptor:
@@ -239,16 +235,13 @@ def check_distance_preserving(fn, field: FieldSpec, n: int, *, trials: int = 200
     domain_size = field.q ** n
     if domain_size <= 4096:
         vectors = []
-        if field.p == 2 and field.m == 1:
-            vectors = [FieldVector(field, n=n, bits=m) for m in range(domain_size)]
-        else:
-            for idx in range(domain_size):
-                entries = []
-                v = idx
-                for _ in range(n):
-                    entries.append(v % field.q)
-                    v //= field.q
-                vectors.append(FieldVector(field, entries))
+        for idx in range(domain_size):
+            entries = []
+            v = idx
+            for _ in range(n):
+                entries.append(v % field.q)
+                v //= field.q
+            vectors.append(FieldVector(field, entries))
         for i, v1 in enumerate(vectors):
             for v2 in vectors[i + 1:]:
                 if hamming_distance(fn(v1), fn(v2)) != hamming_distance(v1, v2):

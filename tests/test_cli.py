@@ -18,7 +18,7 @@ from fuzzylink.commitment import (
     serialize_record,
     vector_to_text,
 )
-from fuzzylink.fields import GF2, MAX_ORDER
+from fuzzylink.fields import GF2, MAX_ORDER, field
 from fuzzylink.linalg import FieldMatrix, random_vector, random_weight_vector
 from fuzzylink.transforms import random_transform
 
@@ -64,6 +64,23 @@ def test_enroll_verify_attack_flow(runner, tmp_path):
     out = json.loads(res.output)
     assert out["verdict"] == "related"
     assert out["all_solutions"] >= 2
+
+
+def test_verify_beyond_pattern_budget(runner, tmp_path):
+    # an impostor against a record over the GF(32) (20, 8, 13) code of
+    # acceptance c10: its exhaustive decoder would scan about 3.5e13 patterns
+    g32 = field(2, 5)
+    G = FieldMatrix(g32, [[g32.pow(i + 1, j) for j in range(8)] for i in range(20)])
+    c = generic_code(G, 13)
+    rng = np.random.default_rng(3)
+    path = tmp_path / "rec.json"
+    path.write_bytes(serialize_record(enroll(random_vector(g32, 20, rng), c, rng=rng)))
+    impostor = vector_to_text(random_vector(g32, 20, rng))
+    res = runner.invoke(main, ["verify", str(path), "--w", impostor])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "force" not in lines[0]
 
 
 def test_attack_pair_non_related(runner, tmp_path):

@@ -1,5 +1,9 @@
+import time
+
 import numpy as np
 import pytest
+
+from fuzzylink.attacks import ResourceCapError
 
 from fuzzylink.codes import (
     bch_build,
@@ -167,11 +171,22 @@ def test_generic_code_exhaustive_decoding(rng):
         assert decode_bounded(c, cw + e) == cw
 
 
-def test_generic_code_block_length_cap():
-    big = FieldMatrix.identity(GF2, 30)
-    c = generic_code(big, 1)
-    with pytest.raises(ValueError):
-        decode_bounded(c, FieldVector.zeros(GF2, 30))
+def test_generic_code_pattern_budget(rng):
+    # the pattern count, not n, bounds exhaustive decoding: a 30-position
+    # code with t = 0 decodes, while the GF(32) (20, 8, 13) code of
+    # acceptance c10 (t = 6, about 3.5e13 patterns) refuses a non-codeword
+    # before scanning and still returns a codeword as it is
+    c = generic_code(FieldMatrix.identity(GF2, 30), 1)
+    assert decode_bounded(c, FieldVector.zeros(GF2, 30)) == FieldVector.zeros(GF2, 30)
+    g32 = field(2, 5)
+    G = FieldMatrix(g32, [[g32.pow(i + 1, j) for j in range(8)] for i in range(20)])
+    c10 = generic_code(G, 13)
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match="patterns"):
+        decode_bounded(c10, random_codeword(c10, rng) + random_weight_vector(g32, 20, 7, rng))
+    assert time.perf_counter() - start < 1
+    cw = random_codeword(c10, rng)
+    assert decode_bounded(c10, cw) == cw
 
 
 def test_code_descriptor_round_trip():

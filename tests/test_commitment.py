@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fuzzylink.attacks import generalized_attack
 from fuzzylink.codes import bch_build, generic_code, random_codeword
 from fuzzylink.commitment import (
     HASH_ALGORITHMS,
@@ -57,12 +59,12 @@ def test_canonical_bytes_matches_bit_loop(rng):
         assert canonical_bytes(ones) == _canonical_bytes_by_bit(ones)
 
 
-def _pinned_records():
-    """(record, codeword) pairs over GF(8), GF(32) and GF(2^9), with field-
-    and bit-permutation transforms, unbound and bound by each digest."""
+def _pinned_records(params):
+    """(record, codeword) pairs over GF(p^m) for each (p, m, n, k), with
+    field- and bit-permutation transforms, unbound and bound by each digest."""
     rng = np.random.default_rng(2027)
-    for m, n, k in ((3, 7, 3), (5, 12, 5), (9, 10, 4)):
-        f = field(2, m)
+    for p, m, n, k in params:
+        f = field(p, m)
         G = FieldMatrix(f, [[int(x) for x in rng.integers(0, f.q, size=k)] for _ in range(n)])
         c = generic_code(G, 1)
         for kind in ("field-permutation", "bit-permutation"):
@@ -74,17 +76,48 @@ def _pinned_records():
                 yield rec, random_codeword(c, rng)
 
 
-def test_extension_field_record_bytes_pinned():
-    # serialized records, canonical bytes, digests and text of extension-field
-    # vectors, as produced before GF(2^m) vectors were packed into integers
-    h = hashlib.sha256()
-    for rec, cw in _pinned_records():
+def _hash_records(h, records):
+    """Serialized records, canonical bytes, digests and text of vectors."""
+    for rec, cw in records:
         h.update(serialize_record(rec))
         h.update(canonical_bytes(cw))
         for alg in HASH_ALGORITHMS:
             h.update(codeword_digest(cw, alg))
         h.update(vector_to_text(rec.commitment).encode())
+
+
+def test_extension_field_record_bytes_pinned():
+    # GF(8), GF(32) and GF(2^9) records, as produced before GF(2^m) vectors
+    # were packed into integers
+    h = hashlib.sha256()
+    _hash_records(h, _pinned_records(((2, 3, 7, 3), (2, 5, 12, 5), (2, 9, 10, 4))))
     assert h.hexdigest() == "6063fadc497255130224c89d0f25b54fd2f8e23afcf92d926d1029a2ba9dc338"
+
+
+def test_odd_characteristic_outputs_pinned():
+    # GF(3), GF(5), GF(3^2) and GF(257) records, and the generalized_attack
+    # outcomes (every field but the time) for b = 1 and 2 on pairs of them and
+    # on related pairs at distance 0..2, as produced while odd-characteristic
+    # vectors were stored as tuples of entries
+    h = hashlib.sha256()
+    records = list(_pinned_records(((3, 1, 12, 5), (5, 1, 10, 4), (3, 2, 9, 4), (257, 1, 8, 3))))
+    _hash_records(h, records)
+    rng = np.random.default_rng(2028)
+    for (r1, _), (r2, _) in zip(records[::2], records[1::2]):
+        c = resolve_code(r1)
+        f, n = c.field, c.n
+        w = random_vector(f, n, rng)
+        noise = random_weight_vector(f, n, int(rng.integers(0, 3)), rng)
+        related = (enroll(w, c, rng=rng).commitment, enroll(w + noise, c, rng=rng).commitment)
+        for f1, f2 in ((r1.commitment, r2.commitment), related):
+            for b in (1, 2):
+                out = generalized_attack(c.G, c.G, f1, f2, b)
+                fields = {fl.name: getattr(out, fl.name) for fl in dataclasses.fields(out)
+                          if fl.name != "elapsed"}
+                fields["candidates"] = out.candidates and [list(v) for v in out.candidates]
+                fields["error_pattern"] = out.error_pattern and list(out.error_pattern)
+                h.update(json.dumps(fields, sort_keys=True).encode())
+    assert h.hexdigest() == "fa130ee702343c5367932feb3eba56cc71bd89d5fbaaffd95a0704c4e781844e"
 
 
 def test_vector_to_text_pinned():

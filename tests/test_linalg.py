@@ -383,11 +383,20 @@ def test_kernel_basis_and_invert_pinned(seed):
 
 
 # ---------------------------------------------------------------------------
-# packed GF(2^m) storage against entrywise FieldSpec arithmetic
+# packed storage against entrywise FieldSpec arithmetic
 # ---------------------------------------------------------------------------
 
-# both slot widths: 8 bits for m <= 8, 16 above
-PACKED_FIELDS = [field(2, m) for m in (2, 3, 5, 8, 9, 16)]
+# both slot widths, 8 bits for q <= 256 and 16 above, in characteristic 2
+# and odd characteristic
+PACKED_FIELDS = [field(2, m) for m in (2, 3, 5, 8, 9, 16)] + [
+    GF3, field(3, 2), field(257), field(65521)]
+
+
+def _slot_entries(f, n, word):
+    """The n entries of a packed word, slot by slot: 1 bit over GF(2), 8 bits
+    up to q = 256 and 16 bits above."""
+    s = 1 if f.q == 2 else 8 if f.q <= 256 else 16
+    return [(word >> (s * j)) & ((1 << s) - 1) for j in range(n)]
 
 
 def _elements(f):
@@ -417,10 +426,16 @@ def test_packed_arithmetic_matches_entrywise(operands, data):
     vx, vy = FieldVector(f, x), FieldVector(f, y)
     assert vx.bits is None and MA.row_masks is None
     assert vx.entries == tuple(x) and [vx[i] for i in range(inner)] == x
-    assert FieldVector(f, n=inner, packed=vx.packed) == vx
+    assert _slot_entries(f, inner, vx.packed) == x
+    if f.p == 2:
+        assert FieldVector(f, n=inner, packed=vx.packed) == vx
+        assert (-vx) == vx
+    else:
+        with pytest.raises(ValueError):
+            FieldVector(f, n=inner, packed=vx.packed)
+        assert (-vx).entries == tuple(f.neg(a) for a in x)
     assert (vx + vy).entries == tuple(f.add(a, b) for a, b in zip(x, y))
     assert (vx - vy).entries == tuple(f.sub(a, b) for a, b in zip(x, y))
-    assert (-vx) == vx
     assert vx.scale(c).entries == tuple(f.mul(c, a) for a in x)
     assert vx.weight() == sum(1 for a in x if a)
     lo = data.draw(st.integers(0, inner))
@@ -455,7 +470,7 @@ def _assert_row_multiples_and_scalars(f, MA, A, c):
     entries otherwise."""
     def word(entries):
         v = FieldVector(f, entries)
-        return v.entries if v.packed is None else v.packed
+        return v.packed if f.p == 2 else v.entries
 
     multiples = MA.row_multiples()
     assert len(multiples) == len(A)
@@ -508,8 +523,7 @@ def test_packed_row_reduction_matches_reference(system, data):
     red = RowReduction(M)
     rref, pivots = ref_rref(grid, f)
     assert red.pivot_cols == pivots
-    assert [list(FieldVector(f, n=cols, packed=r).entries) for r in red.pivot_rows] \
-        == rref[:len(pivots)]
+    assert [_slot_entries(f, cols, r) for r in red.pivot_rows] == rref[:len(pivots)]
     ranks = [len(ref_rref(grid[:i + 1], f)[1]) for i in range(rows)]
     raised = [i for i in range(rows) if ranks[i] > (ranks[i - 1] if i else 0)]
     dependent = [i for i in range(rows) if i not in raised]
