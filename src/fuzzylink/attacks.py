@@ -15,8 +15,8 @@ scan, and classes of weight >= 6 are first ruled out by a
 meet-in-the-middle existence check.  Over every other field the last
 position and its value come from one table of the words s - v*cols[j],
 v != 0, so each pattern costs the sum of its head's column multiples and
-one lookup: packed words added by XOR in characteristic 2, entry tuples
-for odd p.  Both preserve first-hit order and indices exactly
+one lookup, on packed words over every field (added by XOR in
+characteristic 2).  Both preserve first-hit order and indices exactly
 (differentially tested against the naive itertools scan that defines the
 order).
 
@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, product
 from math import comb
-from operator import xor
 from time import perf_counter
 
 from .codes import LinearCode
@@ -55,6 +54,7 @@ from .linalg import (
     concat_cols,
     permuted_rows,
     rank,
+    word_arithmetic,
 )
 from .transforms import apply_inverse
 
@@ -264,30 +264,23 @@ def _scan_gf2(cols, s: int, n: int, b: int):
 def _scan_multiples(cols: FieldMatrix, s: FieldVector, n: int, b: int):
     """Yield (support, values) hits in canonical order over GF(q), q > 2.
 
-    ``cols`` holds the columns as rows.  Words are packed ints in
-    characteristic 2, where + and - are XOR, and entry tuples for odd p.
-    A scan that reaches class 2 first builds one table of the n(q - 1)
-    words s - v*cols[j], v != 0, mapping each to its entry index
-    j*(q - 1) + v - 1: a head support with values u completes to a hit at
-    (j, v) exactly when the head's sum of u_i*cols[i] is s - v*cols[j].
-    Class 1 looks up the zero word, class 2 each precomputed multiple and
-    classes >= 3 the sum of the head's multiples; zero and proportional
-    columns repeat keys, which then list all their entries.  Hits of one
-    head support are sorted by (last position, values) before they are
-    yielded, which is canonical order.  A scan that stops at class 1 skips
-    the table, whose size grows with q: each column has at most one scalar
-    (:meth:`FieldMatrix.row_scalars`)."""
+    ``cols`` holds the columns as rows.  Words are packed ints, added by
+    the ``add`` of :func:`~fuzzylink.linalg.word_arithmetic` (XOR in
+    characteristic 2).  A scan that reaches class 2 first builds one table
+    of the n(q - 1) words s - v*cols[j], v != 0, mapping each to its entry
+    index j*(q - 1) + v - 1: a head support with values u completes to a
+    hit at (j, v) exactly when the head's sum of u_i*cols[i] is
+    s - v*cols[j].  Class 1 looks up the zero word, class 2 each
+    precomputed multiple and classes >= 3 the sum of the head's multiples;
+    zero and proportional columns repeat keys, which then list all their
+    entries.  Hits of one head support are sorted by (last position,
+    values) before they are yielded, which is canonical order.  A scan
+    that stops at class 1 skips the table, whose size grows with q: each
+    column has at most one scalar (:meth:`FieldMatrix.row_scalars`)."""
     f = cols.field
     q = f.q
-    if f.p == 2:
-        add, negs = xor, range(1, q)
-        target, zero = s.packed, 0
-    else:
-        def add(x, y):
-            return tuple(map(f.add, x, y))
-        negs = [f.neg(v) for v in range(1, q)]
-        target, zero = s.entries, (0,) * s.n
-    if target == zero:
+    add, target = word_arithmetic(f, s.n).add, s.packed
+    if not target:
         yield (), ()
     if b < 2:
         for j, v in cols.row_scalars(s) if b else ():
@@ -296,6 +289,7 @@ def _scan_multiples(cols: FieldMatrix, s: FieldVector, n: int, b: int):
     q1 = q - 1
     multiples = cols.row_multiples()
     # s - v*cols[j] is s + (-v)*cols[j]; -v = v in characteristic 2
+    negs = [f.neg(v) for v in range(1, q)]
     keys = [add(target, mult[v]) for mult in multiples for v in negs]
     table = dict(zip(keys, range(len(keys))))
     if len(table) < len(keys):  # repeated keys: each lists all its entries
@@ -308,7 +302,7 @@ def _scan_multiples(cols: FieldMatrix, s: FieldVector, n: int, b: int):
         """The ascending entry indices of a table value."""
         return (found,) if isinstance(found, int) else found
 
-    found = get(zero)
+    found = get(0)
     for i in indices(found) if found is not None else ():
         yield (i // q1,), (i % q1 + 1,)
     for w in range(2, b + 1):

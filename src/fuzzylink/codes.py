@@ -58,7 +58,7 @@ class LinearCode:
         if H.rows != n - k or rank(H) != n - k:
             raise ValueError("check matrix must have full rank n - k")
         prod = H @ G
-        if any(prod.row(i).weight() for i in range(prod.rows)):
+        if any(prod.packed_rows):
             raise ValueError("check matrix does not annihilate the generator")
         if bch is not None:
             f2m = field(2, bch.m)

@@ -2,41 +2,36 @@
 
 Vectors and matrices are immutable and stored one way over every field: a
 vector, and each matrix row, is one Python integer whose slot j of s bits
-holds entry j.  The slot width depends on q alone: s = 1 over GF(2), s = 8
-for q <= 256 and s = 16 above.  Packing and unpacking is one
-``int.from_bytes``/``to_bytes`` call, through ``bytes`` for 8-bit slots and
-``struct`` for 16-bit slots (a bit loop over GF(2)); the packed integers
-are the ``packed`` / ``packed_rows`` views.  Indexing, slicing,
-comparison, weight, transposition, concatenation, row permutation and
-reading kernels and solutions off a reduction act on the words, whatever
-the field.
+holds entry j, with s = 1 over GF(2), 8 for q <= 256 and 16 above.  These
+are the ``packed`` / ``packed_rows`` views (and, over GF(2) only, ``bits``
+/ ``row_masks``); ``entries`` and ``row_entries`` unpack them through
+``bytes`` or ``struct``.  Indexing, slicing, comparison, weight,
+transposition, concatenation, row permutation and reading kernels and
+solutions off a reduction act on the words, whatever the field.  Matrices
+are read by rows; columns are the rows of :meth:`FieldMatrix.transpose`.
 
-Arithmetic goes by characteristic.
+Arithmetic on words goes through one object per characteristic, both with
+the same operations: a sum of two words, a combination sum c*w, a word
+minus a combination, the q multiples of a word and the clearing of a
+pivot column.
 
-* Characteristic 2: addition is XOR, and multiplying every slot by x is a
-  shift and one carry-free product (the modulus' low part times the
-  overflowing bit plane), so a scalar multiple or a linear combination of
-  rows costs O(m) whole-row operations, whatever the length (the
-  bit-sliced arithmetic of McBits, Bernstein, Chou and Schwabe, CHES
-  2013).
-* Odd characteristic: the words are unpacked and combined entry by entry
-  with :class:`~fuzzylink.fields.FieldSpec` arithmetic.
+* :class:`_Slots`, characteristic 2: addition is XOR, and multiplying
+  every slot by x is a shift and one carry-free product, so a scalar
+  multiple or a combination costs O(m) whole-word operations, whatever
+  the length (the bit-sliced arithmetic of McBits, Bernstein, Chou and
+  Schwabe, CHES 2013).
+* :class:`_Entrywise`, odd characteristic: a call unpacks into one list
+  of entries and uses :class:`~fuzzylink.fields.FieldSpec` arithmetic on
+  it; a sum of two words over GF(p) stays whole.
 
-Every field keeps the canonical views ``entries`` (and, except over GF(2),
-``row_entries``); the GF(2) views ``bits`` / ``row_masks`` are the packed
-integers and are None over every other field.  Matrices are read by rows
-only; whoever needs columns takes the rows of :meth:`FieldMatrix.transpose`,
-which regroups the bits of the rows' binary strings over GF(2) and the
-slots of the rows' bytes over every other field.
-
-Elimination has one routine per kind of arithmetic behind
-:class:`RowReduction` (``_reduce_gf2`` for GF(2), ``_reduce_packed`` for
-GF(2^m), m > 1, ``_reduce_dense`` for odd p): the rows of [M | B] (B = I or
-a right-hand side) are inserted one at a time and pivot on the M part only,
-at their lowest non-zero column (scaled to 1); each new pivot column is
-cleared from the other pivot rows, so the M parts end as the unique
-reduced row echelon form of M.  Rank, kernel, left kernel, solving and
-inversion all read off that one pass.  Arithmetic is exact.
+:class:`RowReduction` has two elimination routines, ``_reduce_gf2`` on
+GF(2) bit masks and ``_reduce_packed`` on every other field's words: the
+rows of [M | B] (B = I or a right-hand side) are inserted one at a time and
+pivot on the M part only, at their lowest non-zero column (scaled to 1);
+each new pivot column is cleared from the other pivot rows, so the M parts
+end as the unique reduced row echelon form of M.  Rank, kernel, left
+kernel, solving and inversion all read off that one pass.  Arithmetic is
+exact.
 """
 
 from __future__ import annotations
@@ -44,7 +39,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import or_
+from operator import or_, xor
 
 from .fields import FieldSpec
 
@@ -112,10 +107,11 @@ def _unpack(f: FieldSpec, word: int, n: int) -> tuple:
 
 
 class _Slots:
-    """Whole-word arithmetic on packed words of ``width`` slots over
-    GF(2^m), m > 1."""
+    """Whole-word arithmetic on packed words of ``width`` slots in
+    characteristic 2, where a sum is an XOR (m = 1 included)."""
 
     __slots__ = ("s", "m", "mask", "ones", "keep", "red")
+    add = xor
 
     def __init__(self, f: FieldSpec, width: int):
         self.s = _slot(f)
@@ -145,6 +141,10 @@ class _Slots:
             out = self.times_x(out) ^ a
         return out
 
+    def minus(self, a: int, pairs) -> int:
+        """a minus the sum of c*w over (c, w) pairs, which is a plus it."""
+        return a ^ self.combine(pairs)
+
     def x_powers(self, w: int) -> list:
         """[w, x*w, ..., x^(m-1)*w]: c*w is the XOR of those selected by
         the bits of c."""
@@ -153,15 +153,87 @@ class _Slots:
             out.append(self.times_x(out[-1]))
         return out
 
+    def multiples(self, w: int) -> list:
+        """[c*w for c = 0 .. q-1], the list doubled once per x-power of w."""
+        out = [0]
+        for p in self.x_powers(w):
+            out += [v ^ p for v in out]
+        return out
 
-def _select(powers, c: int) -> int:
-    """c*w from the x-powers of w."""
-    out = 0
-    while c:
-        low = c & -c
-        out ^= powers[low.bit_length() - 1]
-        c ^= low
-    return out
+    def clear(self, pivots: dict, col: int, a: int) -> None:
+        """Subtract from each pivot row its entry in column col times a,
+        which is 1 there, by the x-powers of a."""
+        powers = self.x_powers(a)
+        shift, mask = self.s * col, self.mask
+        for pc, row in pivots.items():
+            if c := (row >> shift) & mask:
+                while c:
+                    low = c & -c
+                    row ^= powers[low.bit_length() - 1]
+                    c ^= low
+                pivots[pc] = row
+
+
+class _Entrywise:
+    """The operations of :class:`_Slots` in odd characteristic.  A call
+    adds each c*w, entry by entry, to one unpacked list and packs it once.
+    Over GF(p) a sum of two words stays whole: every other slot sits in a
+    lane of 2s bits, where two entries cannot carry, and each lane that
+    reaches p loses p."""
+
+    __slots__ = ("f", "width", "s", "lanes", "even", "off")
+
+    def __init__(self, f: FieldSpec, width: int):
+        self.f, self.width = f, width
+        self.s = s = _slot(f)
+        self.lanes = _ones(2 * s, (width + 1) // 2)
+        self.even = self.lanes * ((1 << s) - 1)
+        self.off = self.lanes * ((1 << (2 * s - 1)) - f.p)  # sets a lane's top bit at p
+
+    def _sum(self, acc, pairs) -> int:
+        """acc plus the sum of c*w over (c, w) pairs, packed."""
+        f, n, p = self.f, self.width, self.f.p
+        add, mul = f.add, f.mul
+        for c, w in pairs:
+            if c and w:
+                ent = _unpack(f, w, n)
+                acc = ([(x + c * y) % p for x, y in zip(acc, ent)] if f.m == 1 else
+                       [add(x, mul(c, y)) if y else x for x, y in zip(acc, ent)])
+        return _pack(f, acc)
+
+    def add(self, a: int, b: int) -> int:
+        if self.f.m > 1:
+            return self._sum(_unpack(self.f, a, self.width), ((1, b),))
+        s, even, off, lanes, p = self.s, self.even, self.off, self.lanes, self.f.p
+        top = 2 * s - 1
+        lo = (a & even) + (b & even)
+        hi = ((a >> s) & even) + ((b >> s) & even)
+        lo -= ((lo + off) >> top & lanes) * p
+        hi -= ((hi + off) >> top & lanes) * p
+        return lo | hi << s
+
+    def combine(self, pairs) -> int:
+        return self._sum([0] * self.width, pairs)
+
+    def minus(self, a: int, pairs) -> int:
+        neg = self.f.neg
+        return self._sum(_unpack(self.f, a, self.width), [(neg(c), w) for c, w in pairs if c])
+
+    def multiples(self, w: int) -> list:
+        return [self.combine(((c, w),)) for c in range(self.f.q)]
+
+    def clear(self, pivots: dict, col: int, a: int) -> None:
+        shift, mask = self.s * col, (1 << self.s) - 1
+        for pc, row in pivots.items():
+            if c := (row >> shift) & mask:
+                pivots[pc] = self.minus(row, ((c, a),))
+
+
+def word_arithmetic(f: FieldSpec, width: int):
+    """The arithmetic of packed words of ``width`` slots over f: a
+    :class:`_Slots` in characteristic 2 (its ``add`` is ``xor``), an
+    :class:`_Entrywise` otherwise."""
+    return (_Slots if f.p == 2 else _Entrywise)(f, width)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +354,7 @@ class FieldVector:
         f = self.field
         if f.p == 2:
             return _vec(f, self.n, self.packed ^ other.packed)
-        return _vec(f, self.n, _pack(f, list(map(f.add, self.entries, other.entries))))
+        return _vec(f, self.n, _Entrywise(f, self.n).add(self.packed, other.packed))
 
     def __sub__(self, other: "FieldVector") -> "FieldVector":
         _check_same_field(self, other)
@@ -291,22 +363,17 @@ class FieldVector:
         f = self.field
         if f.p == 2:
             return _vec(f, self.n, self.packed ^ other.packed)
-        return _vec(f, self.n, _pack(f, list(map(f.sub, self.entries, other.entries))))
+        return _vec(f, self.n, _Entrywise(f, self.n).minus(self.packed, ((1, other.packed),)))
 
     def __neg__(self) -> "FieldVector":
-        f = self.field
-        if f.p == 2:
-            return self
-        return _vec(f, self.n, _pack(f, list(map(f.neg, self.entries))))
+        return self if self.field.p == 2 else self.scale(self.field.neg(1))
 
     def scale(self, c: int) -> "FieldVector":
         f = self.field
         f.check_element(c)
         if self.bits is not None:
             return self if c else FieldVector.zeros(f, self.n)
-        if f.p == 2:
-            return _vec(f, self.n, _Slots(f, self.n).combine(((c, self.packed),)))
-        return _vec(f, self.n, _pack(f, [f.mul(c, a) for a in self.entries]))
+        return _vec(f, self.n, word_arithmetic(f, self.n).combine(((c, self.packed),)))
 
     def weight(self) -> int:
         # OR every slot's bits down into its bit 0, then count those
@@ -468,36 +535,20 @@ class FieldMatrix:
         """Every entry times the field element c."""
         f = self.field
         f.check_element(c)
-        if f.p != 2:
-            return _mat(f, self.cols, [_pack(f, [f.mul(c, e) for e in row])
-                                       for row in self.row_entries])
-        if f.m == 1:
+        if f.q == 2:
             return self if c else FieldMatrix.zeros(f, self.rows, self.cols)
         # all rows at once, as one word of rows * cols slots
         nbytes = self.cols * _slot(f) // 8
         word = int.from_bytes(_join_rows(self.packed_rows, nbytes), "little")
-        word = _Slots(f, self.rows * self.cols).combine(((c, word),))
+        word = word_arithmetic(f, self.rows * self.cols).combine(((c, word),))
         raw = word.to_bytes(self.rows * nbytes, "little")
         return _mat(f, self.cols, _split_rows(raw, nbytes, self.rows))
 
     def row_multiples(self) -> list:
-        """For each row w, the words c*w for c = 0 .. q-1 (list index c).
-        In characteristic 2 a word is packed, the XOR of the x-powers of w
-        that the bits of c select, built by doubling the list once per
-        power; for odd p it is a tuple of entries."""
-        f = self.field
-        if f.p != 2:
-            mul = f.mul
-            return [[tuple([mul(c, e) for e in row]) for c in range(f.q)]
-                    for row in self.row_entries]
-        sl = _Slots(f, self.cols)
-        out = []
-        for r in self.packed_rows:
-            mult = [0]
-            for p in sl.x_powers(r):
-                mult += [w ^ p for w in mult]
-            out.append(mult)
-        return out
+        """For each row w, the packed words c*w for c = 0 .. q-1 (list
+        index c)."""
+        ar = word_arithmetic(self.field, self.cols)
+        return [ar.multiples(r) for r in self.packed_rows]
 
     def row_scalars(self, v: FieldVector) -> list:
         """The pairs (j, c), c != 0, with c*row j = v, in (j, c) order.  A
@@ -530,19 +581,9 @@ class FieldMatrix:
             for i, r in enumerate(self.row_masks):
                 out |= ((r & vb).bit_count() & 1) << i
             return _vec(f, self.rows, out)
-        if f.p == 2:
-            # the columns weighted by the entries of v
-            cols = self.transpose().packed_rows
-            return _vec(f, self.rows, _Slots(f, self.rows).combine(zip(v.entries, cols)))
-        ve = v.entries
-        out = []
-        for row in self.row_entries:
-            acc = 0
-            for a, x in zip(row, ve):
-                if a and x:
-                    acc = f.add(acc, f.mul(a, x))
-            out.append(acc)
-        return _vec(f, self.rows, _pack(f, out))
+        # the columns weighted by the entries of v
+        cols = self.transpose().packed_rows
+        return _vec(f, self.rows, word_arithmetic(f, self.rows).combine(zip(v.entries, cols)))
 
     def mat_mul(self, other: "FieldMatrix") -> "FieldMatrix":
         _check_same_field(self, other)
@@ -562,24 +603,11 @@ class FieldMatrix:
                     rr &= rr - 1
                 out.append(acc)
             return _mat(f, other.cols, out)
-        if f.p == 2:
-            # row i of the product weights the rows of other by row i of self
-            sl = _Slots(f, other.cols)
-            orows = other.packed_rows
-            return _mat(f, other.cols, [sl.combine(zip(_unpack(f, r, self.cols), orows))
-                                        for r in self.packed_rows])
-        ogrid = other.row_entries
-        out = []
-        for row in self.row_entries:
-            acc = [0] * other.cols
-            for k, a in enumerate(row):
-                if a:
-                    orow = ogrid[k]
-                    for j in range(other.cols):
-                        if orow[j]:
-                            acc[j] = f.add(acc[j], f.mul(a, orow[j]))
-            out.append(acc)
-        return _mat(f, other.cols, [_pack(f, row) for row in out])
+        # row i of the product weights the rows of other by row i of self
+        ar = word_arithmetic(f, other.cols)
+        orows = other.packed_rows
+        return _mat(f, other.cols, [ar.combine(zip(_unpack(f, r, self.cols), orows))
+                                    for r in self.packed_rows])
 
     def __matmul__(self, other):
         if isinstance(other, FieldVector):
@@ -640,64 +668,33 @@ def _reduce_gf2(masks, ncols: int):
 
 
 def _reduce_packed(words, ncols: int, width: int, f: FieldSpec):
-    """:func:`_reduce_gf2` for packed GF(2^m) rows of ``width`` slots;
-    pivots are scaled to 1.  A new row is reduced against all pivot rows
-    in one combination (pivot rows are zero in each other's pivot columns,
-    so its coefficients are its own entries there), and the new pivot
-    column is cleared from the pivot rows with the x-powers of the new row.
+    """:func:`_reduce_gf2` for packed rows of ``width`` slots over any field
+    but GF(2); pivots are scaled to 1.  A new row is reduced against all
+    pivot rows in one combination (pivot rows are zero in each other's
+    pivot columns, so its coefficients are its own entries there), and the
+    new pivot column is cleared from the pivot rows.
     """
-    sl = _Slots(f, width)
-    s, mask = sl.s, sl.mask
+    ar = word_arithmetic(f, width)
+    s = _slot(f)
+    mask = (1 << s) - 1
     low = (1 << (s * ncols)) - 1
     pivots: dict[int, int] = {}
     zero = []
     for a in words:
         if pivots:
             ent = _unpack(f, a & low, ncols)
-            a ^= sl.combine([(ent[pc], row) for pc, row in pivots.items()])
+            a = ar.minus(a, [(ent[pc], row) for pc, row in pivots.items()])
         g = a & low
         if not g:
             zero.append(a >> (s * ncols))
             continue
         col = ((g & -g).bit_length() - 1) // s
-        shift = s * col
-        lead = (a >> shift) & mask
+        lead = (a >> (s * col)) & mask
         if lead != 1:
-            a = sl.combine(((f.inv(lead), a),))
-        powers = sl.x_powers(a)
-        for pc, row in pivots.items():
-            c = (row >> shift) & mask
-            if c:
-                pivots[pc] = row ^ _select(powers, c)
+            a = ar.combine(((f.inv(lead), a),))
+        ar.clear(pivots, col, a)
         pivots[col] = a
     return pivots, zero
-
-
-def _reduce_dense(words, ncols: int, width: int, f: FieldSpec):
-    """:func:`_reduce_packed` for packed rows of odd characteristic, entry
-    by entry on the unpacked rows; the pivot rows and the high parts are
-    packed again at the end."""
-    pivots: dict[int, list] = {}
-    zero = []
-    for a in words:
-        row = _unpack(f, a, width)
-        for pc, prow in pivots.items():
-            c = row[pc]
-            if c:
-                row = [f.sub(e, f.mul(c, pe)) if pe else e for e, pe in zip(row, prow)]
-        col = next((j for j in range(ncols) if row[j]), None)
-        if col is None:
-            zero.append(row[ncols:])
-            continue
-        inv = f.inv(row[col])
-        if inv != 1:
-            row = [f.mul(inv, e) for e in row]
-        for pc, prow in pivots.items():
-            c = prow[col]
-            if c:
-                pivots[pc] = [f.sub(e, f.mul(c, pe)) if pe else e for e, pe in zip(prow, row)]
-        pivots[col] = row
-    return {c: _pack(f, row) for c, row in pivots.items()}, [_pack(f, row) for row in zero]
 
 
 class RowReduction:
@@ -714,15 +711,15 @@ class RowReduction:
     def __init__(self, M: FieldMatrix, B: FieldMatrix | None = None):
         self.field, self.cols = f, n = M.field, M.cols
         B = FieldMatrix.identity(f, M.rows) if B is None else B
+        if B.field != f or B.rows != M.rows:
+            raise ValueError(f"B has {B.rows} rows over {B.field}; M has {M.rows} over {f}")
         s = _slot(f)
         split = s * n
         words = [r | (b << split) for r, b in zip(M.packed_rows, B.packed_rows)]
         if s == 1:
             pivots, left = _reduce_gf2(words, n)
-        elif f.p == 2:
-            pivots, left = _reduce_packed(words, n, n + B.cols, f)
         else:
-            pivots, left = _reduce_dense(words, n, n + B.cols, f)
+            pivots, left = _reduce_packed(words, n, n + B.cols, f)
         self.pivot_cols = pcs = sorted(pivots)
         self.pivot_rows = [pivots[c] & ((1 << split) - 1) for c in pcs]
         self.ops = _mat(f, B.cols, [pivots[c] >> split for c in pcs])

@@ -466,11 +466,9 @@ def test_packed_arithmetic_matches_entrywise(operands, data):
 
 def _assert_row_multiples_and_scalars(f, MA, A, c):
     """row_multiples and row_scalars of MA (rows A) against entrywise
-    FieldSpec products; a word is packed in characteristic 2 and a tuple of
-    entries otherwise."""
+    FieldSpec products, compared as packed words."""
     def word(entries):
-        v = FieldVector(f, entries)
-        return v.packed if f.p == 2 else v.entries
+        return FieldVector(f, entries).packed
 
     multiples = MA.row_multiples()
     assert len(multiples) == len(A)
@@ -560,6 +558,40 @@ def test_packed_words_are_checked_once(m):
         FieldVector(GF5, n=1, packed=1)
     with pytest.raises(ValueError):
         FieldVector(f, [0, f.q])
+
+
+@pytest.mark.parametrize("p, m, words, transposed, pivot_rows, left_kernel", [
+    (2, 8, [0x200ff01, 0xff0100fe, 0xfd01ffff], [0xfffe01, 0xff00ff, 0x10100, 0xfdff02],
+     [0x7f7e0001, 0x99830100], [0x10101]),
+    (2, 9, [0x2000001ff0001, 0x1ff0001000001fe, 0x1fd000101ff01ff],
+     [0x1ff01fe0001, 0x1ff000001ff, 0x100010000, 0x1fd01ff0002],
+     [0x4e004f00000001, 0x89002c00010000], [0x100010001]),
+    (251, 1, [0x200fa01, 0xfa0100f9, 0x101fafa], [0xfaf901, 0xfa00fa, 0x10100, 0x1fa02],
+     [0x7e7d0001, 0x7c7d0100], [0x1fafa]),
+    (257, 1, [0x2000001000001, 0x1000001000000ff, 0x1000101000100],
+     [0x10000ff0001, 0x10000000100, 0x100010000, 0x101000002],
+     [0x81008000000001, 0x7f008000010000], [0x101000100]),
+])
+def test_slot_boundaries_pinned(p, m, words, transposed, pivot_rows, left_kernel):
+    """Rows (1, q-1, 0, 2), (q-2, 0, 1, q-1) and their sum on either side of
+    the 8/16-bit slot boundary (q = 256 | 512, 251 | 257)."""
+    f = field(p, m)
+    q = f.q
+    r0, r1 = [1, q - 1, 0, 2], [q - 2, 0, 1, q - 1]
+    M = FieldMatrix(f, [r0, r1, [f.add(a, b) for a, b in zip(r0, r1)]])
+    assert list(M.packed_rows) == words
+    assert list(M.transpose().packed_rows) == transposed
+    red = RowReduction(M)
+    assert (red.pivot_cols, red.pivot_rows) == ([0, 1], pivot_rows)
+    assert list(red.left_kernel.packed_rows) == left_kernel
+
+
+def test_row_reduction_checks_its_right_hand_side():
+    M = FieldMatrix(GF2, [[1, 0], [0, 1], [1, 1]])
+    assert RowReduction(M).rank == 2
+    for B in (FieldMatrix(GF2, [[1]]), FieldMatrix(GF3, [[1], [0], [0]])):
+        with pytest.raises(ValueError):
+            RowReduction(M, B)
 
 
 # ---------------------------------------------------------------------------
