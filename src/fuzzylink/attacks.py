@@ -23,8 +23,14 @@ order).
 The linear algebra is one reduction of [G~ | I_n], G~ = (G1 | G2): rows
 whose G~ part vanishes form the annihilator H~ the scan tests against, and
 each pivot row (pivot column c, row combination u) gives x_c = <u, r - e>
-of the particular solution for a hit e.  The coset kernel is expanded once
-per attack.
+of the particular solution for a hit e.  The coset has q^(cols - rank)
+solutions; its kernel is built only when digests filter it.  When the two
+blocks are multiples G/a1 and G/a2 of one generator (affine-reduced
+records, two identity records), that reduction is read off the code's own
+reduction of [G | I_n] (:meth:`~fuzzylink.linalg.RowReduction.doubled`):
+no elimination runs per pair, and H~, the row combinations and the
+transposes the products read are the same objects on every attack on the
+code.
 
 Every attack ends in one loop over the solutions of a hit.  With codeword
 digests that loop runs over the whole coset and accepts a solution only
@@ -393,7 +399,10 @@ class AttackOutcome:
         return "related" if self.related else "non-related"
 
 
-def _attack_core(G1, G2, f1, f2, b, hashes, ref_G1, ref_G2, reference_scan):
+def _attack_core(G1, G2, f1, f2, b, hashes, ref_G1, ref_G2, reference_scan, red=None):
+    """The one attack on generator blocks G1, G2 and commitments f1, f2.
+    ``red`` is the reduction of [G1 | G2 | I_n] when the caller can read it
+    off one it keeps; it is run here otherwise."""
     start = perf_counter()
     f = f1.field
     n = f1.n
@@ -406,17 +415,20 @@ def _attack_core(G1, G2, f1, f2, b, hashes, ref_G1, ref_G2, reference_scan):
         if None in algs:
             raise ValueError("digest length matches no supported hash algorithm")
     r = f1 - f2
-    red = RowReduction(concat_cols(G1, G2))
+    if red is None:
+        red = RowReduction(concat_cols(G1, G2))
     gtilde_rank = red.rank
     Ht = red.left_kernel
     k1 = G1.cols
-    kernel = red.null_space()
+    count = f.q ** (red.cols - gtilde_rank)  # solutions per hit, the coset size
+    # only digest filtering walks the coset
+    kernel = None if hashes is None or count > SOLUTION_ENUM_CAP else red.null_space()
 
-    def outcome(scanned, e=None, m1=None, m2=None, count=0):
+    def outcome(scanned, e=None, m1=None, m2=None):
         return AttackOutcome(
             related=e is not None,
             candidates=None if e is None else (f1 - (G1 @ m1), f2 - (G2 @ m2)),
-            all_solutions=count,
+            all_solutions=0 if e is None else count,
             hash_verified=e is not None and hashes is not None,
             error_pattern=e,
             patterns_scanned=scanned,
@@ -427,22 +439,27 @@ def _attack_core(G1, G2, f1, f2, b, hashes, ref_G1, ref_G2, reference_scan):
 
     for hit in scan_syndrome_hits(Ht, Ht @ r, b, reference=reference_scan):
         e = hit.pattern(f, n)
-        sols = AffineSolutions(red.particular(r - e), kernel)
+        x = red.particular(r - e)
         if hashes is None:
-            solutions = (sols.particular,)
-        elif sols.count > SOLUTION_ENUM_CAP:
-            raise ResourceCapError(
-                f"hash filtering would enumerate {sols.count} solutions")
+            solutions = (x,)
+        elif kernel is None:
+            raise ResourceCapError(f"hash filtering would enumerate {count} solutions")
         else:
-            solutions = sols
+            solutions = AffineSolutions(x, kernel)
         for mt in solutions:
             # a solution stores the second message block with a flipped sign
             m1, m2 = mt[:k1], -mt[k1:]
             if hashes is None or (codeword_digest(ref_G1 @ m1, algs[0]) == hashes[0]
                                   and codeword_digest(ref_G2 @ m2, algs[1]) == hashes[1]):
-                return outcome(hit.index + 1, e, m1, m2, sols.count)
+                return outcome(hit.index + 1, e, m1, m2)
         # no coset solution matched the digests: spurious pattern, keep going
     return outcome(pattern_count(f.q, n, b))
+
+
+def _reduction(code) -> RowReduction:
+    """The reduction of [G | I_n] of a code, which keeps it, or of a bare
+    generator matrix, reduced on every call."""
+    return code.reduction if isinstance(code, LinearCode) else RowReduction(code)
 
 
 def decodability_attack(f1: FieldVector, f2: FieldVector, code: LinearCode) -> bool:
@@ -492,7 +509,9 @@ def modified_decodability_attack(code, rec1, rec2, b: int, *, hashes=None,
         else:
             raise ValueError("records must carry bit-permutation (or identity) transforms")
     f1, f2 = (apply_inverse(T, fvec) for fvec, T in (rec1, rec2))
-    return _attack_core(*blocks, f1, f2, b, hashes, G, G, reference_scan)
+    # two identity records have blocks (G | G): the code's reduction, read for (1, 1)
+    red = _reduction(code).doubled(1, 1) if blocks[0] is blocks[1] is G else None
+    return _attack_core(*blocks, f1, f2, b, hashes, G, G, reference_scan, red)
 
 
 def affine_reduction_attack(code, rec1, rec2, b: int, *, hashes=None) -> AttackOutcome:
@@ -503,14 +522,19 @@ def affine_reduction_attack(code, rec1, rec2, b: int, *, hashes=None) -> AttackO
     subtracted from each commitment, and the generator and the shifted
     commitment are scaled by a_i^-1 (the linear attack with Q = a_i^-1 * I,
     without building Q), so the core sees plain commitments of the feature
-    vectors themselves.  Raises ValueError when a sigma is not affine (the
-    reduction does not apply).
+    vectors themselves.  The blocks G/a_1, G/a_2 span one code, so the
+    reduction of [G/a_1 | G/a_2 | I_n] is read off the code's own reduction
+    of [G | I_n] (:meth:`~fuzzylink.linalg.RowReduction.doubled`): no
+    elimination runs per pair (a bare generator matrix is reduced once per
+    call).  Raises ValueError when a sigma is not affine (the reduction does
+    not apply).
     """
     from .transforms import detect_affine
 
     G = code.G if isinstance(code, LinearCode) else code
     f = G.field
     n = G.rows
+    scales = []
     blocks = []
     commitments = []
     for fvec, T in (rec1, rec2):
@@ -522,9 +546,11 @@ def affine_reduction_attack(code, rec1, rec2, b: int, *, hashes=None) -> AttackO
         a, c = ab
         # a bijection's linear part is never 0, so a_inv exists
         a_inv = f.inv(a)
+        scales.append(a)
         blocks.append(G.scale(a_inv))
         commitments.append((fvec - FieldVector(f, (c,) * n)).scale(a_inv))
-    return _attack_core(*blocks, *commitments, b, hashes, G, G, False)
+    red = _reduction(code).doubled(*scales)
+    return _attack_core(*blocks, *commitments, b, hashes, G, G, False, red)
 
 
 def linear_decodability_attack(code, f1: FieldVector, f2: FieldVector,

@@ -36,14 +36,19 @@ class LinearCode:
 
     d is the designed distance for BCH codes (the true minimal distance
     may be larger); only the decoding radius t = (d-1)//2 is relied on.
+
+    ``reduction`` is the :class:`~fuzzylink.linalg.RowReduction` of
+    [G | I_n]; attacks on two records whose blocks are multiples of G read
+    theirs off it (:meth:`~fuzzylink.linalg.RowReduction.doubled`).  A
+    constructor that already ran it hands it in; otherwise it is run here.
     """
 
-    __slots__ = ("field", "n", "k", "d", "G", "H", "decoder", "bch",
+    __slots__ = ("field", "n", "k", "d", "G", "H", "decoder", "bch", "reduction",
                  "_gf2m", "_np_exp", "_np_log")
 
     def __init__(self, field_: FieldSpec, n: int, k: int, d: int,
                  G: FieldMatrix, H: FieldMatrix, decoder: str,
-                 bch: BCHParams | None = None):
+                 bch: BCHParams | None = None, *, reduction: RowReduction | None = None):
         self.field = field_
         self.n = n
         self.k = k
@@ -52,8 +57,9 @@ class LinearCode:
         self.H = H
         self.decoder = decoder
         self.bch = bch
+        self.reduction = RowReduction(G) if reduction is None else reduction
         # construction-time duality checks
-        if rank(G) != k:
+        if self.reduction.rank != k:
             raise ValueError("generator matrix must have full column rank k")
         if H.rows != n - k or rank(H) != n - k:
             raise ValueError("check matrix must have full rank n - k")
@@ -137,9 +143,10 @@ def bch_build(m: int, t: int) -> LinearCode:
     # column j of G = coefficients of x^j g(x): transpose the shifted rows
     g_mask = FieldVector(GF2, gen).bits
     G = FieldMatrix(GF2, cols=n, row_masks=[g_mask << j for j in range(k)]).transpose()
-    H = RowReduction(G).left_kernel
+    red = RowReduction(G)
     params = BCHParams(m=m, t=t, generator_polynomial=gen)
-    return LinearCode(GF2, n, k, 2 * t + 1, G, H, "bch-algebraic", params)
+    return LinearCode(GF2, n, k, 2 * t + 1, G, red.left_kernel, "bch-algebraic", params,
+                      reduction=red)
 
 
 def generic_code(G: FieldMatrix, d: int) -> LinearCode:
@@ -148,8 +155,9 @@ def generic_code(G: FieldMatrix, d: int) -> LinearCode:
     budget)."""
     if d < 1:
         raise ValueError("distance must be >= 1")
-    H = RowReduction(G).left_kernel
-    return LinearCode(G.field, G.rows, G.cols, d, G, H, "exhaustive-bounded")
+    red = RowReduction(G)
+    return LinearCode(G.field, G.rows, G.cols, d, G, red.left_kernel, "exhaustive-bounded",
+                      reduction=red)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ are the ``packed`` / ``packed_rows`` views (and, over GF(2) only, ``bits``
 ``bytes`` or ``struct``.  Indexing, slicing, comparison, weight,
 transposition, concatenation, row permutation and reading kernels and
 solutions off a reduction act on the words, whatever the field.  Matrices
-are read by rows; columns are the rows of :meth:`FieldMatrix.transpose`.
+are read by rows; columns are the rows of :meth:`FieldMatrix.transpose`,
+which a matrix computes once and keeps, as it keeps its row multiples.
 
 Arithmetic on words goes through one object per characteristic, both with
 the same operations: a sum of two words, a combination sum c*w, a word
@@ -30,8 +31,9 @@ rows of [M | B] (B = I or a right-hand side) are inserted one at a time and
 pivot on the M part only, at their lowest non-zero column (scaled to 1);
 each new pivot column is cleared from the other pivot rows, so the M parts
 end as the unique reduced row echelon form of M.  Rank, kernel, left
-kernel, solving and inversion all read off that one pass.  Arithmetic is
-exact.
+kernel, solving and inversion all read off that one pass.  The reduction
+of [M/a1 | M/a2 | B] is read off that of [M | B] with no second pass
+(:meth:`RowReduction.doubled`).  Arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -421,6 +423,7 @@ def _mat(f: FieldSpec, cols: int, rows) -> "FieldMatrix":
     M.cols = cols
     M.packed_rows = rows = tuple(rows)
     M.row_masks = rows if f.q == 2 else None
+    M._transposed = M._multiples = None
     return M
 
 
@@ -436,9 +439,12 @@ class FieldMatrix:
     """Immutable rows x cols matrix over a finite field, one packed word per
     row.  ``row_masks=`` takes GF(2) rows, ``packed_rows=`` rows over any
     field of characteristic 2; the rows are ORed together and checked once.
+    Being immutable, a matrix keeps its transpose and its row multiples once
+    computed.
     """
 
-    __slots__ = ("field", "rows", "cols", "packed_rows", "row_masks")
+    __slots__ = ("field", "rows", "cols", "packed_rows", "row_masks",
+                 "_transposed", "_multiples")
 
     def __init__(self, field: FieldSpec, entries=None, *, cols=None, row_masks=None,
                  packed_rows=None):
@@ -466,6 +472,7 @@ class FieldMatrix:
         self.cols = cols
         self.packed_rows = rows
         self.row_masks = rows if field.q == 2 else None
+        self._transposed = self._multiples = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -511,6 +518,12 @@ class FieldMatrix:
     # -- products -------------------------------------------------------------
 
     def transpose(self) -> "FieldMatrix":
+        """The transpose, computed on the first call and kept."""
+        if self._transposed is None:
+            self._transposed = self._transpose()
+        return self._transposed
+
+    def _transpose(self) -> "FieldMatrix":
         """Over GF(2) through the rows' binary strings: row j of the result
         reads character j from the right of every string, row 0 lowest.
         Over every other field through the rows' bytes: row j of the result
@@ -546,9 +559,12 @@ class FieldMatrix:
 
     def row_multiples(self) -> list:
         """For each row w, the packed words c*w for c = 0 .. q-1 (list
-        index c)."""
-        ar = word_arithmetic(self.field, self.cols)
-        return [ar.multiples(r) for r in self.packed_rows]
+        index c), computed on the first call and kept (callers must not
+        modify the lists)."""
+        if self._multiples is None:
+            ar = word_arithmetic(self.field, self.cols)
+            self._multiples = [ar.multiples(r) for r in self.packed_rows]
+        return self._multiples
 
     def row_scalars(self, v: FieldVector) -> list:
         """The pairs (j, c), c != 0, with c*row j = v, in (j, c) order.  A
@@ -581,7 +597,7 @@ class FieldMatrix:
             for i, r in enumerate(self.row_masks):
                 out |= ((r & vb).bit_count() & 1) << i
             return _vec(f, self.rows, out)
-        # the columns weighted by the entries of v
+        # the columns (the rows of the kept transpose) weighted by the entries of v
         cols = self.transpose().packed_rows
         return _vec(f, self.rows, word_arithmetic(f, self.rows).combine(zip(v.entries, cols)))
 
@@ -764,6 +780,47 @@ class RowReduction:
                 x |= (word & mask) << (s * c)
             word >>= s
         return _vec(self.field, self.cols, x)
+
+    def doubled(self, a1: int, a2: int) -> "RowReduction":
+        """The reduction of [M/a1 | M/a2 | B] for non-zero a1, a2, read off
+        this one of [M | B] without another elimination.  The right block
+        is a1/a2 times the left, so no pivot falls in it: the pivot
+        columns, rank and left kernel (the same object) are this one's and
+        the RREF rows are (R | (a1/a2) R).  Pivot row i combines the rows
+        of [M/a1 | M/a2] by a1 times row i of ``ops``, so the particular
+        solution is a1 times this one's, with zeros in the right block."""
+        f = self.field
+        for a in (a1, a2):
+            f.check_element(a)
+            if not a:
+                raise ValueError("block multipliers must be non-zero")
+        return _Doubled(self, a1, f.div(a1, a2))
+
+
+class _Doubled(RowReduction):
+    """:meth:`RowReduction.doubled`.  What the attack reads on every call
+    (left kernel, particular solution) comes from the reduction of
+    [M | B]; the RREF rows, ``ops`` and the null space are built only when
+    asked for."""
+
+    def __init__(self, base: RowReduction, a1: int, ratio: int):
+        self.field, self.cols = base.field, 2 * base.cols
+        self.pivot_cols, self.left_kernel = base.pivot_cols, base.left_kernel
+        self._base, self._a1, self._ratio = base, a1, ratio
+
+    @property
+    def pivot_rows(self) -> list:
+        base = self._base
+        ar = word_arithmetic(self.field, base.cols)
+        shift = _slot(self.field) * base.cols
+        return [r | ar.combine(((self._ratio, r),)) << shift for r in base.pivot_rows]
+
+    @property
+    def ops(self) -> FieldMatrix:
+        return self._base.ops.scale(self._a1)
+
+    def particular(self, y: FieldVector) -> FieldVector:
+        return _vec(self.field, self.cols, self._base.particular(y).scale(self._a1).packed)
 
 
 def rank(M: FieldMatrix) -> int:

@@ -635,7 +635,9 @@ def test_core_matches_reference_bit_permuted(rng, m, t, with_hash):
 
 @pytest.mark.parametrize("with_hash", [False, True])
 def test_core_matches_reference_identity_cosets(rng, with_hash):
-    # G~ = (G | G): every hit has a coset of 2^k solutions
+    # G~ = (G | G): every hit has a coset of 2^k solutions.  The linear
+    # attack reduces G~; two identity records read the code's reduction of
+    # G (or, for a bare G, a fresh one) for (1, 1)
     c = bch_build(5, 5)
     ident = FieldMatrix.identity(GF2, c.n)
     for i in range(6):
@@ -647,6 +649,10 @@ def test_core_matches_reference_identity_cosets(rng, with_hash):
                                          hashes=hashes)
         ref = _reference_core(c.G, c.G, r1.commitment, r2.commitment, b, hashes, c.G, c.G)
         assert _fields_but_elapsed(out) == ref
+        for code in (c, c.G):
+            plain = modified_decodability_attack(code, (r1.commitment, t1), (r2.commitment, t2),
+                                                 b, hashes=hashes)
+            assert _fields_but_elapsed(plain) == ref
         if out.related:
             assert out.all_solutions == 2 ** c.k
 
@@ -698,3 +704,53 @@ def test_core_matches_reference_affine_gf32(rng):
         (QG, Qf1), (RG, Rf2) = core
         assert _fields_but_elapsed(out) == _reference_core(QG, RG, Qf1, Rf2, b)
         assert out.related == (i < 4)
+
+
+def _affine_reference(code, recs, b, hashes=None):
+    """_reference_core on the blocks Q_i G and commitments Q_i (f_i - c_i 1)
+    of the linear attack with Q_i = a_i^-1 I, for sigma_i = a_i x + c_i."""
+    f, n, G = code.field, code.n, code.G
+    core = []
+    for fvec, T in recs:
+        a, s = detect_affine(T.sigma, f)
+        Q = FieldMatrix(f, [[f.inv(a) if x == y else 0 for y in range(n)] for x in range(n)])
+        core.append((Q @ G, Q @ (fvec - FieldVector(f, (s,) * n))))
+    (QG, Qf1), (RG, Rf2) = core
+    return _reference_core(QG, RG, Qf1, Rf2, b, hashes, G, G)
+
+
+@pytest.mark.parametrize("p,m,n,k", [(2, 1, 10, 4), (3, 1, 8, 3), (2, 2, 8, 4), (5, 1, 7, 3)])
+@pytest.mark.parametrize("with_hash", [False, True])
+def test_core_matches_reference_affine_small_fields(rng, p, m, n, k, with_hash):
+    # cosets of q^k <= 625 solutions fit SOLUTION_ENUM_CAP, so digests
+    # filter them; the code and its bare generator matrix take the same path
+    f = field(p, m)
+    while True:
+        G = FieldMatrix(f, [[int(x) for x in rng.integers(0, f.q, size=k)] for _ in range(n)])
+        try:
+            c = generic_code(G, 3)
+            break
+        except ValueError:  # rank below k
+            continue
+    verdicts = set()
+    for i in range(10):
+        t1, t2 = (TransformDescriptor("field-permutation", n, f, sigma=tuple(
+                      f.add(f.mul(int(a), x), int(s)) for x in range(f.q)))
+                  for a, s in zip(rng.integers(1, f.q, size=2), rng.integers(0, f.q, size=2)))
+        b = 1 + i % 2
+        w1 = random_vector(f, n, rng)
+        w2 = (w1 + random_weight_vector(f, n, i % (b + 1), rng) if i < 6
+              else random_vector(f, n, rng))
+        r1 = enroll(w1, c, t1, with_hash=with_hash, rng=rng)
+        r2 = enroll(w2, c, t2, with_hash=with_hash, rng=rng)
+        hashes = (r1.codeword_hash, r2.codeword_hash) if with_hash else None
+        recs = ((r1.commitment, t1), (r2.commitment, t2))
+        ref = _affine_reference(c, recs, b, hashes)
+        for code in (c, G):
+            out = affine_reduction_attack(code, *recs, b, hashes=hashes)
+            assert _fields_but_elapsed(out) == ref
+        if with_hash and out.related:
+            assert out.candidates[0] - out.candidates[1] == w1 - w2
+            assert out.all_solutions == f.q ** k
+        verdicts.add(out.related)
+    assert True in verdicts

@@ -540,6 +540,81 @@ def test_packed_row_reduction_matches_reference(system, data):
     assert [list(kernel.transpose().row(j).entries) for j in range(kernel.cols)] == ref_kernel
 
 
+@settings(max_examples=120, deadline=None)
+@given(packed_systems(), st.data())
+def test_doubled_reduction_matches_full_reduction(system, data):
+    """RowReduction(M).doubled(a1, a2) against the elimination of
+    [M/a1 | M/a2] it stands in for, on rank-deficient M too."""
+    f, grid = system
+    rows = len(grid)
+    M = FieldMatrix(f, grid)
+    a1, a2 = (data.draw(st.integers(1, f.q - 1)) for _ in range(2))
+    red = RowReduction(M)
+    derived = red.doubled(a1, a2)
+    wide = concat_cols(M.scale(f.inv(a1)), M.scale(f.inv(a2)))
+    full = RowReduction(wide)
+    assert (derived.pivot_cols, derived.rank, derived.cols) == (full.pivot_cols, full.rank,
+                                                                 full.cols)
+    assert derived.left_kernel is red.left_kernel
+    assert derived.left_kernel == full.left_kernel
+    assert derived.pivot_rows == full.pivot_rows
+    assert derived.ops == full.ops
+    assert derived.null_space() == full.null_space()
+    x = data.draw(st.lists(_elements(f), min_size=wide.cols, max_size=wide.cols))
+    y = wide @ FieldVector(f, x)
+    assert derived.particular(y) == full.particular(y)
+    # an arbitrary right-hand side: the same solution, or refused by both
+    y = FieldVector(f, data.draw(st.lists(_elements(f), min_size=rows, max_size=rows)))
+    try:
+        expected = full.particular(y)
+    except NoSolutionError:
+        with pytest.raises(NoSolutionError):
+            derived.particular(y)
+    else:
+        assert derived.particular(y) == expected
+
+
+def test_doubled_reduction_rejects_zero_multipliers():
+    red = RowReduction(FieldMatrix(GF5, [[1, 2], [3, 4]]))
+    for a1, a2 in ((0, 1), (1, 0), (5, 1)):
+        with pytest.raises(ValueError):
+            red.doubled(a1, a2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([GF2] + PACKED_FIELDS), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_matrices_keep_their_transpose_and_row_multiples(f, rows, cols, data):
+    """transpose() and row_multiples() equal a fresh entrywise computation,
+    a second call returns the same object, and every constructor starts
+    with nothing kept, also after its operand has filled its own.  Row
+    multiples are compared for q <= 512 only (q words per row)."""
+    M = FieldMatrix(f, _grid(data.draw, f, rows, cols), cols=cols)
+    c = data.draw(st.integers(1, f.q - 1))
+    perm = data.draw(st.permutations(range(rows)))
+    built = [M]
+    for make in (lambda: M.scale(c), lambda: permuted_rows(M, perm),
+                 lambda: concat_cols(M, M.scale(c)), lambda: FieldMatrix.identity(f, cols),
+                 lambda: FieldMatrix.zeros(f, rows, cols)):
+        M.transpose()
+        if f.q <= 512:
+            M.row_multiples()
+        built.append(make())
+    for A in built[1:]:
+        if A is not M:  # over GF(2), M.scale(1) is M
+            assert A._transposed is None and A._multiples is None
+    for A in built:
+        grid = A.to_grid()
+        T = A.transpose()
+        assert (T.rows, T.cols) == (A.cols, A.rows)
+        assert T.to_grid() == [[row[j] for row in grid] for j in range(A.cols)]
+        assert A.transpose() is T
+        if f.q <= 512:
+            multiples = A.row_multiples()
+            assert multiples == [[FieldVector(f, [f.mul(v, e) for e in row]).packed
+                                  for v in range(f.q)] for row in grid]
+            assert A.row_multiples() is multiples
+
+
 @pytest.mark.parametrize("m", [1, 3, 9])
 def test_packed_words_are_checked_once(m):
     f = field(2, m)
