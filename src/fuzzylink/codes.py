@@ -31,33 +31,31 @@ class BCHParams:
 
 
 class LinearCode:
-    """An (n, k, d) linear code with generator G, check matrix H and a
+    """An (n, k, d) linear code with n x k generator G, check matrix H and a
     bounded-distance decoder ("bch-algebraic" or "exhaustive-bounded").
 
     d is the designed distance for BCH codes (the true minimal distance
     may be larger); only the decoding radius t = (d-1)//2 is relied on.
 
     ``reduction`` is the :class:`~fuzzylink.linalg.RowReduction` of
-    [G | I_n]; attacks on two records whose blocks are multiples of G read
-    theirs off it (:meth:`~fuzzylink.linalg.RowReduction.doubled`).  A
-    constructor that already ran it hands it in; otherwise it is run here.
+    [G | I_n], run once here: H is its left kernel, and attacks on two
+    records whose blocks are multiples of G read theirs off it
+    (:meth:`~fuzzylink.linalg.RowReduction.doubled`).
     """
 
     __slots__ = ("field", "n", "k", "d", "G", "H", "decoder", "bch", "reduction",
                  "_gf2m", "_np_exp", "_np_log")
 
-    def __init__(self, field_: FieldSpec, n: int, k: int, d: int,
-                 G: FieldMatrix, H: FieldMatrix, decoder: str,
-                 bch: BCHParams | None = None, *, reduction: RowReduction | None = None):
-        self.field = field_
-        self.n = n
-        self.k = k
+    def __init__(self, G: FieldMatrix, d: int, decoder: str, bch: BCHParams | None = None):
+        self.field = G.field
+        self.n = n = G.rows
+        self.k = k = G.cols
         self.d = d
         self.G = G
-        self.H = H
+        self.reduction = RowReduction(G)
+        self.H = H = self.reduction.left_kernel
         self.decoder = decoder
         self.bch = bch
-        self.reduction = RowReduction(G) if reduction is None else reduction
         # construction-time duality checks
         if self.reduction.rank != k:
             raise ValueError("generator matrix must have full column rank k")
@@ -143,10 +141,8 @@ def bch_build(m: int, t: int) -> LinearCode:
     # column j of G = coefficients of x^j g(x): transpose the shifted rows
     g_mask = FieldVector(GF2, gen).bits
     G = FieldMatrix(GF2, cols=n, row_masks=[g_mask << j for j in range(k)]).transpose()
-    red = RowReduction(G)
     params = BCHParams(m=m, t=t, generator_polynomial=gen)
-    return LinearCode(GF2, n, k, 2 * t + 1, G, red.left_kernel, "bch-algebraic", params,
-                      reduction=red)
+    return LinearCode(G, 2 * t + 1, "bch-algebraic", params)
 
 
 def generic_code(G: FieldMatrix, d: int) -> LinearCode:
@@ -155,9 +151,7 @@ def generic_code(G: FieldMatrix, d: int) -> LinearCode:
     budget)."""
     if d < 1:
         raise ValueError("distance must be >= 1")
-    red = RowReduction(G)
-    return LinearCode(G.field, G.rows, G.cols, d, G, red.left_kernel, "exhaustive-bounded",
-                      reduction=red)
+    return LinearCode(G, d, "exhaustive-bounded")
 
 
 # ---------------------------------------------------------------------------

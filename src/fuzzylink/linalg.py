@@ -800,8 +800,8 @@ class RowReduction:
 class _Doubled(RowReduction):
     """:meth:`RowReduction.doubled`.  What the attack reads on every call
     (left kernel, particular solution) comes from the reduction of
-    [M | B]; the RREF rows, ``ops`` and the null space are built only when
-    asked for."""
+    [M | B]; the RREF rows and the null space are built only when asked
+    for.  It has no ``ops``."""
 
     def __init__(self, base: RowReduction, a1: int, ratio: int):
         self.field, self.cols = base.field, 2 * base.cols
@@ -814,10 +814,6 @@ class _Doubled(RowReduction):
         ar = word_arithmetic(self.field, base.cols)
         shift = _slot(self.field) * base.cols
         return [r | ar.combine(((self._ratio, r),)) << shift for r in base.pivot_rows]
-
-    @property
-    def ops(self) -> FieldMatrix:
-        return self._base.ops.scale(self._a1)
 
     def particular(self, y: FieldVector) -> FieldVector:
         return _vec(self.field, self.cols, self._base.particular(y).scale(self._a1).packed)
