@@ -25,12 +25,11 @@ whose G~ part vanishes form the annihilator H~ the scan tests against, and
 each pivot row (pivot column c, row combination u) gives x_c = <u, r - e>
 of the particular solution for a hit e.  The coset has q^(cols - rank)
 solutions; its kernel is built only when digests filter it.  When the two
-blocks are multiples G/a1 and G/a2 of one generator (affine-reduced
-records, two identity records), that reduction is read off the code's own
-reduction of [G | I_n] (:meth:`~fuzzylink.linalg.RowReduction.doubled`):
+blocks are equal (affine-reduced records, two identity records, one
+generator passed twice), that reduction is read off the reduction of
+[G | I_n] that G keeps (:meth:`~fuzzylink.linalg.RowReduction.doubled`):
 no elimination runs per pair, and H~, the row combinations and the
-transposes the products read are the same objects on every attack on the
-code.
+transposes the products read are the same objects on every attack on G.
 
 Every attack ends in one loop over the solutions of a hit.  With codeword
 digests that loop runs over the whole coset and accepts a solution only
@@ -399,10 +398,9 @@ class AttackOutcome:
         return "related" if self.related else "non-related"
 
 
-def _attack_core(G1, G2, f1, f2, b, hashes, ref_G1, ref_G2, reference_scan, red=None):
-    """The one attack on generator blocks G1, G2 and commitments f1, f2.
-    ``red`` is the reduction of [G1 | G2 | I_n] when the caller can read it
-    off one it keeps; it is run here otherwise."""
+def _attack_core(G1, G2, f1, f2, b, hashes, ref_G1, ref_G2, reference_scan):
+    """The one attack on generator blocks G1, G2 and commitments f1, f2,
+    with codewords hashed as ref_G1 m1 and ref_G2 m2."""
     start = perf_counter()
     f = f1.field
     n = f1.n
@@ -411,12 +409,14 @@ def _attack_core(G1, G2, f1, f2, b, hashes, ref_G1, ref_G2, reference_scan, red=
     if G1.rows != n or G2.rows != n:
         raise ValueError("generator blocks must have n rows")
     if hashes is not None:
+        if len(hashes) != 2:
+            raise ValueError(f"expected one digest per record, got {len(hashes)}")
         algs = [HASH_BY_SIZE.get(len(h)) for h in hashes]
         if None in algs:
             raise ValueError("digest length matches no supported hash algorithm")
     r = f1 - f2
-    if red is None:
-        red = RowReduction(concat_cols(G1, G2))
+    # equal blocks: [G | G | I_n] is read off G's kept reduction of [G | I_n]
+    red = G1.reduction().doubled() if G1 == G2 else RowReduction(concat_cols(G1, G2))
     gtilde_rank = red.rank
     Ht = red.left_kernel
     k1 = G1.cols
@@ -454,12 +454,6 @@ def _attack_core(G1, G2, f1, f2, b, hashes, ref_G1, ref_G2, reference_scan, red=
                 return outcome(hit.index + 1, e, m1, m2)
         # no coset solution matched the digests: spurious pattern, keep going
     return outcome(pattern_count(f.q, n, b))
-
-
-def _reduction(code) -> RowReduction:
-    """The reduction of [G | I_n] of a code, which keeps it, or of a bare
-    generator matrix, reduced on every call."""
-    return code.reduction if isinstance(code, LinearCode) else RowReduction(code)
 
 
 def decodability_attack(f1: FieldVector, f2: FieldVector, code: LinearCode) -> bool:
@@ -509,9 +503,7 @@ def modified_decodability_attack(code, rec1, rec2, b: int, *, hashes=None,
         else:
             raise ValueError("records must carry bit-permutation (or identity) transforms")
     f1, f2 = (apply_inverse(T, fvec) for fvec, T in (rec1, rec2))
-    # two identity records have blocks (G | G): the code's reduction, read for (1, 1)
-    red = _reduction(code).doubled(1, 1) if blocks[0] is blocks[1] is G else None
-    return _attack_core(*blocks, f1, f2, b, hashes, G, G, reference_scan, red)
+    return _attack_core(*blocks, f1, f2, b, hashes, G, G, reference_scan)
 
 
 def affine_reduction_attack(code, rec1, rec2, b: int, *, hashes=None) -> AttackOutcome:
@@ -519,15 +511,13 @@ def affine_reduction_attack(code, rec1, rec2, b: int, *, hashes=None) -> AttackO
 
     rec1/rec2 are (commitment, transform) pairs with field-permutation
     transforms sigma_i = a_i*x + c_i.  The constant shift c_i*(1..1) is
-    subtracted from each commitment, and the generator and the shifted
-    commitment are scaled by a_i^-1 (the linear attack with Q = a_i^-1 * I,
-    without building Q), so the core sees plain commitments of the feature
-    vectors themselves.  The blocks G/a_1, G/a_2 span one code, so the
-    reduction of [G/a_1 | G/a_2 | I_n] is read off the code's own reduction
-    of [G | I_n] (:meth:`~fuzzylink.linalg.RowReduction.doubled`): no
-    elimination runs per pair (a bare generator matrix is reduced once per
-    call).  Raises ValueError when a sigma is not affine (the reduction does
-    not apply).
+    subtracted from each commitment and the result is scaled by a_i^-1
+    (the linear attack with Q = a_i^-1 * I, without building Q), so the
+    core sees commitments G m_i/a_i + w_i of the feature vectors
+    themselves.  Both blocks are then G itself, whose kept reduction serves
+    every pair; a solution m'_i = m_i/a_i is hashed as (a_i G) m'_i = G m_i.
+    Raises ValueError when a sigma is not affine (the reduction does not
+    apply).
     """
     from .transforms import detect_affine
 
@@ -535,7 +525,6 @@ def affine_reduction_attack(code, rec1, rec2, b: int, *, hashes=None) -> AttackO
     f = G.field
     n = G.rows
     scales = []
-    blocks = []
     commitments = []
     for fvec, T in (rec1, rec2):
         if T.kind != "field-permutation":
@@ -544,13 +533,12 @@ def affine_reduction_attack(code, rec1, rec2, b: int, *, hashes=None) -> AttackO
         if ab is None:
             raise ValueError("transform bijection is not affine; reduction unavailable")
         a, c = ab
-        # a bijection's linear part is never 0, so a_inv exists
-        a_inv = f.inv(a)
         scales.append(a)
-        blocks.append(G.scale(a_inv))
-        commitments.append((fvec - FieldVector(f, (c,) * n)).scale(a_inv))
-    red = _reduction(code).doubled(*scales)
-    return _attack_core(*blocks, *commitments, b, hashes, G, G, False, red)
+        # a bijection's linear part is never 0, so it is invertible
+        commitments.append((fvec - FieldVector(f, (c,) * n)).scale(f.inv(a)))
+    # only digests read the reference generators a_i G
+    refs = (G, G) if hashes is None else [G.scale(a) for a in scales]
+    return _attack_core(G, G, *commitments, b, hashes, *refs, False)
 
 
 def linear_decodability_attack(code, f1: FieldVector, f2: FieldVector,

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import FieldSpec, GF2, _poly_mul, exp_log_tables, field
-from .linalg import FieldMatrix, FieldVector, RowReduction, random_vector, rank
+from .linalg import FieldMatrix, FieldVector, random_vector, rank
 
 
 @dataclass(frozen=True)
@@ -37,13 +37,12 @@ class LinearCode:
     d is the designed distance for BCH codes (the true minimal distance
     may be larger); only the decoding radius t = (d-1)//2 is relied on.
 
-    ``reduction`` is the :class:`~fuzzylink.linalg.RowReduction` of
-    [G | I_n], run once here: H is its left kernel, and attacks on two
-    records whose blocks are multiples of G read theirs off it
-    (:meth:`~fuzzylink.linalg.RowReduction.doubled`).
+    H is the left kernel of the reduction of [G | I_n], which G keeps
+    (:meth:`~fuzzylink.linalg.FieldMatrix.reduction`), so attacks whose
+    two blocks are G read theirs off it with no further elimination.
     """
 
-    __slots__ = ("field", "n", "k", "d", "G", "H", "decoder", "bch", "reduction",
+    __slots__ = ("field", "n", "k", "d", "G", "H", "decoder", "bch",
                  "_gf2m", "_np_exp", "_np_log")
 
     def __init__(self, G: FieldMatrix, d: int, decoder: str, bch: BCHParams | None = None):
@@ -52,12 +51,12 @@ class LinearCode:
         self.k = k = G.cols
         self.d = d
         self.G = G
-        self.reduction = RowReduction(G)
-        self.H = H = self.reduction.left_kernel
+        red = G.reduction()
+        self.H = H = red.left_kernel
         self.decoder = decoder
         self.bch = bch
         # construction-time duality checks
-        if self.reduction.rank != k:
+        if red.rank != k:
             raise ValueError("generator matrix must have full column rank k")
         if H.rows != n - k or rank(H) != n - k:
             raise ValueError("check matrix must have full rank n - k")

@@ -9,7 +9,8 @@ are the ``packed`` / ``packed_rows`` views (and, over GF(2) only, ``bits``
 transposition, concatenation, row permutation and reading kernels and
 solutions off a reduction act on the words, whatever the field.  Matrices
 are read by rows; columns are the rows of :meth:`FieldMatrix.transpose`,
-which a matrix computes once and keeps, as it keeps its row multiples.
+which a matrix computes once and keeps, as it keeps its row multiples
+and its reduction.
 
 Arithmetic on words goes through one object per characteristic, both with
 the same operations: a sum of two words, a combination sum c*w, a word
@@ -32,7 +33,7 @@ pivot on the M part only, at their lowest non-zero column (scaled to 1);
 each new pivot column is cleared from the other pivot rows, so the M parts
 end as the unique reduced row echelon form of M.  Rank, kernel, left
 kernel, solving and inversion all read off that one pass.  The reduction
-of [M/a1 | M/a2 | B] is read off that of [M | B] with no second pass
+of [M | M | B] is read off that of [M | B] with no second pass
 (:meth:`RowReduction.doubled`).  Arithmetic is exact.
 """
 
@@ -423,7 +424,7 @@ def _mat(f: FieldSpec, cols: int, rows) -> "FieldMatrix":
     M.cols = cols
     M.packed_rows = rows = tuple(rows)
     M.row_masks = rows if f.q == 2 else None
-    M._transposed = M._multiples = None
+    M._transposed = M._multiples = M._reduced = None
     return M
 
 
@@ -439,12 +440,12 @@ class FieldMatrix:
     """Immutable rows x cols matrix over a finite field, one packed word per
     row.  ``row_masks=`` takes GF(2) rows, ``packed_rows=`` rows over any
     field of characteristic 2; the rows are ORed together and checked once.
-    Being immutable, a matrix keeps its transpose and its row multiples once
-    computed.
+    Being immutable, a matrix keeps its transpose, its row multiples and
+    its reduction once computed.
     """
 
     __slots__ = ("field", "rows", "cols", "packed_rows", "row_masks",
-                 "_transposed", "_multiples")
+                 "_transposed", "_multiples", "_reduced")
 
     def __init__(self, field: FieldSpec, entries=None, *, cols=None, row_masks=None,
                  packed_rows=None):
@@ -472,7 +473,7 @@ class FieldMatrix:
         self.cols = cols
         self.packed_rows = rows
         self.row_masks = rows if field.q == 2 else None
-        self._transposed = self._multiples = None
+        self._transposed = self._multiples = self._reduced = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -565,6 +566,13 @@ class FieldMatrix:
             ar = word_arithmetic(self.field, self.cols)
             self._multiples = [ar.multiples(r) for r in self.packed_rows]
         return self._multiples
+
+    def reduction(self) -> "RowReduction":
+        """The :class:`RowReduction` of [M | I], computed on the first call
+        and kept."""
+        if self._reduced is None:
+            self._reduced = RowReduction(self)
+        return self._reduced
 
     def row_scalars(self, v: FieldVector) -> list:
         """The pairs (j, c), c != 0, with c*row j = v, in (j, c) order.  A
@@ -781,42 +789,17 @@ class RowReduction:
             word >>= s
         return _vec(self.field, self.cols, x)
 
-    def doubled(self, a1: int, a2: int) -> "RowReduction":
-        """The reduction of [M/a1 | M/a2 | B] for non-zero a1, a2, read off
-        this one of [M | B] without another elimination.  The right block
-        is a1/a2 times the left, so no pivot falls in it: the pivot
-        columns, rank and left kernel (the same object) are this one's and
-        the RREF rows are (R | (a1/a2) R).  Pivot row i combines the rows
-        of [M/a1 | M/a2] by a1 times row i of ``ops``, so the particular
-        solution is a1 times this one's, with zeros in the right block."""
-        f = self.field
-        for a in (a1, a2):
-            f.check_element(a)
-            if not a:
-                raise ValueError("block multipliers must be non-zero")
-        return _Doubled(self, a1, f.div(a1, a2))
-
-
-class _Doubled(RowReduction):
-    """:meth:`RowReduction.doubled`.  What the attack reads on every call
-    (left kernel, particular solution) comes from the reduction of
-    [M | B]; the RREF rows and the null space are built only when asked
-    for.  It has no ``ops``."""
-
-    def __init__(self, base: RowReduction, a1: int, ratio: int):
-        self.field, self.cols = base.field, 2 * base.cols
-        self.pivot_cols, self.left_kernel = base.pivot_cols, base.left_kernel
-        self._base, self._a1, self._ratio = base, a1, ratio
-
-    @property
-    def pivot_rows(self) -> list:
-        base = self._base
-        ar = word_arithmetic(self.field, base.cols)
-        shift = _slot(self.field) * base.cols
-        return [r | ar.combine(((self._ratio, r),)) << shift for r in base.pivot_rows]
-
-    def particular(self, y: FieldVector) -> FieldVector:
-        return _vec(self.field, self.cols, self._base.particular(y).scale(self._a1).packed)
+    def doubled(self) -> "RowReduction":
+        """The reduction of [M | M | B], read off this one of [M | B]
+        without another elimination.  The right copy of M never holds a
+        pivot, so the pivot columns, ``ops`` and ``left_kernel`` (the same
+        objects) are this one's and the RREF rows are (R | R)."""
+        out = object.__new__(RowReduction)
+        out.field, out.cols = self.field, 2 * self.cols
+        out.pivot_cols, out.ops, out.left_kernel = self.pivot_cols, self.ops, self.left_kernel
+        shift = _slot(self.field) * self.cols
+        out.pivot_rows = [r | r << shift for r in self.pivot_rows]
+        return out
 
 
 def rank(M: FieldMatrix) -> int:

@@ -416,6 +416,22 @@ def test_hash_filtering_rejects_unknown_digest_length(rng):
                                          hashes=hashes)
 
 
+def test_hash_filtering_needs_one_digest_per_record(rng):
+    # a related pair, so a short tuple would be read at the first hit
+    c = bch_build(5, 5)
+    w1, w2, t1, t2, r1, r2 = _random_records(c, rng, distance=1, with_hash=True)
+    h1, h2 = r1.codeword_hash, r2.codeword_hash
+    G1 = permuted_rows(c.G, t1.inverse_permutation())
+    G2 = permuted_rows(c.G, t2.inverse_permutation())
+    f1, f2 = apply_inverse(t1, r1.commitment), apply_inverse(t2, r2.commitment)
+    for hashes in ((), (h1,), (h1, h2, h2)):
+        with pytest.raises(ValueError, match="one digest per record"):
+            modified_decodability_attack(c, (r1.commitment, t1), (r2.commitment, t2), 1,
+                                         hashes=hashes)
+        with pytest.raises(ValueError, match="one digest per record"):
+            generalized_attack(G1, G2, f1, f2, 1, hashes=hashes)
+
+
 def test_hash_filtering_refuses_cosets_beyond_cap(rng):
     # identity transforms: G~ = (G | G) has rank k, so every hit's coset has
     # 2^k solutions, 2^24 on (63, 24); without digests only the particular
@@ -635,9 +651,9 @@ def test_core_matches_reference_bit_permuted(rng, m, t, with_hash):
 
 @pytest.mark.parametrize("with_hash", [False, True])
 def test_core_matches_reference_identity_cosets(rng, with_hash):
-    # G~ = (G | G): every hit has a coset of 2^k solutions.  The linear
-    # attack reduces G~; two identity records read the code's reduction of
-    # G (or, for a bare G, a fresh one) for (1, 1)
+    # G~ = (G | G): every hit has a coset of 2^k solutions.  Every entry
+    # point below passes equal blocks, so each reads G~'s reduction off the
+    # one G keeps
     c = bch_build(5, 5)
     ident = FieldMatrix.identity(GF2, c.n)
     for i in range(6):
@@ -649,6 +665,8 @@ def test_core_matches_reference_identity_cosets(rng, with_hash):
                                          hashes=hashes)
         ref = _reference_core(c.G, c.G, r1.commitment, r2.commitment, b, hashes, c.G, c.G)
         assert _fields_but_elapsed(out) == ref
+        shared = generalized_attack(c.G, c.G, r1.commitment, r2.commitment, b, hashes=hashes)
+        assert _fields_but_elapsed(shared) == ref
         for code in (c, c.G):
             plain = modified_decodability_attack(code, (r1.commitment, t1), (r2.commitment, t2),
                                                  b, hashes=hashes)
@@ -754,3 +772,23 @@ def test_core_matches_reference_affine_small_fields(rng, p, m, n, k, with_hash):
             assert out.all_solutions == f.q ** k
         verdicts.add(out.related)
     assert True in verdicts
+    if f.q > 3:  # every permutation of GF(2) or GF(3) is affine
+        # a non-affine pair falls back to generalized_attack(G, G, ...), as a
+        # field-permutation Table-1 trial does; an equal copy of G counts as G
+        sigmas = []
+        while len(sigmas) < 2:
+            sigma = tuple(int(x) for x in rng.permutation(f.q))
+            if detect_affine(sigma, f) is None:
+                sigmas.append(sigma)
+        t1, t2 = (TransformDescriptor("field-permutation", n, f, sigma=sg) for sg in sigmas)
+        w1 = random_vector(f, n, rng)
+        r1 = enroll(w1, c, t1, with_hash=with_hash, rng=rng)
+        r2 = enroll(w1 + random_weight_vector(f, n, 1, rng), c, t2, with_hash=with_hash,
+                    rng=rng)
+        hashes = (r1.codeword_hash, r2.codeword_hash) if with_hash else None
+        with pytest.raises(ValueError, match="not affine"):
+            affine_reduction_attack(c, (r1.commitment, t1), (r2.commitment, t2), 2)
+        ref = _reference_core(G, G, r1.commitment, r2.commitment, 2, hashes, G, G)
+        for G2 in (G, FieldMatrix(f, G.to_grid())):
+            out = generalized_attack(G, G2, r1.commitment, r2.commitment, 2, hashes=hashes)
+            assert _fields_but_elapsed(out) == ref
