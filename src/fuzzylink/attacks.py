@@ -398,7 +398,7 @@ class AttackOutcome:
         return "related" if self.related else "non-related"
 
 
-def _attack_core(G1, G2, f1, f2, b, hashes, ref_G1, ref_G2, reference_scan):
+def _attack_core(G1, G2, f1, f2, b, hashes, ref_G1, ref_G2, reference_scan=False):
     """The one attack on generator blocks G1, G2 and commitments f1, f2,
     with codewords hashed as ref_G1 m1 and ref_G2 m2."""
     start = perf_counter()
@@ -464,8 +464,7 @@ def decodability_attack(f1: FieldVector, f2: FieldVector, code: LinearCode) -> b
 
 
 def generalized_attack(G1: FieldMatrix, G2: FieldMatrix, f1: FieldVector,
-                       f2: FieldVector, b: int, *, hashes=None,
-                       reference_scan: bool = False) -> AttackOutcome:
+                       f2: FieldVector, b: int, *, hashes=None) -> AttackOutcome:
     """Linkage/recovery attack on two commitments built over (possibly)
     different codes given by generator blocks G1, G2.
 
@@ -479,7 +478,7 @@ def generalized_attack(G1: FieldMatrix, G2: FieldMatrix, f1: FieldVector,
     scan continues past patterns whose coset contains no digest match, so
     a candidate pair is only ever returned hash-verified.
     """
-    return _attack_core(G1, G2, f1, f2, b, hashes, G1, G2, reference_scan)
+    return _attack_core(G1, G2, f1, f2, b, hashes, G1, G2)
 
 
 def modified_decodability_attack(code, rec1, rec2, b: int, *, hashes=None,
@@ -491,7 +490,8 @@ def modified_decodability_attack(code, rec1, rec2, b: int, *, hashes=None,
     commitment and generator copy reduces the problem to the two-code
     attack; recovered codeword candidates live in the original code, so
     the returned feature-vector candidates are already expressed in the
-    un-permuted domain.
+    un-permuted domain.  ``reference_scan=True`` scans with the naive walk
+    of :func:`scan_syndrome_hits` (the oracle of the fast scan in tests).
     """
     G = code.G if isinstance(code, LinearCode) else code
     blocks = []
@@ -538,12 +538,12 @@ def affine_reduction_attack(code, rec1, rec2, b: int, *, hashes=None) -> AttackO
         commitments.append((fvec - FieldVector(f, (c,) * n)).scale(f.inv(a)))
     # only digests read the reference generators a_i G
     refs = (G, G) if hashes is None else [G.scale(a) for a in scales]
-    return _attack_core(G, G, *commitments, b, hashes, *refs, False)
+    return _attack_core(G, G, *commitments, b, hashes, *refs)
 
 
 def linear_decodability_attack(code, f1: FieldVector, f2: FieldVector,
                                Q: FieldMatrix, R: FieldMatrix, b: int, *,
-                               hashes=None, reference_scan: bool = False) -> AttackOutcome:
+                               hashes=None) -> AttackOutcome:
     """Attack through a pair of invertible matrices Q, R chosen so that
     Q f1 - R f2 strips the records' transforms: the offset is scanned in
     the code generated by (Q G | R G).
@@ -559,4 +559,4 @@ def linear_decodability_attack(code, f1: FieldVector, f2: FieldVector,
         raise ValueError("Q and R must be n x n")
     if rank(Q) != n or rank(R) != n:
         raise ValueError("Q and R must be invertible")
-    return _attack_core(Q @ G, R @ G, Q @ f1, R @ f2, b, hashes, G, G, reference_scan)
+    return _attack_core(Q @ G, R @ G, Q @ f1, R @ f2, b, hashes, G, G)

@@ -5,6 +5,10 @@ design parameters (m, t), and generic codes over any supported field from
 a user-supplied generator matrix.  The generator convention is G in
 F^(n x k) with codewords G.m (message on the right).
 
+BCH codes decode algebraically on packed GF(2^m) words (see
+:mod:`fuzzylink.linalg`): the syndromes and the Chien search are products
+with two matrices the code keeps, and Berlekamp-Massey finds the error
+locator from log/antilog tables.  Generic codes scan error patterns.
 Decoding is strictly bounded-distance: a codeword is returned only when
 it lies within radius t = floor((d-1)/2) of the input, never farther,
 even when the error-locator polynomial happens to factor.
@@ -14,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .fields import FieldSpec, GF2, _poly_mul, exp_log_tables, field
 from .linalg import FieldMatrix, FieldVector, random_vector, rank
@@ -32,7 +34,8 @@ class BCHParams:
 
 class LinearCode:
     """An (n, k, d) linear code with n x k generator G, check matrix H and a
-    bounded-distance decoder ("bch-algebraic" or "exhaustive-bounded").
+    bounded-distance decoder: "bch-algebraic" for a BCH code (``bch`` set),
+    "exhaustive-bounded" otherwise.
 
     d is the designed distance for BCH codes (the true minimal distance
     may be larger); only the decoding radius t = (d-1)//2 is relied on.
@@ -40,12 +43,16 @@ class LinearCode:
     H is the left kernel of the reduction of [G | I_n], which G keeps
     (:meth:`~fuzzylink.linalg.FieldMatrix.reduction`), so attacks whose
     two blocks are G read theirs off it with no further elimination.
+
+    A BCH code also keeps two matrices over GF(2^m), with alpha the
+    primitive element: the 2t x n syndrome matrix V[i][j] = alpha^((i+1)j)
+    and the n x (t+1) Chien matrix C[j][l] = alpha^(-jl).  The syndromes
+    of a word v are V v, and sigma(alpha^-j) = (C sigma)[j].
     """
 
-    __slots__ = ("field", "n", "k", "d", "G", "H", "decoder", "bch",
-                 "_gf2m", "_np_exp", "_np_log")
+    __slots__ = ("field", "n", "k", "d", "G", "H", "bch", "_syndrome_matrix", "_chien_matrix")
 
-    def __init__(self, G: FieldMatrix, d: int, decoder: str, bch: BCHParams | None = None):
+    def __init__(self, G: FieldMatrix, d: int, bch: BCHParams | None = None):
         self.field = G.field
         self.n = n = G.rows
         self.k = k = G.cols
@@ -53,7 +60,6 @@ class LinearCode:
         self.G = G
         red = G.reduction()
         self.H = H = red.left_kernel
-        self.decoder = decoder
         self.bch = bch
         # construction-time duality checks
         if red.rank != k:
@@ -63,14 +69,26 @@ class LinearCode:
         prod = H @ G
         if any(prod.packed_rows):
             raise ValueError("check matrix does not annihilate the generator")
-        if bch is not None:
-            f2m = field(2, bch.m)
-            exp, log = exp_log_tables(f2m)
-            self._gf2m = f2m
-            self._np_exp = np.array(exp, dtype=np.int64)
-            self._np_log = np.array(log, dtype=np.int64)
-        else:
-            self._gf2m = self._np_exp = self._np_log = None
+        if bch is None:
+            self._syndrome_matrix = self._chien_matrix = None
+            return
+        f2m = field(2, bch.m)
+        exp = bytes(exp_log_tables(f2m)[0][:n])
+
+        def powers(step):
+            # the packed word of alpha^(step*j), j < n: every step-th byte
+            # of step copies of the antilog table (one byte per slot)
+            return int.from_bytes((exp * step)[::step], "little")
+
+        self._syndrome_matrix = FieldMatrix(
+            f2m, cols=n, packed_rows=[powers(i) for i in range(1, 2 * bch.t + 1)])
+        # column l of C holds alpha^((n - l)j) = alpha^(-jl)
+        self._chien_matrix = FieldMatrix(
+            f2m, cols=n, packed_rows=[powers(n - l) for l in range(bch.t + 1)]).transpose()
+
+    @property
+    def decoder(self) -> str:
+        return "exhaustive-bounded" if self.bch is None else "bch-algebraic"
 
     @property
     def t(self) -> int:
@@ -125,6 +143,10 @@ def bch_build(m: int, t: int) -> LinearCode:
     if t < 1:
         raise ValueError("t must be >= 1")
     n = (1 << m) - 1
+    if 2 * t >= n:
+        # s = n would add the root alpha^0 = 1 and leave k = 0; below it the
+        # cosets of 1..2t miss 0, so g has degree below n and k >= 1
+        raise ValueError(f"t={t} is too large for n={n}: degenerate code")
     f2m = field(2, m)
     seen = set()
     gen = (1,)
@@ -135,13 +157,11 @@ def bch_build(m: int, t: int) -> LinearCode:
         seen.add(coset)
         gen = _poly_mul(gen, _minimal_polynomial(coset, f2m), 2)
     k = n - (len(gen) - 1)
-    if k <= 0:
-        raise ValueError(f"t={t} is too large for n={n}: degenerate code")
     # column j of G = coefficients of x^j g(x): transpose the shifted rows
     g_mask = FieldVector(GF2, gen).bits
     G = FieldMatrix(GF2, cols=n, row_masks=[g_mask << j for j in range(k)]).transpose()
     params = BCHParams(m=m, t=t, generator_polynomial=gen)
-    return LinearCode(G, 2 * t + 1, "bch-algebraic", params)
+    return LinearCode(G, 2 * t + 1, params)
 
 
 def generic_code(G: FieldMatrix, d: int) -> LinearCode:
@@ -150,7 +170,7 @@ def generic_code(G: FieldMatrix, d: int) -> LinearCode:
     budget)."""
     if d < 1:
         raise ValueError("distance must be >= 1")
-    return LinearCode(G, d, "exhaustive-bounded")
+    return LinearCode(G, d)
 
 
 # ---------------------------------------------------------------------------
@@ -176,19 +196,6 @@ def is_codeword(code: LinearCode, v: FieldVector) -> bool:
 # ---------------------------------------------------------------------------
 # bounded-distance decoding
 # ---------------------------------------------------------------------------
-
-def _bch_syndromes(code: LinearCode, positions, t2: int):
-    """S_i = v(alpha^i) for i = 1..2t, via the antilog table."""
-    if not positions:
-        return None  # all-zero word
-    N = code.n
-    pos = np.asarray(positions, dtype=np.int64)
-    i_range = np.arange(1, t2 + 1, dtype=np.int64)
-    idx = (i_range[:, None] * pos[None, :]) % N
-    terms = code._np_exp[idx]
-    synd = np.bitwise_xor.reduce(terms, axis=1)
-    return synd
-
 
 def _berlekamp_massey(synd, exp, log, qm1: int):
     """Minimal LFSR (error-locator polynomial) for the syndrome sequence.
@@ -232,40 +239,29 @@ def _berlekamp_massey(synd, exp, log, qm1: int):
     return sigma, L
 
 
-def _chien_roots(code: LinearCode, sigma):
-    """Error positions j with sigma(alpha^-j) = 0, vectorized over j."""
-    N = code.n
-    exp = code._np_exp
-    acc = np.full(N, sigma[0], dtype=np.int64)
-    j = np.arange(N, dtype=np.int64)
-    for l in range(1, len(sigma)):
-        c = sigma[l]
-        if not c:
-            continue
-        # log(c) + (N - jl mod N) stays below 2N: the antilog table is doubled
-        idx = int(code._np_log[c]) + (N - (j * l) % N) % N
-        acc ^= exp[idx]
-    return np.flatnonzero(acc == 0)
+_BYTE_SLOTS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _decode_bch(code: LinearCode, v: FieldVector):
-    t2 = 2 * code.t
-    positions = []
-    b = v.bits
-    while b:
-        positions.append((b & -b).bit_length() - 1)
-        b &= b - 1
-    synd = _bch_syndromes(code, positions, t2)
-    if synd is None or not synd.any():
+    n, t = code.n, code.t
+    V = code._syndrome_matrix
+    f2m = V.field
+    # S_i = v(alpha^i), i = 1..2t: V times v lifted to GF(2^m), one byte
+    # slot per bit of v, through v's binary digits
+    lifted = int.from_bytes(format(v.bits, f"0{n}b").encode().translate(_BYTE_SLOTS), "big")
+    synd = (V @ FieldVector(f2m, n=n, packed=lifted)).entries
+    if not any(synd):
         return v
-    exp, log = exp_log_tables(code._gf2m)
-    sigma, L = _berlekamp_massey([int(s) for s in synd], exp, log, code.n)
-    if L > code.t or len(sigma) - 1 > code.t:
+    exp, log = exp_log_tables(f2m)
+    sigma, L = _berlekamp_massey(synd, exp, log, n)
+    if L > t or len(sigma) - 1 > t:
         return None
-    roots = _chien_roots(code, sigma)
-    if len(roots) != L:
+    # Chien search: the error positions are the j with sigma(alpha^-j) = 0
+    values = (code._chien_matrix @ FieldVector(f2m, sigma + [0] * (t + 1 - len(sigma)))).entries
+    if values.count(0) != L:
         return None
-    corrected = v + FieldVector.from_support(code.field, code.n, roots.tolist())
+    roots = [j for j, x in enumerate(values) if not x]
+    corrected = v + FieldVector.from_support(code.field, n, roots)
     # strict bounded-distance semantics: accept only actual codewords
     if not is_codeword(code, corrected):
         return None
@@ -301,7 +297,7 @@ def decode_bounded(code: LinearCode, v: FieldVector):
         raise ValueError(f"length {v.n} != block length {code.n}")
     if v.field != code.field:
         raise ValueError("field mismatch")
-    if code.decoder == "bch-algebraic":
+    if code.bch is not None:
         return _decode_bch(code, v)
     return _decode_exhaustive(code, v)
 

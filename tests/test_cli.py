@@ -353,6 +353,8 @@ BAD_INPUTS = {
     "enroll-negative-seed": ["enroll", "--code", "bch:31:5", "--w", "random",
                              "--seed", "-1", "--out", "{tmp}/r.json"],
     "demo-negative-hw": ["demo", "appendix", "--seed", "1", "--hw", "-1"],
+    # 2t >= n, refused before the BCH construction walks the cosets of 1..2t
+    "code-info-huge-t": ["code", "info", "bch:31:10000000"],
     "demo-hw-beyond-n": ["demo", "appendix", "--seed", "1", "--hw", "200"],
     # sizes beyond analysis.MAX_LENGTH, refused before any exact arithmetic
     "union-bound-huge-n": ["analyze", "union-bound", "--q", "2", "--n", "1000000000",

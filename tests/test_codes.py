@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import numpy as np
@@ -14,9 +15,10 @@ from fuzzylink.codes import (
     is_codeword,
     parse_code_descriptor,
     random_codeword,
+    _berlekamp_massey,
     _decode_exhaustive,
 )
-from fuzzylink.fields import GF2, field
+from fuzzylink.fields import GF2, exp_log_tables, field
 from fuzzylink.linalg import (
     FieldMatrix,
     FieldVector,
@@ -68,6 +70,16 @@ def test_bch_degenerate_t_rejected():
     assert bch_build(4, 7).k == 1  # repetition code, still valid
     with pytest.raises(ValueError):
         bch_build(4, 8)  # generator degree reaches n, k = 0
+
+
+def test_bch_huge_t_rejected_up_front():
+    # 2t >= n is refused before the walk over the cosets of 1..2t
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="degenerate"):
+        bch_build(5, 10**6)
+    with pytest.raises(ValueError, match="degenerate"):
+        parse_code_descriptor("bch:31:10000000")
+    assert time.perf_counter() - start < 0.5
 
 
 def test_encode_examples(rng):
@@ -122,6 +134,95 @@ def test_decode_rejects_beyond_radius(rng):
             assert is_codeword(c, out)
             assert (out - (cw + e)).weight() <= c.t
     assert rejected > 150
+
+
+def _naive_syndromes(f, alpha, v, t2):
+    """S_i = sum of alpha^(i*j) over the set positions j of v, i = 1..2t."""
+    support = [j for j, e in enumerate(v) if e]
+    out = []
+    for i in range(1, t2 + 1):
+        s = 0
+        for j in support:
+            s = f.add(s, f.pow(alpha, i * j))
+        out.append(s)
+    return out
+
+
+def _naive_chien(f, alpha, sigma, n):
+    """sigma(alpha^-j) for j = 0..n-1, one power per term."""
+    out = []
+    for j in range(n):
+        acc = 0
+        for l, c in enumerate(sigma):
+            acc = f.add(acc, f.mul(c, f.pow(alpha, -j * l)))
+        out.append(acc)
+    return out
+
+
+def _alpha(m):
+    f = field(2, m)
+    return f, exp_log_tables(f)[0][1]
+
+
+@pytest.mark.parametrize("m,t", [(4, 3), (6, 7), (8, 26)])
+def test_bch_syndromes_and_chien_values_match_naive_evaluation(rng, m, t):
+    c = bch_build(m, t)
+    f, alpha = _alpha(m)
+    n = c.n
+    V, C = c._syndrome_matrix, c._chien_matrix
+    assert V.to_grid() == [[f.pow(alpha, i * j) for j in range(n)] for i in range(1, 2 * t + 1)]
+    assert C.to_grid() == [[f.pow(alpha, -j * l) for l in range(t + 1)] for j in range(n)]
+    for _ in range(4):
+        v = random_vector(GF2, n, rng)
+        lifted = FieldVector(f, v.entries)
+        assert list(V @ lifted) == _naive_syndromes(f, alpha, v, 2 * t)
+        sigma = random_vector(f, t + 1, rng)
+        assert list(C @ sigma) == _naive_chien(f, alpha, sigma.entries, n)
+
+
+# sha256 of decode_bounded's outputs on the words of _pin_words, recorded
+# with the decoder that indexed log/antilog tables element by element
+DECODE_PIN_CODES = [(4, 3), (5, 5), (6, 7), (7, 13), (8, 26)]
+DECODE_PIN = "0649fdbc8ed7d98455fdb97d0a4f67854b6745938cfd6c896d81cf2c70d40d87"
+
+
+def _pin_words(c, rng):
+    """Seeded words: within the radius, at distance t+1..t+3 from a
+    codeword, and uniform."""
+    for _ in range(20):
+        w = int(rng.integers(0, c.t + 1))
+        yield random_codeword(c, rng) + random_weight_vector(GF2, c.n, w, rng)
+    for w in (c.t + 1, c.t + 2, c.t + 3):
+        for _ in range(10):
+            yield random_codeword(c, rng) + random_weight_vector(GF2, c.n, w, rng)
+    for _ in range(20):
+        yield random_vector(GF2, c.n, rng)
+
+
+def test_decode_bounded_pinned_with_both_reject_paths():
+    rng = np.random.default_rng(2014)
+    digest = hashlib.sha256()
+    rejects = {"locator-degree": 0, "root-count": 0, "not-codeword": 0}
+    for m, t in DECODE_PIN_CODES:
+        c = bch_build(m, t)
+        f, alpha = _alpha(m)
+        exp, log = exp_log_tables(f)
+        for v in _pin_words(c, rng):
+            out = decode_bounded(c, v)
+            digest.update(b"-" if out is None else out.bits.to_bytes((c.n + 7) // 8, "little"))
+            if out is not None:
+                assert is_codeword(c, out) and (out - v).weight() <= t
+                continue
+            # which check refused v, by the naive syndromes and Chien values
+            sigma, L = _berlekamp_massey(_naive_syndromes(f, alpha, v, 2 * t), exp, log, c.n)
+            if L > t or len(sigma) - 1 > t:
+                rejects["locator-degree"] += 1
+            elif _naive_chien(f, alpha, sigma, c.n).count(0) != L:
+                rejects["root-count"] += 1
+            else:
+                rejects["not-codeword"] += 1
+    assert digest.hexdigest() == DECODE_PIN
+    assert rejects["locator-degree"] and rejects["root-count"], rejects
 
 
 def test_decoder_agreement_with_exhaustive(rng):
