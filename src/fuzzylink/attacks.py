@@ -48,20 +48,19 @@ from itertools import combinations, product
 from math import comb
 from time import perf_counter
 
-from .codes import LinearCode
+from .codes import LinearCode, decode_bounded
 from .commitment import HASH_BY_SIZE, codeword_digest
 from .fields import FieldSpec
 from .linalg import (
     AffineSolutions,
     FieldMatrix,
     FieldVector,
-    RowReduction,
     concat_cols,
     permuted_rows,
     rank,
     word_arithmetic,
 )
-from .transforms import apply_inverse
+from .transforms import apply_inverse, detect_affine
 
 SOLUTION_ENUM_CAP = 1 << 16
 PATTERN_BUDGET = 10 ** 9
@@ -367,7 +366,7 @@ def scan_syndrome_hits(H: FieldMatrix, s: FieldVector, b: int, *, reference: boo
         return
     cols = H.transpose()  # row j is column j of H
     if f.q == 2:
-        for support in _scan_gf2(cols.row_masks, s.bits, n, b):
+        for support in _scan_gf2(cols.packed_rows, s.bits, n, b):
             ones = (1,) * len(support)
             yield Hit(support, ones, pattern_index(2, n, support, ones))
         return
@@ -416,7 +415,7 @@ def _attack_core(G1, G2, f1, f2, b, hashes, ref_G1, ref_G2, reference_scan=False
             raise ValueError("digest length matches no supported hash algorithm")
     r = f1 - f2
     # equal blocks: [G | G | I_n] is read off G's kept reduction of [G | I_n]
-    red = G1.reduction().doubled() if G1 == G2 else RowReduction(concat_cols(G1, G2))
+    red = G1.reduction().doubled() if G1 == G2 else concat_cols(G1, G2).reduction()
     gtilde_rank = red.rank
     Ht = red.left_kernel
     k1 = G1.cols
@@ -458,8 +457,6 @@ def _attack_core(G1, G2, f1, f2, b, hashes, ref_G1, ref_G2, reference_scan=False
 
 def decodability_attack(f1: FieldVector, f2: FieldVector, code: LinearCode) -> bool:
     """Label two plain commitments as related when their offset decodes."""
-    from .codes import decode_bounded
-
     return decode_bounded(code, f1 - f2) is not None
 
 
@@ -519,8 +516,6 @@ def affine_reduction_attack(code, rec1, rec2, b: int, *, hashes=None) -> AttackO
     Raises ValueError when a sigma is not affine (the reduction does not
     apply).
     """
-    from .transforms import detect_affine
-
     G = code.G if isinstance(code, LinearCode) else code
     f = G.field
     n = G.rows

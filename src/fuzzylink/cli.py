@@ -10,6 +10,7 @@ OSError, OverflowError or ResourceCapError a command raises becomes one
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from decimal import Decimal
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import analysis, attacks, codes, commitment, experiments, transforms
 from .fields import field
-from .linalg import random_vector
+from .linalg import random_vector, random_weight_vector
 
 
 def _fail(message: str):
@@ -333,7 +334,6 @@ def verify_theorem(n_):
     """Exhaustively enumerate the distance-preserving bijections of {0,1}^n
     and check that each is a bit permutation plus a constant shift."""
     maps = transforms.enumerate_distance_preserving_bijections(n_)
-    import math
     expected = math.factorial(n_) * 2 ** n_
     click.echo(f"{len(maps)} distance-preserving bijections of {{0,1}}^{n_}; "
                f"all decompose as P*v XOR s (expected n!*2^n = {expected})")
@@ -360,7 +360,6 @@ def demo_appendix(seed, hw, non_related, use_hash):
     if non_related:
         w2 = random_vector(c.field, n, rng)
     else:
-        from .linalg import random_weight_vector
         w2 = w1 + random_weight_vector(c.field, n, hw, rng)
     t1 = transforms.random_transform("bit-permutation", n, c.field, rng)
     t2 = transforms.random_transform("bit-permutation", n, c.field, rng)

@@ -159,7 +159,7 @@ def bch_build(m: int, t: int) -> LinearCode:
     k = n - (len(gen) - 1)
     # column j of G = coefficients of x^j g(x): transpose the shifted rows
     g_mask = FieldVector(GF2, gen).bits
-    G = FieldMatrix(GF2, cols=n, row_masks=[g_mask << j for j in range(k)]).transpose()
+    G = FieldMatrix(GF2, cols=n, packed_rows=[g_mask << j for j in range(k)]).transpose()
     params = BCHParams(m=m, t=t, generator_polynomial=gen)
     return LinearCode(G, 2 * t + 1, params)
 

@@ -3,8 +3,8 @@
 Vectors and matrices are immutable and stored one way over every field: a
 vector, and each matrix row, is one Python integer whose slot j of s bits
 holds entry j, with s = 1 over GF(2), 8 for q <= 256 and 16 above.  These
-are the ``packed`` / ``packed_rows`` views (and, over GF(2) only, ``bits``
-/ ``row_masks``); ``entries`` and ``row_entries`` unpack them through
+are the ``packed`` / ``packed_rows`` views (and, over GF(2) only,
+``bits``); ``entries`` and ``row_entries`` unpack them through
 ``bytes`` or ``struct``.  Indexing, slicing, comparison, weight,
 transposition, concatenation, row permutation and reading kernels and
 solutions off a reduction act on the words, whatever the field.  Matrices
@@ -28,13 +28,14 @@ pivot column.
 
 :class:`RowReduction` has two elimination routines, ``_reduce_gf2`` on
 GF(2) bit masks and ``_reduce_packed`` on every other field's words: the
-rows of [M | B] (B = I or a right-hand side) are inserted one at a time and
-pivot on the M part only, at their lowest non-zero column (scaled to 1);
-each new pivot column is cleared from the other pivot rows, so the M parts
-end as the unique reduced row echelon form of M.  Rank, kernel, left
-kernel, solving and inversion all read off that one pass.  The reduction
-of [M | M | B] is read off that of [M | B] with no second pass
-(:meth:`RowReduction.doubled`).  Arithmetic is exact.
+rows of [M | I] are inserted one at a time and pivot on the M part only,
+at their lowest non-zero column (scaled to 1); each new pivot column is
+cleared from the other pivot rows, so the M parts end as the unique
+reduced row echelon form of M.  Rank, kernel, left kernel, solving and
+inversion all read off that one pass, which each matrix keeps
+(:meth:`FieldMatrix.reduction`).  The reduction of [M | M | I] is read
+off that of [M | I] with no second pass (:meth:`RowReduction.doubled`).
+Arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -374,8 +375,6 @@ class FieldVector:
     def scale(self, c: int) -> "FieldVector":
         f = self.field
         f.check_element(c)
-        if self.bits is not None:
-            return self if c else FieldVector.zeros(f, self.n)
         return _vec(f, self.n, word_arithmetic(f, self.n).combine(((c, self.packed),)))
 
     def weight(self) -> int:
@@ -422,8 +421,7 @@ def _mat(f: FieldSpec, cols: int, rows) -> "FieldMatrix":
     M.field = f
     M.rows = len(rows)
     M.cols = cols
-    M.packed_rows = rows = tuple(rows)
-    M.row_masks = rows if f.q == 2 else None
+    M.packed_rows = tuple(rows)
     M._transposed = M._multiples = M._reduced = None
     return M
 
@@ -438,22 +436,17 @@ def _split_rows(raw, nbytes: int, count: int) -> list:
 
 class FieldMatrix:
     """Immutable rows x cols matrix over a finite field, one packed word per
-    row.  ``row_masks=`` takes GF(2) rows, ``packed_rows=`` rows over any
-    field of characteristic 2; the rows are ORed together and checked once.
+    row.  ``packed_rows=`` takes rows over any field of characteristic 2;
+    the rows are ORed together and checked once.
     Being immutable, a matrix keeps its transpose, its row multiples and
     its reduction once computed.
     """
 
-    __slots__ = ("field", "rows", "cols", "packed_rows", "row_masks",
-                 "_transposed", "_multiples", "_reduced")
+    __slots__ = ("field", "rows", "cols", "packed_rows", "_transposed", "_multiples",
+                 "_reduced")
 
-    def __init__(self, field: FieldSpec, entries=None, *, cols=None, row_masks=None,
-                 packed_rows=None):
+    def __init__(self, field: FieldSpec, entries=None, *, cols=None, packed_rows=None):
         self.field = field
-        if row_masks is not None:
-            if field.q != 2:
-                raise ValueError("row masks are only valid over GF(2)")
-            packed_rows = row_masks
         if packed_rows is not None:
             if field.p != 2:
                 raise ValueError("packed rows are only valid in characteristic 2")
@@ -472,7 +465,6 @@ class FieldMatrix:
         self.rows = len(rows)
         self.cols = cols
         self.packed_rows = rows
-        self.row_masks = rows if field.q == 2 else None
         self._transposed = self._multiples = self._reduced = None
 
     # -- constructors ---------------------------------------------------------
@@ -599,10 +591,10 @@ class FieldMatrix:
         if v.n != self.cols:
             raise ValueError(f"dimension mismatch: {self.rows}x{self.cols} times length {v.n}")
         f = self.field
-        if self.row_masks is not None:
+        if f.q == 2:
             out = 0
-            vb = v.bits
-            for i, r in enumerate(self.row_masks):
+            vb = v.packed
+            for i, r in enumerate(self.packed_rows):
                 out |= ((r & vb).bit_count() & 1) << i
             return _vec(f, self.rows, out)
         # the columns (the rows of the kept transpose) weighted by the entries of v
@@ -615,10 +607,10 @@ class FieldMatrix:
             raise ValueError(
                 f"dimension mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
         f = self.field
-        if self.row_masks is not None:
-            orows = other.row_masks
+        if f.q == 2:
+            orows = other.packed_rows
             out = []
-            for r in self.row_masks:
+            for r in self.packed_rows:
                 acc = 0
                 rr = r
                 while rr:
@@ -665,8 +657,8 @@ def permuted_rows(M: FieldMatrix, index_map) -> FieldMatrix:
 def _reduce_gf2(masks, ncols: int):
     """Reduce GF(2) row masks, inserting one row at a time.
 
-    Only bits below ``ncols`` are pivoted on; higher bits (the B part of
-    an augmented [M | B]) ride along.  Returns a dict pivot column -> fully
+    Only bits below ``ncols`` are pivoted on; higher bits (the I part of
+    an augmented [M | I]) ride along.  Returns a dict pivot column -> fully
     reduced row, and the high parts of the rows that became zero.
     """
     low = (1 << ncols) - 1
@@ -722,32 +714,27 @@ def _reduce_packed(words, ncols: int, width: int, f: FieldSpec):
 
 
 class RowReduction:
-    """One reduction of the rows of [M | B], pivoting on the M part only.
+    """One reduction of the rows of [M | I], pivoting on the M part only.
 
-    B is the identity unless given.  ``pivot_rows`` (packed words, in
-    ``pivot_cols`` order) are the reduced row echelon form of M.  Row i of
-    ``ops`` is the B part of pivot row i and ``left_kernel`` holds the B
-    parts of the rows that became zero; with B = I they are the
-    combinations of M's rows that give pivot row i, and a basis of
-    {h : h M = 0}.
+    ``pivot_rows`` (packed words, in ``pivot_cols`` order) are the reduced
+    row echelon form of M.  Row i of ``ops`` is the I part of pivot row i,
+    the combination of M's rows that gives it, and ``left_kernel`` holds
+    the I parts of the rows that became zero, a basis of {h : h M = 0}.
     """
 
-    def __init__(self, M: FieldMatrix, B: FieldMatrix | None = None):
+    def __init__(self, M: FieldMatrix):
         self.field, self.cols = f, n = M.field, M.cols
-        B = FieldMatrix.identity(f, M.rows) if B is None else B
-        if B.field != f or B.rows != M.rows:
-            raise ValueError(f"B has {B.rows} rows over {B.field}; M has {M.rows} over {f}")
         s = _slot(f)
         split = s * n
-        words = [r | (b << split) for r, b in zip(M.packed_rows, B.packed_rows)]
+        words = [r | 1 << (split + s * i) for i, r in enumerate(M.packed_rows)]
         if s == 1:
             pivots, left = _reduce_gf2(words, n)
         else:
-            pivots, left = _reduce_packed(words, n, n + B.cols, f)
+            pivots, left = _reduce_packed(words, n, n + M.rows, f)
         self.pivot_cols = pcs = sorted(pivots)
         self.pivot_rows = [pivots[c] & ((1 << split) - 1) for c in pcs]
-        self.ops = _mat(f, B.cols, [pivots[c] >> split for c in pcs])
-        self.left_kernel = _mat(f, B.cols, left)
+        self.ops = _mat(f, M.rows, [pivots[c] >> split for c in pcs])
+        self.left_kernel = _mat(f, M.rows, left)
 
     @property
     def rank(self) -> int:
@@ -773,9 +760,9 @@ class RowReduction:
         return _mat(f, len(free), out)
 
     def particular(self, y: FieldVector) -> FieldVector:
-        """The solution of M x = B y with every free variable 0: x at the
+        """The solution of M x = y with every free variable 0: x at the
         i-th pivot column is row i of ``ops`` applied to y (one parity per
-        pivot over GF(2)).  NoSolutionError if B y is outside the column
+        pivot over GF(2)).  NoSolutionError if y is outside the column
         space."""
         if (self.left_kernel @ y).weight():
             raise NoSolutionError("inconsistent linear system")
@@ -790,7 +777,7 @@ class RowReduction:
         return _vec(self.field, self.cols, x)
 
     def doubled(self) -> "RowReduction":
-        """The reduction of [M | M | B], read off this one of [M | B]
+        """The reduction of [M | M | I], read off this one of [M | I]
         without another elimination.  The right copy of M never holds a
         pivot, so the pivot columns, ``ops`` and ``left_kernel`` (the same
         objects) are this one's and the RREF rows are (R | R)."""
@@ -803,7 +790,7 @@ class RowReduction:
 
 
 def rank(M: FieldMatrix) -> int:
-    return RowReduction(M, FieldMatrix.zeros(M.field, M.rows, 0)).rank
+    return M.reduction().rank
 
 
 def kernel_basis(M: FieldMatrix) -> FieldMatrix:
@@ -812,7 +799,7 @@ def kernel_basis(M: FieldMatrix) -> FieldMatrix:
     Width is cols(M) - rank(M); a full-rank square M yields a matrix with
     zero columns.
     """
-    return RowReduction(M, FieldMatrix.zeros(M.field, M.rows, 0)).null_space()
+    return M.reduction().null_space()
 
 
 @dataclass(frozen=True)
@@ -847,9 +834,8 @@ def solve_affine(M: FieldMatrix, y: FieldVector) -> AffineSolutions:
     _check_same_field(M, y)
     if y.n != M.rows:
         raise ValueError(f"dimension mismatch: {M.rows}x{M.cols} vs rhs length {y.n}")
-    # B = y as an n x 1 matrix, so the solver applied to the scalar 1 reads off x
-    red = RowReduction(M, FieldMatrix(M.field, [[e] for e in y], cols=1))
-    return AffineSolutions(red.particular(FieldVector(M.field, [1])), red.null_space())
+    red = M.reduction()
+    return AffineSolutions(red.particular(y), red.null_space())
 
 
 def invert(M: FieldMatrix) -> FieldMatrix:
@@ -857,7 +843,7 @@ def invert(M: FieldMatrix) -> FieldMatrix:
     reduce M to the identity."""
     if M.rows != M.cols:
         raise SingularMatrixError("only square matrices are invertible")
-    red = RowReduction(M)
+    red = M.reduction()
     if red.rank < M.rows:
         raise SingularMatrixError("matrix is singular")
     return red.ops

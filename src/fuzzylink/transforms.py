@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from itertools import permutations as iter_permutations
 
 from .fields import FieldSpec
-from .linalg import FieldMatrix, FieldVector, permuted_rows
+from .linalg import (FieldMatrix, FieldVector, hamming_distance, permuted_rows,
+                     random_vector)
 
 VARIANTS = ("identity", "bit-permutation", "field-permutation")
 
@@ -205,9 +206,7 @@ def enumerate_distance_preserving_bijections(n: int) -> list[DistancePreservingM
                 break
             perm[i] = img.bit_length() - 1
         if valid:
-            pm = [0] * n
-            for i, p in enumerate(perm):
-                pm[p] = i
+            pm = _inverse(perm)
             # verify the decomposition everywhere
             for v in range(size):
                 acc = 0
@@ -219,7 +218,7 @@ def enumerate_distance_preserving_bijections(n: int) -> list[DistancePreservingM
         if not valid:
             raise AssertionError(
                 "distance-preserving bijection without permutation-shift decomposition")
-        out.append(DistancePreservingMap(n, table, tuple(pm), shift))
+        out.append(DistancePreservingMap(n, table, pm, shift))
     return out
 
 
@@ -230,8 +229,6 @@ def check_distance_preserving(fn, field: FieldSpec, n: int, *, trials: int = 200
 
     Returns (True, None) or (False, (v1, v2)) with a witness pair.
     """
-    from .linalg import hamming_distance, random_vector
-
     domain_size = field.q ** n
     if domain_size <= 4096:
         vectors = []

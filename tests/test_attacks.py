@@ -119,7 +119,7 @@ def test_pattern_iter_raw_restart():
 
 
 def test_pattern_bound_validation():
-    H = FieldMatrix(GF2, cols=5, row_masks=[0b10110])
+    H = FieldMatrix(GF2, cols=5, packed_rows=[0b10110])
     s = FieldVector(GF2, n=1, bits=0)
     for b in (-1, 6):
         for reference in (False, True):
@@ -197,7 +197,7 @@ def test_scan_matches_reference_property(pm, data):
 
 @pytest.mark.parametrize("reference", [False, True])
 def test_scan_rejects_mismatched_syndrome(reference):
-    H3 = FieldMatrix(GF2, cols=5, row_masks=[0b10110, 0b01101, 0b11011])
+    H3 = FieldMatrix(GF2, cols=5, packed_rows=[0b10110, 0b01101, 0b11011])
     H4 = FieldMatrix(field(2, 2), [[1, 2, 3, 0, 1]])
     for H, s in ((H3, FieldVector(GF2, n=4, bits=0b1011)),  # one entry too many
                  (H4, FieldVector(field(2, 3), [5]))):      # a GF(8) syndrome for a GF(4) H
@@ -206,7 +206,7 @@ def test_scan_rejects_mismatched_syndrome(reference):
 
 
 def test_scan_empty_check_matrix():
-    H = FieldMatrix(GF2, cols=5, row_masks=[])
+    H = FieldMatrix(GF2, cols=5, packed_rows=[])
     s = FieldVector(GF2, n=0, bits=0)
     first = next(scan_syndrome_hits(H, s, 2))
     assert first.support == () and first.index == 0

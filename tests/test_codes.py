@@ -63,7 +63,7 @@ BCH_31_5_H = (
 def test_bch_check_matrix_pinned():
     c = bch_build(5, 5)
     assert (c.H.rows, c.H.cols) == (20, 31)
-    assert c.H.row_masks == BCH_31_5_H
+    assert c.H.packed_rows == BCH_31_5_H
 
 
 def test_bch_degenerate_t_rejected():

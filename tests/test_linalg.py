@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fuzzylink import linalg
 from fuzzylink.fields import GF2, field
 from fuzzylink.linalg import (
     FieldMatrix,
@@ -152,7 +153,7 @@ def test_rank_trivial():
 def test_rank_equals_transpose_rank(rng, rows, cols):
     masks = [int.from_bytes(rng.bytes((cols + 7) // 8), "little") & ((1 << cols) - 1)
              for _ in range(rows)]
-    M = FieldMatrix(GF2, cols=cols, row_masks=masks)
+    M = FieldMatrix(GF2, cols=cols, packed_rows=masks)
     assert rank(M) == rank(M.transpose())
 
 
@@ -237,7 +238,7 @@ def test_transpose(rng, f, rows, cols):
 
 def test_invert_permutation_is_transpose(rng):
     perm = [int(i) for i in rng.permutation(7)]
-    P = FieldMatrix(GF2, cols=7, row_masks=[1 << p for p in perm])
+    P = FieldMatrix(GF2, cols=7, packed_rows=[1 << p for p in perm])
     assert invert(P) == P.transpose()
 
 
@@ -424,7 +425,7 @@ def test_packed_arithmetic_matches_entrywise(operands, data):
     rows, inner = len(A), len(x)
     MA, MB, MC = FieldMatrix(f, A, cols=inner), FieldMatrix(f, B, cols=cols), FieldMatrix(f, C, cols=cols)
     vx, vy = FieldVector(f, x), FieldVector(f, y)
-    assert vx.bits is None and MA.row_masks is None
+    assert vx.bits is None
     assert vx.entries == tuple(x) and [vx[i] for i in range(inner)] == x
     assert _slot_entries(f, inner, vx.packed) == x
     if f.p == 2:
@@ -659,12 +660,33 @@ def test_slot_boundaries_pinned(p, m, words, transposed, pivot_rows, left_kernel
     assert list(red.left_kernel.packed_rows) == left_kernel
 
 
-def test_row_reduction_checks_its_right_hand_side():
-    M = FieldMatrix(GF2, [[1, 0], [0, 1], [1, 1]])
-    assert RowReduction(M).rank == 2
-    for B in (FieldMatrix(GF2, [[1]]), FieldMatrix(GF3, [[1], [0], [0]])):
-        with pytest.raises(ValueError):
-            RowReduction(M, B)
+@pytest.mark.parametrize("f", [GF2, GF32, GF3])
+def test_one_matrix_is_eliminated_once(f, monkeypatch):
+    """rank, kernel_basis, solve_affine (one consistent and one
+    inconsistent right-hand side) and invert of one matrix read the one
+    reduction of [M | I] that the matrix keeps."""
+    calls = []
+    for name in ("_reduce_gf2", "_reduce_packed"):
+        def counted(*args, _reduce=getattr(linalg, name)):
+            calls.append(args)
+            return _reduce(*args)
+        monkeypatch.setattr(linalg, name, counted)
+    r0, r1 = [1, f.q - 1, 0], [0, 1, 1]
+    M = FieldMatrix(f, [r0, r1, [f.add(a, b) for a, b in zip(r0, r1)]])
+    assert rank(M) == 2
+    red = M._reduced
+    assert red is not None
+    K = kernel_basis(M)
+    assert K.cols == 1 and M @ K == FieldMatrix.zeros(f, 3, 1)
+    y = M @ FieldVector(f, [1, 0, 1])
+    sols = solve_affine(M, y)
+    assert M @ sols.particular == y and sols.kernel == K
+    with pytest.raises(NoSolutionError):
+        solve_affine(M, FieldVector(f, [0, 0, 1]))  # y2 != y0 + y1
+    with pytest.raises(SingularMatrixError):
+        invert(M)
+    assert len(calls) == 1
+    assert M._reduced is red
 
 
 # ---------------------------------------------------------------------------
