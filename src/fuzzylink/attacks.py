@@ -21,10 +21,15 @@ characteristic 2).  Both preserve first-hit order and indices exactly
 order).
 
 The linear algebra is one reduction of [G~ | I_n], G~ = (G1 | G2): rows
-whose G~ part vanishes form the annihilator H~ the scan tests against, and
-each pivot row (pivot column c, row combination u) gives x_c = <u, r - e>
-of the particular solution for a hit e.  The coset has q^(cols - rank)
-solutions; its kernel is built only when digests filter it.  When the two
+whose G~ part vanishes form the annihilator H~ the scan tests against.
+The particular solution x of G~ x = r - e for a hit e comes from the pivot
+rows.  Over GF(2) they stay in echelon form, (E | u) with E = u G~, and x
+is one back-substitution: in descending pivot order, x_c is the parity of
+E x over the pivots above c plus <u, r - e>.  Over every other field the
+rows are fully reduced and x_c = <u, r - e>.  The coset has
+q^(cols - rank) solutions; its kernel is built only when digests filter
+it.  The second candidate is read off the first: G1 m1 - G2 m2 = r - e
+gives f2 - G2 m2 = (f1 - G1 m1) - e.  When the two
 blocks are equal (affine-reduced records, two identity records, one
 generator passed twice), that reduction is read off the reduction of
 [G | I_n] that G keeps (:meth:`~fuzzylink.linalg.RowReduction.doubled`):
@@ -423,10 +428,11 @@ def _attack_core(G1, G2, f1, f2, b, hashes, ref_G1, ref_G2, reference_scan=False
     # only digest filtering walks the coset
     kernel = None if hashes is None or count > SOLUTION_ENUM_CAP else red.null_space()
 
-    def outcome(scanned, e=None, m1=None, m2=None):
+    def outcome(scanned, e=None, m1=None):
+        c1 = None if e is None else f1 - (G1 @ m1)  # the second candidate is c1 - e
         return AttackOutcome(
             related=e is not None,
-            candidates=None if e is None else (f1 - (G1 @ m1), f2 - (G2 @ m2)),
+            candidates=None if e is None else (c1, c1 - e),
             all_solutions=0 if e is None else count,
             hash_verified=e is not None and hashes is not None,
             error_pattern=e,
@@ -450,7 +456,7 @@ def _attack_core(G1, G2, f1, f2, b, hashes, ref_G1, ref_G2, reference_scan=False
             m1, m2 = mt[:k1], -mt[k1:]
             if hashes is None or (codeword_digest(ref_G1 @ m1, algs[0]) == hashes[0]
                                   and codeword_digest(ref_G2 @ m2, algs[1]) == hashes[1]):
-                return outcome(hit.index + 1, e, m1, m2)
+                return outcome(hit.index + 1, e, m1)
         # no coset solution matched the digests: spurious pattern, keep going
     return outcome(pattern_count(f.q, n, b))
 

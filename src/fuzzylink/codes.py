@@ -198,10 +198,14 @@ def is_codeword(code: LinearCode, v: FieldVector) -> bool:
 # ---------------------------------------------------------------------------
 
 def _berlekamp_massey(synd, exp, log, qm1: int):
-    """Minimal LFSR (error-locator polynomial) for the syndrome sequence.
+    """Minimal LFSR (error-locator polynomial) for the syndrome sequence
+    S_1 .. S_2t of a binary word.
 
     exp/log are plain-list antilog/log tables (exp doubled in length).
-    Returns ascending coefficient list sigma with sigma[0] = 1.
+    Returns ascending coefficient list sigma with sigma[0] = 1.  Binary
+    syndromes have S_2j = S_j^2, so the discrepancy of every odd step i
+    (the one that meets S_(i+1), i + 1 even) is 0 and the step only
+    lengthens the shift (Berlekamp's binary simplification).
     """
     t2 = len(synd)
     sigma = [1]
@@ -210,6 +214,9 @@ def _berlekamp_massey(synd, exp, log, qm1: int):
     shift = 1
     b = 1
     for i in range(t2):
+        if i & 1:
+            shift += 1
+            continue
         # discrepancy
         delta = synd[i]
         for j in range(1, min(L, len(sigma) - 1) + 1):

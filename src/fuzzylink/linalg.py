@@ -26,13 +26,17 @@ pivot column.
   of entries and uses :class:`~fuzzylink.fields.FieldSpec` arithmetic on
   it; a sum of two words over GF(p) stays whole.
 
-:class:`RowReduction` has two elimination routines, ``_reduce_gf2`` on
-GF(2) bit masks and ``_reduce_packed`` on every other field's words: the
-rows of [M | I] are inserted one at a time and pivot on the M part only,
-at their lowest non-zero column (scaled to 1); each new pivot column is
-cleared from the other pivot rows, so the M parts end as the unique
-reduced row echelon form of M.  Rank, kernel, left kernel, solving and
-inversion all read off that one pass, which each matrix keeps
+:class:`RowReduction` inserts the rows of [M | I] one at a time; each
+pivots on the M part only, at its lowest non-zero column (scaled to 1).
+Over GF(2) ``_reduce_gf2`` runs a forward pass: a new row is reduced
+against the echelon rows, which are never cleared above their pivot.
+``_reduce_packed`` (every other field) also clears each new pivot column
+from the other pivot rows, which its one-combination insert relies on.
+Either way the pivot columns and the left kernel are fixed by insertion
+order.  Solving back-substitutes over the echelon rows; the reduced row
+echelon form of M, and the row combinations that give it, are finished
+only when read.  Rank, kernel, left kernel, solving and inversion all
+read off that one pass, which each matrix keeps
 (:meth:`FieldMatrix.reduction`).  The reduction of [M | M | I] is read
 off that of [M | I] with no second pass (:meth:`RowReduction.doubled`).
 Arithmetic is exact.
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import or_, xor
 
 from .fields import FieldSpec
@@ -655,40 +659,44 @@ def permuted_rows(M: FieldMatrix, index_map) -> FieldMatrix:
 # ---------------------------------------------------------------------------
 
 def _reduce_gf2(masks, ncols: int):
-    """Reduce GF(2) row masks, inserting one row at a time.
+    """Reduce GF(2) row masks in one forward pass, inserting one row at a
+    time.
 
     Only bits below ``ncols`` are pivoted on; higher bits (the I part of
-    an augmented [M | I]) ride along.  Returns a dict pivot column -> fully
-    reduced row, and the high parts of the rows that became zero.
+    an augmented [M | I]) ride along.  A new row is reduced against the
+    echelon row at its lowest set pivot bit until it has none.  An echelon
+    row has no bit below its pivot but is not cleared above it, so each
+    step moves that lowest bit up.  Returns a list indexed by column (the
+    echelon row pivoting there, or 0) and the high parts of the rows that
+    became zero.
     """
     low = (1 << ncols) - 1
-    pivots: dict[int, int] = {}
+    pivots = [0] * ncols
     pmask = 0
     zero = []
     for a in masks:
         m = a & pmask
-        while m:  # a pivot row is zero in every other pivot column
+        while m:
             a ^= pivots[(m & -m).bit_length() - 1]
-            m &= m - 1
+            m = a & pmask
         g = a & low
         if not g:
             zero.append(a >> ncols)
             continue
         bit = g & -g
-        for pc, row in pivots.items():
-            if row & bit:
-                pivots[pc] = row ^ a
         pivots[bit.bit_length() - 1] = a
         pmask |= bit
     return pivots, zero
 
 
 def _reduce_packed(words, ncols: int, width: int, f: FieldSpec):
-    """:func:`_reduce_gf2` for packed rows of ``width`` slots over any field
-    but GF(2); pivots are scaled to 1.  A new row is reduced against all
-    pivot rows in one combination (pivot rows are zero in each other's
-    pivot columns, so its coefficients are its own entries there), and the
-    new pivot column is cleared from the pivot rows.
+    """Reduce packed rows of ``width`` slots over any field but GF(2),
+    inserting one row at a time; pivots are scaled to 1.  A new row is
+    reduced against all pivot rows in one combination (pivot rows are zero
+    in each other's pivot columns, so its coefficients are its own entries
+    there), and the new pivot column is cleared from the pivot rows, which
+    therefore stay fully reduced.  Returns a dict pivot column -> row and
+    the high parts of the rows that became zero.
     """
     ar = word_arithmetic(f, width)
     s = _slot(f)
@@ -716,39 +724,86 @@ def _reduce_packed(words, ncols: int, width: int, f: FieldSpec):
 class RowReduction:
     """One reduction of the rows of [M | I], pivoting on the M part only.
 
-    ``pivot_rows`` (packed words, in ``pivot_cols`` order) are the reduced
-    row echelon form of M.  Row i of ``ops`` is the I part of pivot row i,
-    the combination of M's rows that gives it, and ``left_kernel`` holds
-    the I parts of the rows that became zero, a basis of {h : h M = 0}.
+    ``left_kernel`` holds the I parts of the rows that became zero, a basis
+    of {h : h M = 0}.  Over GF(2) the pivot rows are left in echelon form,
+    each (E | u) with E = u M, and solving back-substitutes over them.
+    ``pivot_rows`` (packed words, in ``pivot_cols`` order), the reduced
+    row echelon form of M, and ``ops``, whose row i is the I part of pivot
+    row i (the combination of M's rows that gives it), are finished on the
+    first read.  The RREF is unique and its rows combine only rows that
+    raised the rank, so ``ops`` does not depend on the pass that ran.
     """
 
     def __init__(self, M: FieldMatrix):
         self.field, self.cols = f, n = M.field, M.cols
         s = _slot(f)
-        split = s * n
+        self._split = split = s * n
         words = [r | 1 << (split + s * i) for i, r in enumerate(M.packed_rows)]
         if s == 1:
             pivots, left = _reduce_gf2(words, n)
+            self.pivot_cols = pcs = [c for c in range(n) if pivots[c]]
         else:
             pivots, left = _reduce_packed(words, n, n + M.rows, f)
-        self.pivot_cols = pcs = sorted(pivots)
-        self.pivot_rows = [pivots[c] & ((1 << split) - 1) for c in pcs]
-        self.ops = _mat(f, M.rows, [pivots[c] >> split for c in pcs])
+            self.pivot_cols = pcs = sorted(pivots)
+        self._rows = [pivots[c] for c in pcs]  # echelon over GF(2), reduced otherwise
         self.left_kernel = _mat(f, M.rows, left)
+        self._parent = None  # the reduction of [M | I] that doubled() read this one off
 
     @property
     def rank(self) -> int:
         return len(self.pivot_cols)
 
+    @cached_property
+    def _rref(self) -> list:
+        """The rows, finished to the RREF once.  Over GF(2), in descending
+        pivot order, each echelon row adds the finished rows of the pivot
+        columns it has set above its own; a finished row is zero in every
+        other pivot column, so each addition clears exactly one of them."""
+        if self.field.q != 2:
+            return self._rows
+        pcs = self.pivot_cols
+        pmask = reduce(or_, (1 << c for c in pcs), 0)
+        done = {}
+        for c, a in zip(reversed(pcs), reversed(self._rows)):
+            m = (a & pmask) ^ (1 << c)
+            while m:
+                a ^= done[(m & -m).bit_length() - 1]
+                m &= m - 1
+            done[c] = a
+        return [done[c] for c in pcs]
+
+    @cached_property
+    def pivot_rows(self) -> list:
+        return [r & ((1 << self._split) - 1) for r in self._rref]
+
+    @cached_property
+    def ops(self) -> FieldMatrix:
+        if self._parent is not None:
+            return self._parent.ops
+        return _mat(self.field, self.left_kernel.cols, [r >> self._split for r in self._rref])
+
+    def _back_substitute(self, z: int) -> int:
+        """Over GF(2), z holds y in the I part and the free variables in
+        the M part.  Set the pivot variables of M x = y in descending
+        pivot order: the echelon row (E | u) of pivot c has E x = u y, and
+        E is zero below c, so x_c is the parity of (E | u) AND z."""
+        for c, row in zip(reversed(self.pivot_cols), reversed(self._rows)):
+            if (row & z).bit_count() & 1:
+                z |= 1 << c
+        return z
+
     def null_space(self) -> FieldMatrix:
         """Columns spanning {x : M x = 0}, one per free column in ascending
-        order: 1 in the free column, minus the RREF entries above it."""
+        order: 1 in the free column and 0 in the other free columns.  Over
+        GF(2) each is one back-substitution; otherwise its pivot entries
+        are minus the RREF entries above the free column."""
         f, n = self.field, self.cols
         pivot_set = set(self.pivot_cols)
         free = [j for j in range(n) if j not in pivot_set]
+        if f.q == 2:
+            return _mat(f, n, [self._back_substitute(1 << fc) for fc in free]).transpose()
         s = _slot(f)
         mask = (1 << s) - 1
-        negate = f.p != 2  # -e = e in characteristic 2
         pivots = list(zip(self.pivot_cols, self.pivot_rows))
         out = [0] * n
         for i, fc in enumerate(free):
@@ -756,16 +811,20 @@ class RowReduction:
             out[fc] = 1 << to
             for pc, row in pivots:
                 if e := (row >> at) & mask:
-                    out[pc] |= (f.neg(e) if negate else e) << to
+                    out[pc] |= f.neg(e) << to
         return _mat(f, len(free), out)
 
     def particular(self, y: FieldVector) -> FieldVector:
-        """The solution of M x = y with every free variable 0: x at the
-        i-th pivot column is row i of ``ops`` applied to y (one parity per
-        pivot over GF(2)).  NoSolutionError if y is outside the column
-        space."""
+        """The solution of M x = y with every free variable 0: over GF(2)
+        one back-substitution, otherwise x at the i-th pivot column is row
+        i of ``ops`` applied to y.  NoSolutionError if y is outside the
+        column space."""
         if (self.left_kernel @ y).weight():
             raise NoSolutionError("inconsistent linear system")
+        split = self._split
+        if self.field.q == 2:
+            return _vec(self.field, self.cols,
+                        self._back_substitute(y.bits << split) & ((1 << split) - 1))
         t = self.ops @ y
         s = _slot(self.field)
         mask = (1 << s) - 1
@@ -779,13 +838,16 @@ class RowReduction:
     def doubled(self) -> "RowReduction":
         """The reduction of [M | M | I], read off this one of [M | I]
         without another elimination.  The right copy of M never holds a
-        pivot, so the pivot columns, ``ops`` and ``left_kernel`` (the same
-        objects) are this one's and the RREF rows are (R | R)."""
+        pivot, so the pivot columns, ``left_kernel`` and ``ops`` (the same
+        objects; ``ops`` is finished on this reduction) are this one's, and
+        each row (E | u) becomes (E | E | u)."""
         out = object.__new__(RowReduction)
         out.field, out.cols = self.field, 2 * self.cols
-        out.pivot_cols, out.ops, out.left_kernel = self.pivot_cols, self.ops, self.left_kernel
-        shift = _slot(self.field) * self.cols
-        out.pivot_rows = [r | r << shift for r in self.pivot_rows]
+        out.pivot_cols, out.left_kernel = self.pivot_cols, self.left_kernel
+        split = self._split
+        out._split = 2 * split
+        out._rows = [(r & ((1 << split) - 1)) | r << split for r in self._rows]
+        out._parent = self
         return out
 
 
@@ -815,17 +877,30 @@ class AffineSolutions:
 
     def __iter__(self):
         """Solution i is the particular solution plus the kernel columns
-        weighted by the base-q digits of i (least significant first)."""
-        q = self.particular.field.q
+        weighted by the base-q digits of i (least significant first).  The
+        walk steps from solution i to i + 1: each digit the carry moves
+        from c to c + 1 (mod q) adds (c + 1)*v - c*v for its column v.
+        Over GF(p) that is v itself, also on the wrap q - 1 -> 0; over
+        GF(p^m) it is read off the column's multiples."""
+        f = self.particular.field
+        q, n = f.q, self.particular.n
         Kt = self.kernel.transpose()
-        basis = [Kt.row(j) for j in range(Kt.rows)]
-        for index in range(self.count):
-            x = self.particular
-            for v in basis:
-                index, c = divmod(index, q)
+        ar = word_arithmetic(f, n)
+        if f.m == 1:
+            steps = [[v] * q for v in Kt.packed_rows]
+        else:
+            steps = [[ar.minus(mult[(c + 1) % q], ((1, mult[c]),)) for c in range(q)]
+                     for mult in Kt.row_multiples()]
+        digits = [0] * len(steps)
+        x = self.particular.packed
+        yield _vec(f, n, x)
+        for _ in range(self.count - 1):
+            for j, c in enumerate(digits):
+                x = ar.add(x, steps[j][c])
+                digits[j] = c = (c + 1) % q
                 if c:
-                    x = x + v.scale(c)
-            yield x
+                    break
+            yield _vec(f, n, x)
 
 
 def solve_affine(M: FieldMatrix, y: FieldVector) -> AffineSolutions:

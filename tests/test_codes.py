@@ -180,6 +180,50 @@ def test_bch_syndromes_and_chien_values_match_naive_evaluation(rng, m, t):
         assert list(C @ sigma) == _naive_chien(f, alpha, sigma.entries, n)
 
 
+def _full_berlekamp_massey(f, synd):
+    """Massey's algorithm over every step, in FieldSpec arithmetic:
+    (sigma, L, the discrepancy of each step)."""
+    sigma, prev, L, shift, b = [1], [1], 0, 1, 1
+    deltas = []
+    for i, delta in enumerate(synd):
+        for j in range(1, min(L, len(sigma) - 1) + 1):
+            delta = f.add(delta, f.mul(sigma[j], synd[i - j]))
+        deltas.append(delta)
+        if delta == 0:
+            shift += 1
+            continue
+        coef = f.div(delta, b)
+        update = sigma + [0] * (len(prev) + shift - len(sigma))
+        for j, c in enumerate(prev):
+            update[j + shift] = f.add(update[j + shift], f.mul(coef, c))
+        if 2 * L <= i:
+            prev, L, b, shift = sigma, i + 1 - L, delta, 1
+        else:
+            shift += 1
+        sigma = update
+    return sigma, L, deltas
+
+
+@pytest.mark.parametrize("m,t", [(4, 3), (6, 7), (7, 13), (8, 26)])
+def test_berlekamp_massey_odd_steps_have_zero_discrepancy(m, t):
+    """The decoder skips the odd steps of Massey's algorithm.  On binary
+    syndromes their discrepancy is 0, and the full loop gives the same
+    (sigma, L): words at every distance 0..t from a codeword, at t+1..t+3
+    and uniform."""
+    rng = np.random.default_rng(m)
+    c = bch_build(m, t)
+    f, alpha = _alpha(m)
+    exp, log = exp_log_tables(f)
+    words = [random_codeword(c, rng) + random_weight_vector(GF2, c.n, w, rng)
+             for w in range(c.t + 4) for _ in range(2)]
+    words += [random_vector(GF2, c.n, rng) for _ in range(6)]
+    for v in words:
+        synd = _naive_syndromes(f, alpha, v, 2 * t)
+        sigma, L, deltas = _full_berlekamp_massey(f, synd)
+        assert not any(deltas[1::2])
+        assert _berlekamp_massey(synd, exp, log, c.n) == (sigma, L)
+
+
 # sha256 of decode_bounded's outputs on the words of _pin_words, recorded
 # with the decoder that indexed log/antilog tables element by element
 DECODE_PIN_CODES = [(4, 3), (5, 5), (6, 7), (7, 13), (8, 26)]

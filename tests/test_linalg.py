@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzylink import linalg
+from fuzzylink.codes import bch_build
 from fuzzylink.fields import GF2, field
 from fuzzylink.linalg import (
+    AffineSolutions,
     FieldMatrix,
     FieldVector,
     NoSolutionError,
@@ -207,6 +209,28 @@ def test_solve_enumerates_all_solutions(rng, f):
             assert M @ x == y
             seen.add(x)
         assert len(seen) == sols.count
+
+
+@pytest.mark.parametrize("f", [GF2, GF3, field(2, 2), field(3, 2)])
+def test_coset_walk_follows_digit_order(rng, f):
+    """The stepping walk of AffineSolutions lists solution i as the
+    particular solution plus the kernel columns weighted by the base-q
+    digits of i, least significant first.  Over GF(4) and GF(9) a step is
+    not a plain addition of the column."""
+    for d in (0, 1, 2, 3):
+        n = d + 3
+        x = random_vector(f, n, rng)
+        cols = [random_vector(f, n, rng) for _ in range(d)]
+        K = (FieldMatrix(f, [list(v.entries) for v in cols]).transpose() if d
+             else FieldMatrix.zeros(f, n, 0))
+        expected = []
+        for i in range(f.q ** d):
+            v = x
+            for col in cols:
+                i, c = divmod(i, f.q)
+                v = v + col.scale(c)
+            expected.append(v)
+        assert list(AffineSolutions(x, K)) == expected
 
 
 def test_solve_inconsistent():
@@ -509,8 +533,8 @@ def packed_systems(draw, fields=PACKED_FIELDS):
     return f, grid
 
 
-@settings(max_examples=120, deadline=None)
-@given(packed_systems(), st.data())
+@settings(max_examples=150, deadline=None)
+@given(packed_systems([GF2] + PACKED_FIELDS), st.data())
 def test_packed_row_reduction_matches_reference(system, data):
     """Pivots and RREF equal column-order Gauss-Jordan.  ``ops`` and
     ``left_kernel`` are pinned down by insertion order: pivot rows combine
@@ -539,6 +563,41 @@ def test_packed_row_reduction_matches_reference(system, data):
     assert list(red.particular(y).entries) == ref_x
     kernel = red.null_space()
     assert [list(kernel.transpose().row(j).entries) for j in range(kernel.cols)] == ref_kernel
+
+
+@pytest.mark.parametrize("pair", ["independent", "near", "equal"])
+@pytest.mark.parametrize("m, t", [(6, 7), (7, 13)])
+def test_attack_sized_reduction_matches_reference(m, t, pair):
+    """The reduction of (G1 | G2), two row-permuted generators of bch:63:7
+    or bch:127:13, against entry-by-entry Gauss-Jordan.  The second
+    permutation is independent of the first (full column rank), the first
+    with its first three entries rotated (a few dependent columns) or the
+    first itself (rank k).  The left kernel is the kernel of the transpose, whose free
+    columns are the rows that did not raise the rank."""
+    rng = np.random.default_rng(100 * m + t)
+    G = bch_build(m, t).G
+    n = G.rows
+    perm1 = [int(i) for i in rng.permutation(n)]
+    perm2 = {"independent": [int(i) for i in rng.permutation(n)],
+             "near": perm1[1:3] + perm1[:1] + perm1[3:],
+             "equal": perm1}[pair]
+    Gt = concat_cols(permuted_rows(G, perm1), permuted_rows(G, perm2))
+    grid = Gt.to_grid()
+    red = RowReduction(Gt)
+    assert red.pivot_cols == ref_rref(grid)[1]
+    assert red.left_kernel.to_grid() == ref_solve(GF2, Gt.transpose().to_grid(), [0] * Gt.cols)[1]
+    for _ in range(3):
+        y = Gt @ random_vector(GF2, Gt.cols, rng)
+        ref_x, ref_kernel = ref_solve(GF2, grid, list(y.entries))
+        assert list(red.particular(y).entries) == ref_x
+    kernel = red.null_space()
+    assert kernel.transpose().to_grid() == ref_kernel
+    assert kernel.cols or pair == "independent"
+    y = random_vector(GF2, n, rng)
+    while ref_solve(GF2, grid, list(y.entries)) is not None:
+        y = random_vector(GF2, n, rng)
+    with pytest.raises(NoSolutionError):
+        red.particular(y)
 
 
 def _reduction_fields(red):
