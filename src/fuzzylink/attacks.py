@@ -23,17 +23,17 @@ order).
 The linear algebra is one reduction of [G~ | I_n], G~ = (G1 | G2): rows
 whose G~ part vanishes form the annihilator H~ the scan tests against.
 The particular solution x of G~ x = r - e for a hit e comes from the pivot
-rows.  Over GF(2) they stay in echelon form, (E | u) with E = u G~, and x
-is one back-substitution: in descending pivot order, x_c is the parity of
-E x over the pivots above c plus <u, r - e>.  Over every other field the
-rows are fully reduced and x_c = <u, r - e>.  The coset has
+rows, left in echelon form (E | u) with E = u G~, over every field: x is
+one back-substitution, in descending pivot order x_c = <u, r - e> minus
+E x over the columns above c, one dot product per row.  The coset has
 q^(cols - rank) solutions; its kernel is built only when digests filter
 it.  The second candidate is read off the first: G1 m1 - G2 m2 = r - e
 gives f2 - G2 m2 = (f1 - G1 m1) - e.  When the two
 blocks are equal (affine-reduced records, two identity records, one
 generator passed twice), that reduction is read off the reduction of
 [G | I_n] that G keeps (:meth:`~fuzzylink.linalg.RowReduction.doubled`):
-no elimination runs per pair, and H~, the row combinations and the
+no elimination runs per pair, the particular solution is that of
+G x = r - e padded with zeros, and H~, the row combinations and the
 transposes the products read are the same objects on every attack on G.
 
 Every attack ends in one loop over the solutions of a hit.  With codeword

@@ -14,8 +14,8 @@ and its reduction.
 
 Arithmetic on words goes through one object per characteristic, both with
 the same operations: a sum of two words, a combination sum c*w, a word
-minus a combination, the q multiples of a word and the clearing of a
-pivot column.
+minus a combination, the q multiples of a word and the dot product of two
+words.
 
 * :class:`_Slots`, characteristic 2: addition is XOR, and multiplying
   every slot by x is a shift and one carry-free product, so a scalar
@@ -26,19 +26,19 @@ pivot column.
   of entries and uses :class:`~fuzzylink.fields.FieldSpec` arithmetic on
   it; a sum of two words over GF(p) stays whole.
 
-:class:`RowReduction` inserts the rows of [M | I] one at a time; each
-pivots on the M part only, at its lowest non-zero column (scaled to 1).
-Over GF(2) ``_reduce_gf2`` runs a forward pass: a new row is reduced
-against the echelon rows, which are never cleared above their pivot.
-``_reduce_packed`` (every other field) also clears each new pivot column
-from the other pivot rows, which its one-combination insert relies on.
-Either way the pivot columns and the left kernel are fixed by insertion
-order.  Solving back-substitutes over the echelon rows; the reduced row
-echelon form of M, and the row combinations that give it, are finished
-only when read.  Rank, kernel, left kernel, solving and inversion all
-read off that one pass, which each matrix keeps
-(:meth:`FieldMatrix.reduction`).  The reduction of [M | M | I] is read
-off that of [M | I] with no second pass (:meth:`RowReduction.doubled`).
+:class:`RowReduction` inserts the rows of [M | I] one at a time into one
+forward pass (``_reduce``), the same over every field: each row pivots on
+the M part only, at its lowest non-zero column (scaled to 1), after it is
+reduced against the echelon rows, which are never cleared above their
+pivot.  Only the step that subtracts a multiple of an echelon row depends
+on the field.  The pivot columns and the left kernel are fixed by
+insertion order.  Solving back-substitutes over the echelon rows, one dot
+product per row; the reduced row echelon form of M, and the row
+combinations that give it, are finished only when read.  Rank, kernel,
+left kernel, solving and inversion all read off that one pass, which each
+matrix keeps (:meth:`FieldMatrix.reduction`).  The reduction of
+[M | M | I] is read off that of [M | I] with no second pass
+(:meth:`RowReduction.doubled`).
 Arithmetic is exact.
 """
 
@@ -47,7 +47,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from operator import or_, xor
+from operator import mul, or_, xor
 
 from .fields import FieldSpec
 
@@ -157,7 +157,7 @@ class _Slots:
         """[w, x*w, ..., x^(m-1)*w]: c*w is the XOR of those selected by
         the bits of c."""
         out = [w]
-        for _ in range(self.m - 1):
+        while len(out) < self.m:
             out.append(self.times_x(out[-1]))
         return out
 
@@ -168,18 +168,21 @@ class _Slots:
             out += [v ^ p for v in out]
         return out
 
-    def clear(self, pivots: dict, col: int, a: int) -> None:
-        """Subtract from each pivot row its entry in column col times a,
-        which is 1 there, by the x-powers of a."""
-        powers = self.x_powers(a)
-        shift, mask = self.s * col, self.mask
-        for pc, row in pivots.items():
-            if c := (row >> shift) & mask:
-                while c:
-                    low = c & -c
-                    row ^= powers[low.bit_length() - 1]
-                    c ^= low
-                pivots[pc] = row
+    def dot(self, powers: list, z: int) -> int:
+        """The sum of a_j * z_j over the slots, with powers = x_powers(a):
+        bit k of z_j selects x^k * a_j, and the selected slots are folded
+        into slot 0 by XOR.  Over GF(2), the parity of a AND z."""
+        if self.m == 1:
+            return (powers[0] & z).bit_count() & 1
+        ones, mask = self.ones, self.mask
+        t = 0
+        for k, p in enumerate(powers):
+            t ^= p & ((z >> k) & ones) * mask
+        shift = self.s
+        while shift < t.bit_length():
+            t ^= t >> shift
+            shift <<= 1
+        return t & mask
 
 
 class _Entrywise:
@@ -230,11 +233,12 @@ class _Entrywise:
     def multiples(self, w: int) -> list:
         return [self.combine(((c, w),)) for c in range(self.f.q)]
 
-    def clear(self, pivots: dict, col: int, a: int) -> None:
-        shift, mask = self.s * col, (1 << self.s) - 1
-        for pc, row in pivots.items():
-            if c := (row >> shift) & mask:
-                pivots[pc] = self.minus(row, ((c, a),))
+    def dot(self, a: int, z: int) -> int:
+        """The sum of a_j * z_j over the slots."""
+        f, n = self.f, self.width
+        if f.m == 1:
+            return sum(map(mul, _unpack(f, a, n), _unpack(f, z, n))) % f.p
+        return reduce(f.add, map(f.mul, _unpack(f, a, n), _unpack(f, z, n)), 0)
 
 
 def word_arithmetic(f: FieldSpec, width: int):
@@ -402,7 +406,8 @@ def random_vector(field: FieldSpec, n: int, rng) -> FieldVector:
         raw = rng.integers(0, 256, size=(n + 7) // 8)
         mask = int.from_bytes(bytes(int(x) for x in raw), "little") & ((1 << n) - 1)
         return FieldVector(field, n=n, bits=mask)
-    return FieldVector(field, tuple(int(x) for x in rng.integers(0, field.q, size=n)))
+    raw = rng.integers(0, field.q, size=n).astype("u1" if _slot(field) == 8 else "<u2")
+    return _vec(field, n, int.from_bytes(raw.tobytes(), "little"))
 
 
 def random_weight_vector(field: FieldSpec, n: int, w: int, rng) -> FieldVector:
@@ -411,8 +416,10 @@ def random_weight_vector(field: FieldSpec, n: int, w: int, rng) -> FieldVector:
     if w > n or w < 0:
         raise ValueError(f"weight {w} out of range for length {n}")
     support = sorted(int(i) for i in rng.choice(n, size=w, replace=False)) if w else []
-    values = None if field.q == 2 else [int(rng.integers(1, field.q)) for _ in support]
-    return FieldVector.from_support(field, n, support, values)
+    s, word = _slot(field), 0
+    for j in support:
+        word |= (1 if field.q == 2 else int(rng.integers(1, field.q))) << (s * j)
+    return _vec(field, n, word)
 
 
 # ---------------------------------------------------------------------------
@@ -658,66 +665,61 @@ def permuted_rows(M: FieldMatrix, index_map) -> FieldMatrix:
 # elimination
 # ---------------------------------------------------------------------------
 
-def _reduce_gf2(masks, ncols: int):
-    """Reduce GF(2) row masks in one forward pass, inserting one row at a
-    time.
+def _reduce(words, ncols: int, ar, f: FieldSpec):
+    """Reduce packed rows over f in one forward pass, inserting one row at
+    a time.
 
-    Only bits below ``ncols`` are pivoted on; higher bits (the I part of
-    an augmented [M | I]) ride along.  A new row is reduced against the
-    echelon row at its lowest set pivot bit until it has none.  An echelon
-    row has no bit below its pivot but is not cleared above it, so each
-    step moves that lowest bit up.  Returns a list indexed by column (the
+    Only the first ``ncols`` slots are pivoted on; the others (the I part
+    of an augmented [M | I]) ride along.  A new row is reduced against the
+    echelon row at its lowest non-zero pivot slot until it has none.  An
+    echelon row is 1 at its pivot and zero below it but is not cleared
+    above it, so each step moves that lowest slot up.  A row left non-zero
+    is scaled to 1 at its lowest slot and becomes the echelon row there.
+    A step subtracts c times an echelon row: over GF(2) one XOR, in
+    characteristic 2 otherwise the XOR of the row's x-powers that the bits
+    of c select (kept once per row), in odd characteristic one ``minus``.
+    Returns a list indexed by the first bit s*c of each pivot slot c (the
     echelon row pivoting there, or 0) and the high parts of the rows that
     became zero.
     """
-    low = (1 << ncols) - 1
-    pivots = [0] * ncols
+    s, char2 = ar.s, f.p == 2
+    mask, split, align = (1 << s) - 1, s * ncols, -s
+    low = (1 << split) - 1
+    pivots = [0] * split
+    powers = {}
     pmask = 0
     zero = []
-    for a in masks:
-        m = a & pmask
-        while m:
-            a ^= pivots[(m & -m).bit_length() - 1]
-            m = a & pmask
-        g = a & low
-        if not g:
-            zero.append(a >> ncols)
-            continue
-        bit = g & -g
-        pivots[bit.bit_length() - 1] = a
-        pmask |= bit
-    return pivots, zero
-
-
-def _reduce_packed(words, ncols: int, width: int, f: FieldSpec):
-    """Reduce packed rows of ``width`` slots over any field but GF(2),
-    inserting one row at a time; pivots are scaled to 1.  A new row is
-    reduced against all pivot rows in one combination (pivot rows are zero
-    in each other's pivot columns, so its coefficients are its own entries
-    there), and the new pivot column is cleared from the pivot rows, which
-    therefore stay fully reduced.  Returns a dict pivot column -> row and
-    the high parts of the rows that became zero.
-    """
-    ar = word_arithmetic(f, width)
-    s = _slot(f)
-    mask = (1 << s) - 1
-    low = (1 << (s * ncols)) - 1
-    pivots: dict[int, int] = {}
-    zero = []
     for a in words:
-        if pivots:
-            ent = _unpack(f, a & low, ncols)
-            a = ar.minus(a, [(ent[pc], row) for pc, row in pivots.items()])
+        m = a & pmask
+        if s == 1:
+            while m:
+                a ^= pivots[(m & -m).bit_length() - 1]
+                m = a & pmask
+        else:
+            while m:
+                at = ((m & -m).bit_length() - 1) & align
+                c = (a >> at) & mask
+                if char2:
+                    pw = powers[at]
+                    while c:
+                        bit = c & -c
+                        a ^= pw[bit.bit_length() - 1]
+                        c ^= bit
+                else:
+                    a = ar.minus(a, ((c, pivots[at]),))
+                m = a & pmask
         g = a & low
         if not g:
-            zero.append(a >> (s * ncols))
+            zero.append(a >> split)
             continue
-        col = ((g & -g).bit_length() - 1) // s
-        lead = (a >> (s * col)) & mask
-        if lead != 1:
-            a = ar.combine(((f.inv(lead), a),))
-        ar.clear(pivots, col, a)
-        pivots[col] = a
+        at = ((g & -g).bit_length() - 1) & align
+        if s > 1:  # a GF(2) pivot is 1 already and its only x-power is itself
+            if (lead := (a >> at) & mask) != 1:
+                a = ar.combine(((f.inv(lead), a),))
+            if char2:
+                powers[at] = ar.x_powers(a)
+        pivots[at] = a
+        pmask |= mask << at
     return pivots, zero
 
 
@@ -725,27 +727,24 @@ class RowReduction:
     """One reduction of the rows of [M | I], pivoting on the M part only.
 
     ``left_kernel`` holds the I parts of the rows that became zero, a basis
-    of {h : h M = 0}.  Over GF(2) the pivot rows are left in echelon form,
-    each (E | u) with E = u M, and solving back-substitutes over them.
+    of {h : h M = 0}.  The pivot rows are left in echelon form, each
+    (E | u) with E = u M, and solving back-substitutes over them.
     ``pivot_rows`` (packed words, in ``pivot_cols`` order), the reduced
     row echelon form of M, and ``ops``, whose row i is the I part of pivot
     row i (the combination of M's rows that gives it), are finished on the
     first read.  The RREF is unique and its rows combine only rows that
-    raised the rank, so ``ops`` does not depend on the pass that ran.
+    raised the rank.
     """
 
     def __init__(self, M: FieldMatrix):
         self.field, self.cols = f, n = M.field, M.cols
         s = _slot(f)
         self._split = split = s * n
+        self._ar = ar = word_arithmetic(f, n + M.rows)
         words = [r | 1 << (split + s * i) for i, r in enumerate(M.packed_rows)]
-        if s == 1:
-            pivots, left = _reduce_gf2(words, n)
-            self.pivot_cols = pcs = [c for c in range(n) if pivots[c]]
-        else:
-            pivots, left = _reduce_packed(words, n, n + M.rows, f)
-            self.pivot_cols = pcs = sorted(pivots)
-        self._rows = [pivots[c] for c in pcs]  # echelon over GF(2), reduced otherwise
+        pivots, left = _reduce(words, n, ar, f)
+        self.pivot_cols = [c for c, row in enumerate(pivots[::s]) if row]
+        self._rows = [row for row in pivots[::s] if row]
         self.left_kernel = _mat(f, M.rows, left)
         self._parent = None  # the reduction of [M | I] that doubled() read this one off
 
@@ -755,22 +754,34 @@ class RowReduction:
 
     @cached_property
     def _rref(self) -> list:
-        """The rows, finished to the RREF once.  Over GF(2), in descending
-        pivot order, each echelon row adds the finished rows of the pivot
-        columns it has set above its own; a finished row is zero in every
-        other pivot column, so each addition clears exactly one of them."""
-        if self.field.q != 2:
-            return self._rows
-        pcs = self.pivot_cols
-        pmask = reduce(or_, (1 << c for c in pcs), 0)
-        done = {}
-        for c, a in zip(reversed(pcs), reversed(self._rows)):
-            m = (a & pmask) ^ (1 << c)
+        """The rows, finished to the RREF once.  In descending pivot order
+        each echelon row subtracts, in one combination, the finished rows
+        of the pivot columns where it is non-zero above its own pivot: a
+        finished row is 1 in its pivot column and 0 in every other, so
+        its coefficient is the echelon row's entry there."""
+        s = _slot(self.field)
+        mask = (1 << s) - 1
+        done, finished = {}, 0
+        for c, a in zip(reversed(self.pivot_cols), reversed(self._rows)):
+            m, pairs = a & finished, []
             while m:
-                a ^= done[(m & -m).bit_length() - 1]
-                m &= m - 1
-            done[c] = a
-        return [done[c] for c in pcs]
+                at = ((m & -m).bit_length() - 1) & -s
+                e = (m >> at) & mask
+                pairs.append((e, done[at]))
+                m ^= e << at
+            done[s * c] = self._ar.minus(a, pairs)
+            finished |= mask << (s * c)
+        return [done[s * c] for c in self.pivot_cols]
+
+    @cached_property
+    def _dot_rows(self) -> list:
+        """Each echelon row (E | u) as (-E | u), in the form ``dot`` reads:
+        its x-powers in characteristic 2, where -E = E, the word itself
+        otherwise."""
+        ar, low = self._ar, (1 << self._split) - 1
+        if self.field.p == 2:
+            return [ar.x_powers(r) for r in self._rows]
+        return [ar.minus(r & ~low, ((1, r & low),)) for r in self._rows]
 
     @cached_property
     def pivot_rows(self) -> list:
@@ -783,57 +794,38 @@ class RowReduction:
         return _mat(self.field, self.left_kernel.cols, [r >> self._split for r in self._rref])
 
     def _back_substitute(self, z: int) -> int:
-        """Over GF(2), z holds y in the I part and the free variables in
-        the M part.  Set the pivot variables of M x = y in descending
-        pivot order: the echelon row (E | u) of pivot c has E x = u y, and
-        E is zero below c, so x_c is the parity of (E | u) AND z."""
-        for c, row in zip(reversed(self.pivot_cols), reversed(self._rows)):
-            if (row & z).bit_count() & 1:
-                z |= 1 << c
+        """z holds y in the I part and the free variables in the M part.
+        Set the pivot variables of M x = y in descending pivot order: the
+        echelon row (E | u) of pivot c has E x = u y, and E is zero below c
+        and 1 at c, so x_c is the dot product of (-E | u) with z."""
+        dot, s = self._ar.dot, _slot(self.field)
+        for c, row in zip(reversed(self.pivot_cols), reversed(self._dot_rows)):
+            if d := dot(row, z):
+                z |= d << (s * c)
         return z
 
     def null_space(self) -> FieldMatrix:
         """Columns spanning {x : M x = 0}, one per free column in ascending
-        order: 1 in the free column and 0 in the other free columns.  Over
-        GF(2) each is one back-substitution; otherwise its pivot entries
-        are minus the RREF entries above the free column."""
+        order: 1 in the free column and 0 in the other free columns, each
+        one back-substitution."""
         f, n = self.field, self.cols
+        s = _slot(f)
         pivot_set = set(self.pivot_cols)
         free = [j for j in range(n) if j not in pivot_set]
-        if f.q == 2:
-            return _mat(f, n, [self._back_substitute(1 << fc) for fc in free]).transpose()
-        s = _slot(f)
-        mask = (1 << s) - 1
-        pivots = list(zip(self.pivot_cols, self.pivot_rows))
-        out = [0] * n
-        for i, fc in enumerate(free):
-            at, to = s * fc, s * i
-            out[fc] = 1 << to
-            for pc, row in pivots:
-                if e := (row >> at) & mask:
-                    out[pc] |= f.neg(e) << to
-        return _mat(f, len(free), out)
+        return _mat(f, n, [self._back_substitute(1 << (s * fc)) for fc in free]).transpose()
 
     def particular(self, y: FieldVector) -> FieldVector:
-        """The solution of M x = y with every free variable 0: over GF(2)
-        one back-substitution, otherwise x at the i-th pivot column is row
-        i of ``ops`` applied to y.  NoSolutionError if y is outside the
-        column space."""
+        """The solution of M x = y with every free variable 0, one
+        back-substitution; NoSolutionError if y is outside the column
+        space.  On a doubled reduction it is the solution of the reduction
+        it was read off, padded with zeros: the second copy of M is free."""
+        if self._parent is not None:
+            return _vec(self.field, self.cols, self._parent.particular(y).packed)
         if (self.left_kernel @ y).weight():
             raise NoSolutionError("inconsistent linear system")
         split = self._split
-        if self.field.q == 2:
-            return _vec(self.field, self.cols,
-                        self._back_substitute(y.bits << split) & ((1 << split) - 1))
-        t = self.ops @ y
-        s = _slot(self.field)
-        mask = (1 << s) - 1
-        x, word = 0, t.packed
-        for c in self.pivot_cols:
-            if word & mask:
-                x |= (word & mask) << (s * c)
-            word >>= s
-        return _vec(self.field, self.cols, x)
+        return _vec(self.field, self.cols,
+                    self._back_substitute(y.packed << split) & ((1 << split) - 1))
 
     def doubled(self) -> "RowReduction":
         """The reduction of [M | M | I], read off this one of [M | I]
@@ -846,6 +838,7 @@ class RowReduction:
         out.pivot_cols, out.left_kernel = self.pivot_cols, self.left_kernel
         split = self._split
         out._split = 2 * split
+        out._ar = word_arithmetic(self.field, out.cols + self.left_kernel.cols)
         out._rows = [(r & ((1 << split) - 1)) | r << split for r in self._rows]
         out._parent = self
         return out

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from fuzzylink import linalg
 from fuzzylink.attacks import ResourceCapError
 
 from fuzzylink.codes import (
@@ -58,6 +59,23 @@ BCH_31_5_H = (
     0x20015f, 0x4002be, 0x80057c, 0x10000e5, 0x20001ca, 0x4000394, 0x8000728, 0x1000044d,
     0x20000287, 0x4000050e,
 )
+
+
+@pytest.mark.parametrize("build", [
+    lambda: generic_code(FieldMatrix(field(3), [[1, 0], [0, 1], [1, 1], [1, 2]]), 3),
+    lambda: bch_build.__wrapped__(5, 5),  # what a cache miss of bch_build runs
+])
+def test_code_build_runs_one_reduction(build, monkeypatch):
+    """A code's H is the left kernel of the reduction of [G | I_n], so
+    building the code eliminates that one matrix and nothing else."""
+    calls = []
+
+    def counted(*args, _reduce=linalg._reduce):
+        calls.append(args)
+        return _reduce(*args)
+    monkeypatch.setattr(linalg, "_reduce", counted)
+    build()
+    assert len(calls) == 1
 
 
 def test_bch_check_matrix_pinned():

@@ -462,6 +462,11 @@ def test_packed_arithmetic_matches_entrywise(operands, data):
     assert (vx + vy).entries == tuple(f.add(a, b) for a, b in zip(x, y))
     assert (vx - vy).entries == tuple(f.sub(a, b) for a, b in zip(x, y))
     assert vx.scale(c).entries == tuple(f.mul(c, a) for a in x)
+    ar = linalg.word_arithmetic(f, inner)
+    dot = 0
+    for xi, yi in zip(x, y):
+        dot = f.add(dot, f.mul(xi, yi))
+    assert ar.dot(ar.x_powers(vx.packed) if f.p == 2 else vx.packed, vy.packed) == dot
     assert vx.weight() == sum(1 for a in x if a)
     lo = data.draw(st.integers(0, inner))
     hi = data.draw(st.integers(lo, inner))
@@ -725,11 +730,11 @@ def test_one_matrix_is_eliminated_once(f, monkeypatch):
     inconsistent right-hand side) and invert of one matrix read the one
     reduction of [M | I] that the matrix keeps."""
     calls = []
-    for name in ("_reduce_gf2", "_reduce_packed"):
-        def counted(*args, _reduce=getattr(linalg, name)):
-            calls.append(args)
-            return _reduce(*args)
-        monkeypatch.setattr(linalg, name, counted)
+
+    def counted(*args, _reduce=linalg._reduce):
+        calls.append(args)
+        return _reduce(*args)
+    monkeypatch.setattr(linalg, "_reduce", counted)
     r0, r1 = [1, f.q - 1, 0], [0, 1, 1]
     M = FieldMatrix(f, [r0, r1, [f.add(a, b) for a, b in zip(r0, r1)]])
     assert rank(M) == 2
@@ -818,6 +823,23 @@ def test_random_weight_vector_coordinate_frequency(rng):
     expected = w / n
     sigma = np.sqrt(expected * (1 - expected) / draws)
     assert np.all(np.abs(freq - expected) < 5 * sigma)
+
+
+@pytest.mark.parametrize("p, m, n, w, words", [
+    (3, 1, 10, 4, (0x2020102020102, 0x20001000000000102, 0x1010101020002000100)),
+    (2, 5, 12, 5, (0x1b090901071a18121c15141e, 0x8001700000900000b0a, 0x131619191f101112100f0e1f)),
+    (257, 1, 9, 3, (0xe003900d600c7009400e600af00a000f2, 0x2200d30000000000000000008000000000,
+                    0x4100b800470057004d00d10078001e00cc)),
+])
+def test_random_draws_pinned(p, m, n, w, words):
+    """random_vector, random_weight_vector and random_vector again from one
+    seeded stream, as packed words: the draws, and so every seeded report,
+    do not depend on how the words are built."""
+    f, rng = field(p, m), np.random.default_rng(7)
+    drawn = (random_vector(f, n, rng), random_weight_vector(f, n, w, rng), random_vector(f, n, rng))
+    assert tuple(v.packed for v in drawn) == words
+    assert drawn[1].weight() == w
+    assert all(v == FieldVector(f, v.entries) for v in drawn)
 
 
 def test_random_vector_field_range(rng):
