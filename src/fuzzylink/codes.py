@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fields import FieldSpec, GF2, _poly_mul, exp_log_tables, field
+from .fields import (FieldSpec, GF2, _poly_mul, exp_log_tables, field, field_from_json,
+                     field_to_json, json_ints)
 from .linalg import FieldMatrix, FieldVector, random_vector
 
 
@@ -325,11 +326,9 @@ def parse_code_descriptor(desc) -> LinearCode:
         return bch_build(m, t)
     if isinstance(desc, dict):
         try:
-            fdesc = desc.get("field", {"p": 2, "m": 1})
-            f = field(int(fdesc["p"]), int(fdesc.get("m", 1)),
-                      tuple(fdesc["modulus"]) if "modulus" in fdesc else None)
-            G = FieldMatrix(f, desc["generator"])
-            d = int(desc["d"])
+            f = field_from_json(desc.get("field", {"p": 2, "m": 1}))
+            G = FieldMatrix(f, [json_ints(row, "generator entries") for row in desc["generator"]])
+            d, = json_ints([desc["d"]], "code distance d")
         except (KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise ValueError(f"malformed inline code ({type(exc).__name__}: {exc})") from None
         return generic_code(G, d)
@@ -341,7 +340,4 @@ def code_descriptor(code: LinearCode):
     for generic codes."""
     if code.bch is not None:
         return f"bch:{code.n}:{code.bch.t}"
-    fdesc = {"p": code.field.p, "m": code.field.m}
-    if code.field.modulus is not None:
-        fdesc["modulus"] = list(code.field.modulus)
-    return {"field": fdesc, "generator": code.G.to_grid(), "d": code.d}
+    return {"field": field_to_json(code.field), "generator": code.G.to_grid(), "d": code.d}

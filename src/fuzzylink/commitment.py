@@ -16,7 +16,7 @@ import struct
 from dataclasses import dataclass
 
 from .codes import LinearCode, code_descriptor, decode_bounded, is_codeword, parse_code_descriptor, random_codeword
-from .fields import FieldSpec, field
+from .fields import FieldSpec, field_from_json, field_to_json, json_ints
 from .linalg import FieldVector
 from .transforms import VARIANTS, TransformDescriptor, apply, identity_transform, transform_from_json
 
@@ -175,20 +175,16 @@ def _vector_from_json(obj, f: FieldSpec, n: int | None = None) -> FieldVector:
     if not isinstance(obj, list):
         raise RecordFormatError("vector must be a hex string or an integer array")
     try:
-        return FieldVector(f, [int(e) for e in obj])
+        return FieldVector(f, json_ints(obj, "vector entries"))
     except ValueError as exc:
         raise MalformedRecordError(str(exc)) from None
 
 
 def serialize_record(record: Record) -> bytes:
     """Canonical JSON encoding; byte-identical for identical records."""
-    f = record.commitment.field
-    fdesc: dict = {"p": f.p, "m": f.m}
-    if f.modulus is not None:
-        fdesc["modulus"] = list(f.modulus)
     obj = {
         "version": RECORD_VERSION,
-        "field": fdesc,
+        "field": field_to_json(record.commitment.field),
         "code": record.code_id,
         "f": _vector_to_json(record.commitment),
         "transform": record.transform.to_json(),
@@ -221,9 +217,7 @@ def parse_record(data: bytes) -> Record:
     if kind not in VARIANTS:
         raise RecordFormatError(f"unknown transform type {kind!r}")
     try:
-        fdesc = obj["field"]
-        f = field(int(fdesc["p"]), int(fdesc.get("m", 1)),
-                  tuple(fdesc["modulus"]) if "modulus" in fdesc else None)
+        f = field_from_json(obj["field"])
         code_id = obj["code"]
         commitment = _vector_from_json(obj["f"], f, _code_block_length(code_id))
         transform = transform_from_json(tdesc, f, commitment.n)

@@ -10,6 +10,8 @@ through precomputed log/antilog tables built on a fixed generator.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice, product
+from operator import mul
 
 MAX_ORDER = 1 << 16
 
@@ -36,18 +38,7 @@ _PRIMITIVE_POLY_GF2 = {
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -76,6 +67,8 @@ def _poly_trim(a):
 
 
 def _poly_mul(a, b, p):
+    """The product of two trimmed polynomials, trimmed: over GF(p) two
+    non-zero leading coefficients have a non-zero product."""
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
@@ -83,40 +76,50 @@ def _poly_mul(a, b, p):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
+    return tuple(out)
 
 
 def _poly_mod(a, mod, p):
-    a = list(a)
+    """The remainder of a divided by mod, by long division."""
     dm = len(mod) - 1
+    if len(a) <= dm:
+        return _poly_trim(a)
+    a = list(a)
     inv_lead = pow(mod[-1], p - 2, p)
-    while len(a) - 1 >= dm and any(a):
-        a = list(_poly_trim(a))
-        if len(a) - 1 < dm:
-            break
-        coef = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(mod):
-            a[shift + i] = (a[shift + i] - coef * mi) % p
-        a = list(_poly_trim(a))
-        if not a:
-            break
-    return _poly_trim(a)
-
-
-def _poly_mulmod(a, b, mod, p):
-    return _poly_mod(_poly_mul(a, b, p), mod, p)
+    for top in range(len(a) - 1, dm - 1, -1):
+        if coef := a[top] * inv_lead % p:
+            shift = top - dm
+            for i, mi in enumerate(mod):
+                a[shift + i] = (a[shift + i] - coef * mi) % p
+    return _poly_trim(a[:dm])
 
 
 def _poly_powmod(a, e, mod, p):
-    result = (1,)
+    """a^e modulo mod, by square-and-multiply from the top bit of e: every
+    multiplication is by a itself, which is short when a is x."""
     base = _poly_mod(a, mod, p)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
-        e >>= 1
+    result = base if e else (1,)
+    for bit in f"{e:b}"[1:]:
+        result = _poly_mod(_poly_mul(result, result, p), mod, p)
+        if bit == "1":
+            result = _poly_mod(_poly_mul(result, base, p), mod, p)
     return result
+
+
+def _polys(p: int, m: int):
+    """Every polynomial over GF(p) of degree < m as its m coefficients,
+    lowest first, in the order of the integers whose base-p digits they
+    are (lowest coefficient fastest)."""
+    return (c[::-1] for c in product(range(p), repeat=m))
+
+
+def _generates(g, mod, p: int) -> bool:
+    """True when g has order p^m - 1 modulo mod of degree m: g^((p^m - 1)/r)
+    != 1 for every prime r dividing p^m - 1 (the test most candidates fail)
+    and g^(p^m - 1) = 1."""
+    order = p ** (len(mod) - 1) - 1
+    return (all(_poly_powmod(g, order // r, mod, p) != (1,) for r in _prime_factors(order))
+            and _poly_powmod(g, order, mod, p) == (1,))
 
 
 def is_irreducible(poly, p: int) -> bool:
@@ -124,37 +127,14 @@ def is_irreducible(poly, p: int) -> bool:
     degree <= deg/2."""
     poly = _poly_trim(poly)
     deg = len(poly) - 1
-    if deg < 1:
-        return False
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        # all monic polynomials of degree d: p^d candidates
-        for idx in range(p ** d):
-            cand = []
-            v = idx
-            for _ in range(d):
-                cand.append(v % p)
-                v //= p
-            cand.append(1)
-            if not _poly_mod(poly, tuple(cand), p):
-                return False
-    return True
+    return deg >= 1 and all(_poly_mod(poly, low + (1,), p)
+                            for d in range(1, deg // 2 + 1) for low in _polys(p, d))
 
 
 def is_primitive(poly, p: int) -> bool:
     """True when x generates the multiplicative group of GF(p)[x]/(poly)."""
     poly = _poly_trim(poly)
-    if not is_irreducible(poly, p):
-        return False
-    m = len(poly) - 1
-    order = p ** m - 1
-    x = (0, 1)
-    if _poly_powmod(x, order, poly, p) != (1,):
-        return False
-    return all(
-        _poly_powmod(x, order // r, poly, p) != (1,) for r in _prime_factors(order)
-    )
+    return is_irreducible(poly, p) and _generates((0, 1), poly, p)
 
 
 def default_modulus(p: int, m: int):
@@ -170,16 +150,9 @@ def default_modulus(p: int, m: int):
         if mask is None:
             raise ValueError(f"no default modulus for GF(2^{m})")
         return tuple((mask >> i) & 1 for i in range(m + 1))
-    for idx in range(p ** m):
-        coeffs = []
-        v = idx
-        for _ in range(m):
-            coeffs.append(v % p)
-            v //= p
-        coeffs.append(1)
-        cand = tuple(coeffs)
-        if is_primitive(cand, p):
-            return cand
+    for low in _polys(p, m):
+        if is_primitive(low + (1,), p):
+            return low + (1,)
     raise ValueError(f"no primitive polynomial found for GF({p}^{m})")
 
 
@@ -221,53 +194,23 @@ class FieldSpec:
             self.modulus = tuple(modulus)
             self._build_tables()
 
-    # -- construction helpers -------------------------------------------------
-
-    def _int_to_poly(self, a: int):
-        digits = []
-        while a:
-            digits.append(a % self.p)
-            a //= self.p
-        return tuple(digits)
-
-    def _poly_to_int(self, poly) -> int:
-        out = 0
-        for c in reversed(poly):
-            out = out * self.p + c
-        return out
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        prod = _poly_mulmod(self._int_to_poly(a), self._int_to_poly(b), self.modulus, self.p)
-        return self._poly_to_int(prod)
-
     def _build_tables(self):
-        q = self.q
-        # find a generator of the multiplicative group (x first: the default
-        # moduli are primitive, so this normally succeeds immediately)
-        factors = _prime_factors(q - 1)
-        gen = None
-        for cand in range(self.p, q):
-            ok = True
-            for r in factors:
-                acc = 1
-                for _ in range((q - 1) // r):
-                    acc = self._raw_mul(acc, cand)
-                if acc == 1:
-                    ok = False
-                    break
-            if ok:
-                gen = cand
-                break
+        p, m, q, mod = self.p, self.m, self.q, self.modulus
+        # the first generator of the multiplicative group in integer order,
+        # from x = p up: the default moduli are primitive, so normally x
+        gen = next((_poly_trim(g) for g in islice(_polys(p, m), p, None)
+                    if _generates(g, mod, p)), None)
         if gen is None:  # pragma: no cover - irreducible modulus guarantees one
             raise ValueError("no generator found; modulus is not irreducible?")
+        place = [p ** i for i in range(m)]
         exp = [0] * (2 * (q - 1))
         log = [0] * q
-        acc = 1
+        acc = (1,)
         for i in range(q - 1):
-            exp[i] = acc
-            exp[i + q - 1] = acc
-            log[acc] = i
-            acc = self._raw_mul(acc, gen)
+            a = sum(map(mul, acc, place))
+            exp[i] = exp[i + q - 1] = a
+            log[a] = i
+            acc = _poly_mod(_poly_mul(acc, gen, p), mod, p)
         self._exp = exp
         self._log = log
 
@@ -283,6 +226,7 @@ class FieldSpec:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
+        # digit by digit, not through _polys: coefficient tuples made this 2.5-3.5x slower
         out = 0
         mult = 1
         p = self.p
@@ -298,6 +242,7 @@ class FieldSpec:
             return (-a) % self.p
         if self.p == 2:
             return a
+        # digit by digit, not through _polys: coefficient tuples made this 2.5-3.5x slower
         out = 0
         mult = 1
         p = self.p
@@ -367,6 +312,31 @@ def field(p: int, m: int = 1, modulus=None) -> FieldSpec:
     if modulus is not None:
         modulus = _poly_trim(tuple(modulus))
     return _cached_field(p, m, modulus)
+
+
+def json_ints(values, what: str) -> list:
+    """A JSON array's values, refused with ValueError unless every one is a
+    JSON integer: a float, bool or numeric string is never rewritten."""
+    out = list(values)
+    if bad := [x for x in out if type(x) is not int]:
+        raise ValueError(f"{what} must be JSON integers, got {bad[0]!r}")
+    return out
+
+
+def field_to_json(f: FieldSpec) -> dict:
+    """The descriptor {"p", "m"[, "modulus"]} of f in records and inline codes."""
+    desc = {"p": f.p, "m": f.m}
+    if f.modulus is not None:
+        desc["modulus"] = list(f.modulus)
+    return desc
+
+
+def field_from_json(desc) -> FieldSpec:
+    """Inverse of :func:`field_to_json` (m defaults to 1); ValueError unless
+    p, m and the modulus coefficients are JSON integers."""
+    p, m = json_ints((desc["p"], desc.get("m", 1)), "field p and m")
+    modulus = json_ints(desc["modulus"], "modulus coefficients") if "modulus" in desc else None
+    return field(p, m, modulus)
 
 
 GF2 = field(2)

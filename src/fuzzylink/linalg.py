@@ -47,6 +47,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from itertools import repeat
 from operator import mul, or_, xor
 
 from .fields import FieldSpec
@@ -302,17 +303,15 @@ class FieldVector:
     @classmethod
     def from_support(cls, field: FieldSpec, n: int, support, values=None) -> "FieldVector":
         """Length-n vector with values[i] at position support[i] (Python
-        ints) and zeros elsewhere; over GF(2) every value is 1 and values
-        may be omitted."""
-        if field.q == 2:
-            mask = 0
-            for j in support:
-                mask |= 1 << j
-            return cls(field, n=n, bits=mask)
-        entries = [0] * n
-        for j, v in zip(support, values):
-            entries[j] = v
-        return cls(field, entries)
+        ints) and zeros elsewhere; over GF(2) values may be omitted, each
+        then 1.  A position outside [0, n) or a value outside the field
+        raises ValueError."""
+        s, word = _slot(field), 0
+        for j, v in zip(support, repeat(1) if values is None and field.q == 2 else values):
+            if not (0 <= j < n and 0 <= v < field.q):
+                raise ValueError(f"entry {v} at position {j} does not fit GF({field.q})^{n}")
+            word |= v << (s * j)
+        return _vec(field, n, word)
 
     # -- accessors ------------------------------------------------------------
 
@@ -522,9 +521,11 @@ class FieldMatrix:
     # -- products -------------------------------------------------------------
 
     def transpose(self) -> "FieldMatrix":
-        """The transpose, computed on the first call and kept."""
+        """The transpose, computed on the first call and kept; it keeps
+        this matrix as its own transpose."""
         if self._transposed is None:
             self._transposed = self._transpose()
+            self._transposed._transposed = self
         return self._transposed
 
     def _transpose(self) -> "FieldMatrix":

@@ -14,9 +14,9 @@ permutation-plus-shift maps) and all affine bijections of small fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations as iter_permutations
+from itertools import permutations as iter_permutations, product
 
-from .fields import FieldSpec
+from .fields import FieldSpec, json_ints
 from .linalg import (FieldMatrix, FieldVector, hamming_distance, permuted_rows,
                      random_vector)
 
@@ -63,10 +63,10 @@ def transform_from_json(obj: dict, field: FieldSpec, n: int) -> TransformDescrip
         return TransformDescriptor("identity", n, field)
     if kind == "bit-permutation":
         return TransformDescriptor("bit-permutation", n, field,
-                                   permutation=tuple(int(i) for i in obj["perm"]))
+                                   permutation=tuple(json_ints(obj["perm"], "perm")))
     if kind == "field-permutation":
         return TransformDescriptor("field-permutation", n, field,
-                                   sigma=tuple(int(i) for i in obj["sigma"]))
+                                   sigma=tuple(json_ints(obj["sigma"], "sigma")))
     raise ValueError(f"unknown transform type {kind!r}")
 
 
@@ -231,14 +231,9 @@ def check_distance_preserving(fn, field: FieldSpec, n: int, *, trials: int = 200
     """
     domain_size = field.q ** n
     if domain_size <= 4096:
-        vectors = []
-        for idx in range(domain_size):
-            entries = []
-            v = idx
-            for _ in range(n):
-                entries.append(v % field.q)
-                v //= field.q
-            vectors.append(FieldVector(field, entries))
+        # in the order of the integers whose base-q digits they are
+        vectors = [FieldVector(field, entries[::-1])
+                   for entries in product(range(field.q), repeat=n)]
         for i, v1 in enumerate(vectors):
             for v2 in vectors[i + 1:]:
                 if hamming_distance(fn(v1), fn(v2)) != hamming_distance(v1, v2):

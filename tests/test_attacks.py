@@ -106,6 +106,16 @@ def test_pattern_order_and_uniqueness():
         assert weights == sorted(weights)
         assert all(FieldVector.from_support(GF3, 5, s, v).weight() == len(s)
                    for s, v, _ in pats)
+    # words recorded while q > 2 went through FieldVector(field, entries)
+    g32, g257 = field(2, 5), field(257)
+    assert FieldVector.from_support(g32, 12, [0, 3, 11, 7], [31, 1, 17, 4]).packed == (
+        0x11000000040000000100001f)
+    assert FieldVector.from_support(g257, 9, [8, 0, 4], [256, 1, 255]).packed == (
+        0x10000000000000000ff0000000000000001)
+    for f, support, values in ((GF2, [-1], None), (GF2, [5], None), (GF3, [-1], [1]),
+                               (GF3, [5], [1]), (GF3, [0], [3]), (g257, [0], [-1])):
+        with pytest.raises(ValueError):
+            FieldVector.from_support(f, 5, support, values)
 
 
 def test_pattern_iter_raw_restart():

@@ -293,6 +293,10 @@ def test_attack_pair_hash_reads_algorithm_from_digest(runner, tmp_path, algs):
     assert out["candidates"] == {"w1": vector_to_text(w1), "w2": vector_to_text(w2)}
 
 
+HAMMING_7_4 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+               [1, 1, 0, 1], [1, 0, 1, 1], [0, 1, 1, 1]]
+
+
 def _base_record(kind):
     rng = np.random.default_rng(5)
     if kind == "bch":
@@ -300,9 +304,7 @@ def _base_record(kind):
         t = random_transform("bit-permutation", code.n, GF2, rng)
         rec = enroll(random_vector(GF2, code.n, rng), code, t, with_hash=True, rng=rng)
     else:  # inline generic (7, 4) Hamming code
-        G = FieldMatrix(GF2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
-                              [1, 1, 0, 1], [1, 0, 1, 1], [0, 1, 1, 1]])
-        code = generic_code(G, 3)
+        code = generic_code(FieldMatrix(GF2, HAMMING_7_4), 3)
         rec = enroll(random_vector(GF2, code.n, rng), code, rng=rng)
     return json.loads(serialize_record(rec))
 
@@ -316,6 +318,16 @@ MALFORMED = {
     "generator-int": ("inline", ("code", "generator"), 5),
     "generator-nested": ("inline", ("code", "generator"), [[[1]]] * 7),
     "d-null": ("inline", ("code", "d"), None),
+    # numbers that are not JSON integers, once rewritten by int() and accepted
+    "perm-float": ("bch", ("transform", "perm"), [i + 0.4 for i in range(31)]),
+    "field-p-text": ("bch", ("field", "p"), "2"),
+    "field-m-bool": ("bch", ("field", "m"), True),
+    "code-p-float": ("inline", ("code", "field", "p"), 2.7),
+    "generator-bool": ("inline", ("code", "generator"),
+                       [[x == 1 for x in row] for row in HAMMING_7_4]),
+    "generator-text": ("inline", ("code", "generator"),
+                       [[str(x) for x in row] for row in HAMMING_7_4]),
+    "d-float": ("inline", ("code", "d"), 3.5),
 }
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzylink.attacks import generalized_attack
-from fuzzylink.codes import bch_build, generic_code, random_codeword
+from fuzzylink.codes import bch_build, generic_code, parse_code_descriptor, random_codeword
 from fuzzylink.commitment import (
     HASH_ALGORITHMS,
     HASH_BY_SIZE,
@@ -304,6 +304,16 @@ def hashed_record_obj(code):
     return json.loads(serialize_record(rec))
 
 
+def _with(obj, path, value):
+    """A deep copy of obj with the member at path set to value."""
+    obj = copy.deepcopy(obj)
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return obj
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
     lambda children: (st.lists(children, max_size=4)
@@ -318,13 +328,35 @@ MEMBERS = [("version",), ("field",), ("field", "p"), ("field", "m"), ("code",), 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(MEMBERS), JSON_VALUES)
 def test_parse_record_survives_any_member_value(hashed_record_obj, member, value):
-    obj = copy.deepcopy(hashed_record_obj)
-    target = obj
-    for key in member[:-1]:
-        target = target[key]
-    target[member[-1]] = value
     try:
-        rec = parse_record(json.dumps(obj).encode())
+        rec = parse_record(json.dumps(_with(hashed_record_obj, member, value)).encode())
     except (RecordFormatError, MalformedRecordError):
         return
     assert isinstance(rec, Record)
+
+
+def test_record_numbers_must_be_json_integers(hashed_record_obj):
+    """A float, bool or numeric string where a record or an inline code
+    holds an integer is refused, not rewritten into the integer it rounds
+    to (which re-serialized to a record other than the one parsed)."""
+    gf9 = json.loads(serialize_record(next(_pinned_records(((3, 2, 9, 4),)))[0]))
+    assert gf9["transform"]["type"] == "field-permutation" and gf9["field"]["modulus"]
+    for obj in (hashed_record_obj, gf9):
+        assert parse_record(json.dumps(obj).encode())
+    perm = hashed_record_obj["transform"]["perm"]
+    for obj, path, value in [
+            (hashed_record_obj, ("transform", "perm"), [i + 0.4 for i in perm]),
+            (hashed_record_obj, ("field", "p"), "2"),
+            (hashed_record_obj, ("field", "m"), True),
+            (gf9, ("f",), [float(e) for e in gf9["f"]]),
+            (gf9, ("transform", "sigma"), [s + 0.5 for s in gf9["transform"]["sigma"]]),
+            (gf9, ("field", "modulus"), [float(c) for c in gf9["field"]["modulus"]])]:
+        with pytest.raises(MalformedRecordError, match="JSON integers"):
+            parse_record(json.dumps(_with(obj, path, value)).encode())
+    inline = gf9["code"]
+    assert parse_code_descriptor(inline).field == field(3, 2)
+    grid = inline["generator"]
+    for path, value in [(("field", "p"), 3.7), (("d",), 2.5)] + [
+            (("generator",), [[x] + row[1:] for row in grid]) for x in (1.9, True, "1")]:
+        with pytest.raises(ValueError, match="JSON integers"):
+            parse_code_descriptor(_with(inline, path, value))

@@ -1,3 +1,6 @@
+import hashlib
+from itertools import product
+
 import pytest
 
 from fuzzylink.fields import (
@@ -6,8 +9,13 @@ from fuzzylink.fields import (
     exp_log_tables,
     field,
     is_irreducible,
+    is_prime,
     is_primitive,
 )
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (7, 1), (31, 1),
@@ -87,3 +95,42 @@ def test_odd_prime_extension_field():
 def test_field_identity_per_parameters():
     assert field(2, 5) is field(2, 5)
     assert field(2) == GF2
+
+
+# recorded before the construction routines were each stated once; the two
+# user moduli are irreducible but not primitive, so their generator is not x
+TABLE_DIGESTS = {
+    (2, 5, None): "475c05f88d0947d038642b35065a1e17c0a88c74507783a47754f2312ca3c9d5",
+    (2, 7, None): "c87db80addc553dbc15c3e3f0d9b876b77c6af09f112930a3a342caf237f7670",
+    (2, 8, None): "f73d1a929245a3d43073fa584aa779294b871f61b13ec233e333d6c00b4b0d80",
+    (2, 12, None): "5f760ac6a6c43a5c8f31c7bf77f9d519e6976faabadbadeb91de7e4f6efa390c",
+    (2, 16, None): "3c72f997b9d11dad83ef08e4eee8fc3e418478fc3ff46551857ae3254d0c70ef",
+    (3, 5, None): "5573672c4c2ce36483414717cd0e73a703a38695782e20e3c265ee2c76d71d78",
+    (241, 2, None): "8570133303280e2312ff9e29d95b9b7356f8eb24a97d73d13744f50dd57ab690",
+    (2, 4, (1, 1, 1, 1, 1)): "0b6bb3cc5a34dbc9d14291649db86c11f9475763a560b11e1625d5e225d8bf3e",
+    (3, 2, (1, 0, 1)): "57ea7160f413b054da6f58d9392a6077449cfef4f17c94f9abb5ad58c8da4b06",
+}
+
+
+@pytest.mark.parametrize("p,m,modulus", list(TABLE_DIGESTS))
+def test_field_tables_pinned(p, m, modulus):
+    f = field(p, m, modulus)
+    assert _sha((f.modulus, f._exp, f._log)) == TABLE_DIGESTS[p, m, modulus]
+
+
+def test_construction_predicates_pinned():
+    """is_prime, is_irreducible, is_primitive and default_modulus on
+    exhaustive small ranges, against values recorded before the routines
+    were each stated once.  The polynomials include non-monic ones and
+    ones with zero leading coefficients."""
+    assert _sha([is_prime(n) for n in range(-2, 20000)]) == (
+        "d4c9f3c8384a025c8c60d5403d8aff9a55b07dcb7b6ab6365a73354d6e944cf4")
+    assert _sha([(is_irreducible(c, p), is_primitive(c, p))
+                 for p, top in ((2, 9), (3, 6), (5, 4), (7, 3))
+                 for length in range(top + 1) for c in product(range(p), repeat=length)]) == (
+        "e8cfb9226349327d9917c6f211ddbb8096135afac174db02b302bcc324b4afdf")
+    assert _sha([default_modulus(p, m) for p in (2, 3, 5, 7, 11, 13, 17, 31, 61, 251)
+                 for m in range(1, 13) if p ** m <= 4096]) == (
+        "dc5b2d5f3b4c58d76729c6af79a55603ef81a12a5b41811bfc5cf4dccb05ac6b")
+    # x is irreducible, but x^1 = 0 mod x: it generates nothing
+    assert is_primitive((0, 1), 2) is False

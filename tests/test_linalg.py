@@ -643,10 +643,10 @@ def test_doubled_reduction_matches_full_reduction(system, data):
 @given(st.sampled_from([GF2] + PACKED_FIELDS), st.integers(0, 4), st.integers(0, 4), st.data())
 def test_matrices_keep_their_transpose_and_row_multiples(f, rows, cols, data):
     """transpose(), row_multiples() and reduction() equal a fresh
-    computation, a second call returns the same object, and every
-    constructor starts with nothing kept, also after its operand has
-    filled its own.  Row multiples are compared for q <= 512 only (q words
-    per row)."""
+    computation, a second call returns the same object, a transpose's
+    transpose is the matrix itself, and every constructor starts with
+    nothing kept, also after its operand has filled its own.  Row multiples
+    are compared for q <= 512 only (q words per row)."""
     M = FieldMatrix(f, _grid(data.draw, f, rows, cols), cols=cols)
     c = data.draw(st.integers(1, f.q - 1))
     perm = data.draw(st.permutations(range(rows)))
@@ -667,7 +667,7 @@ def test_matrices_keep_their_transpose_and_row_multiples(f, rows, cols, data):
         T = A.transpose()
         assert (T.rows, T.cols) == (A.cols, A.rows)
         assert T.to_grid() == [[row[j] for row in grid] for j in range(A.cols)]
-        assert A.transpose() is T
+        assert A.transpose() is T and T.transpose() is A
         red = A.reduction()
         assert _reduction_fields(red) == _reduction_fields(RowReduction(A))
         assert A.reduction() is red
