@@ -8,17 +8,19 @@ non-zero values in field order) and testing syndromes incrementally:
 the syndrome of a weight-w pattern is a combination of w precomputed
 column syndromes, so no full matrix-vector product is ever taken per
 pattern.  The tail of each pattern is looked up, not looped over, by one
-of two scans chosen by q.  Over GF(2), weights 1 and 2 take the last
-position from a hash map of column syndromes; weights >= 3 take the last
-two from a pair-syndrome table cols[i] ^ cols[j] -> (i, j), built once per
-scan, and classes of weight >= 6 are first ruled out by a
-meet-in-the-middle existence check.  Over every other field the last
-position and its value come from one table of the words s - v*cols[j],
-v != 0, so each pattern costs the sum of its head's column multiples and
-one lookup, on packed words over every field (added by XOR in
-characteristic 2).  Both preserve first-hit order and indices exactly
-(differentially tested against the naive itertools scan that defines the
-order).
+of two scans chosen by q.  Over GF(2), weight 1 takes its position from a
+hash map of column syndromes and weight 2 walks that map for the pairs
+whose syndromes XOR to s.  Weights >= 3 screen each head against a set of
+the pair syndromes cols[i] ^ cols[j], built once per scan: a head none of
+whose third positions leaves a syndrome in the set is skipped whole, and
+a third that does is completed by the weight-2 walk.  Classes of weight
+>= 6 are first ruled out by a meet-in-the-middle existence check.  Over
+every other field the last position and its value come from one table of
+the words s - v*cols[j], v != 0, so each pattern costs the sum of its
+head's column multiples and one lookup, on packed words over every field
+(added by XOR in characteristic 2).  Both preserve first-hit order and
+indices exactly (differentially tested against the naive itertools scan
+that defines the order).
 
 The linear algebra is one reduction of [G~ | I_n], G~ = (G1 | G2): rows
 whose G~ part vanishes form the annihilator H~ the scan tests against.
@@ -46,11 +48,12 @@ accepts it unchecked.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, product
+from itertools import combinations, product, repeat, starmap
 from math import comb
+from operator import xor
 from time import perf_counter
 
 from .codes import LinearCode, decode_bounded
@@ -174,8 +177,8 @@ def _mitm_weight_exists(cols, s: int, n: int, w: int) -> bool:
     index sets implies a lower-weight hit, so "no" is always conclusive
     while a spurious "yes" merely costs an exact scan of the class.  The
     scan asks only for w >= 6: its left set has C(n, 3) entries there, and
-    for w = 4 and 5 the check would cost as much as the pair-table scan of
-    the class it guards."""
+    for w = 4 and 5 the check would cost as much as the scan of the class
+    it guards."""
     a = min(w // 2, 3)
     left = set()
     for combo in combinations(range(n), a):
@@ -192,82 +195,53 @@ def _mitm_weight_exists(cols, s: int, n: int, w: int) -> bool:
     return False
 
 
-def _pair_table(cols, n: int):
-    """Pair-syndrome table: cols[i] ^ cols[j] -> the pairs i < j with that
-    syndrome, each packed as i*n + j (ascending packed order is lex order).
-    A key with one pair maps to its packed int; a repeated key maps to ~k,
-    where extra[k] is the ascending list of its packed pairs."""
-    table: dict[int, int] = {}
-    extra: list[list[int]] = []
-    setdefault = table.setdefault
-    for i in range(n - 1):
-        ci = cols[i]
-        base = i * n
-        for j in range(i + 1, n):
-            key = ci ^ cols[j]
-            packed = base + j
-            old = setdefault(key, packed)
-            if old != packed:
-                if old >= 0:
-                    table[key] = ~len(extra)
-                    extra.append([old, packed])
-                else:
-                    extra[~old].append(packed)
-    return table, extra
-
-
-def _scan_pair_class(table, extra, cols, s: int, n: int, w: int):
-    """Supports of weight w >= 3 in lex order: loop over the first w - 2
-    positions and look the last two up in the pair table."""
-    get = table.get
-    for head in combinations(range(n - 3), w - 3):
-        base = s
-        for j in head:
-            base ^= cols[j]
-        for third in range(head[-1] + 1 if head else 0, n - 2):
-            packed = get(base ^ cols[third])
-            if packed is None:
-                continue
-            lo = (third + 1) * n
-            outer = head + (third,)
-            if packed >= 0:
-                if packed >= lo:
-                    yield outer + divmod(packed, n)
-                continue
-            lst = extra[~packed]
-            for packed in lst[bisect_left(lst, lo):]:
-                yield outer + divmod(packed, n)
+def _pairs_to(by_val, cols, t: int, lo: int, n: int):
+    """The pairs lo <= k < l with cols[k] ^ cols[l] = t, in lex order:
+    k in ascending order, l from the column map of the values t ^ cols[k]."""
+    get = by_val.get
+    for k in range(lo, n - 1):
+        lst = get(t ^ cols[k])
+        if lst is not None:
+            for j in lst[bisect_right(lst, k):]:
+                yield k, j
 
 
 def _scan_gf2(cols, s: int, n: int, b: int):
     """Yield hit supports in canonical order (values are implicitly all
-    ones over GF(2)).  Weights 1 and 2 take the last position from a hash
-    map of column syndromes; weights >= 3 take the last two from the pair
-    table, built once when the scan first enters class 3."""
+    ones over GF(2)).  Class 1 looks s up in a map of column syndromes and
+    class 2 walks the pairs whose syndromes XOR to s through that map.
+    Classes w >= 3 loop over heads of w - 3 positions: a head is skipped
+    when none of its third positions leaves a syndrome in the set of pair
+    syndromes cols[k] ^ cols[l], built once when the scan first enters
+    class 3, and otherwise each third that does is completed by the pair
+    walk of class 2."""
     if s == 0:
         yield ()
     by_val: dict[int, list[int]] = {}
     for j, cv in enumerate(cols):
         by_val.setdefault(cv, []).append(j)
-    pairs = None
-    for w in range(1, b + 1):
-        if w == 1:
-            for j in by_val.get(s, ()):
-                yield (j,)
-            continue
-        if w == 2:
-            get = by_val.get
-            for first in range(n - 1):
-                lst = get(s ^ cols[first])
-                if lst is not None:
-                    for j in lst[bisect_right(lst, first):]:
-                        yield (first, j)
-            continue
+    if b >= 1:
+        yield from ((j,) for j in by_val.get(s, ()))
+    if b >= 2:
+        yield from _pairs_to(by_val, cols, s, 0, n)
+    if b < 3:
+        return
+    sums = set(starmap(xor, combinations(cols, 2)))
+    for w in range(3, b + 1):
         if w >= 6 and not _mitm_weight_exists(cols, s, n, w):
             continue
-        if pairs is None:
-            pairs = _pair_table(cols, n)
-        yield from _scan_pair_class(*pairs, cols, s, n, w)
+        for head in combinations(range(n - 3), w - 3):
+            base = s
+            for j in head:
+                base ^= cols[j]
+            lo = head[-1] + 1 if head else 0
+            if sums.isdisjoint(map(xor, repeat(base), cols[lo:n - 2])):
+                continue
+            for third in range(lo, n - 2):
+                t = base ^ cols[third]
+                if t in sums:
+                    for pair in _pairs_to(by_val, cols, t, third + 1, n):
+                        yield head + (third,) + pair
 
 
 def _scan_multiples(cols: FieldMatrix, s: FieldVector, n: int, b: int):
@@ -344,14 +318,14 @@ def scan_syndrome_hits(H: FieldMatrix, s: FieldVector, b: int, *, reference: boo
     The generator is lazy: taking its first element is the first-hit scan,
     continuing it resumes the scan (hash filtering does this), exhausting
     it is the all-hits diagnostic mode.  There are two fast scans, chosen
-    by q: the pair-table scan over GF(2) and the table of column multiples
-    over every other field.  With ``reference=True`` a naive scan walks
-    every pattern and takes a full matrix-vector product for each; its
-    walk defines canonical order (weight ascending, supports in
-    lexicographic order, values in field order, last position fastest) and
-    its running count the index, so it is an independent oracle for both
-    fast scans and :func:`pattern_index`.  A syndrome whose field or length
-    does not fit H raises ValueError.
+    by q: over GF(2) the column map and the set of pair syndromes, and
+    over every other field the table of column multiples.  With
+    ``reference=True`` a naive scan walks every pattern and takes a full
+    matrix-vector product for each; its walk defines canonical order
+    (weight ascending, supports in lexicographic order, values in field
+    order, last position fastest) and its running count the index, so it
+    is an independent oracle for both fast scans and :func:`pattern_index`.
+    A syndrome whose field or length does not fit H raises ValueError.
     """
     f = H.field
     n = H.cols

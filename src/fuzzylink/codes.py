@@ -312,14 +312,22 @@ def decode_bounded(code: LinearCode, v: FieldVector):
 # descriptors
 # ---------------------------------------------------------------------------
 
+def bch_descriptor_params(desc: str) -> tuple[int, int]:
+    """The n and t of the descriptor "bch:<n>:<t>".  Each must be spelled
+    as a canonical ASCII decimal (digits only, no leading zero), so one
+    code has one descriptor; anything else raises ValueError."""
+    parts = desc.split(":")
+    if (len(parts) != 3 or parts[0] != "bch"
+            or not all(x.isascii() and x.isdigit() and x == str(int(x)) for x in parts[1:])):
+        raise ValueError(f"unknown code descriptor {desc!r}; expected bch:<n>:<t>")
+    return int(parts[1]), int(parts[2])
+
+
 def parse_code_descriptor(desc) -> LinearCode:
     """Resolve a code descriptor: the string "bch:<n>:<t>" or an inline
     {"generator": row-major grid, "d": int, "field": {"p":..,"m":..}} mapping."""
     if isinstance(desc, str):
-        parts = desc.split(":")
-        if len(parts) != 3 or parts[0] != "bch":
-            raise ValueError(f"unknown code descriptor {desc!r}; expected bch:<n>:<t>")
-        n, t = int(parts[1]), int(parts[2])
+        n, t = bch_descriptor_params(desc)
         m = n.bit_length()
         if (1 << m) - 1 != n:
             raise ValueError(f"BCH block length must be 2^m - 1, got {n}")

@@ -15,7 +15,8 @@ import json
 import struct
 from dataclasses import dataclass
 
-from .codes import LinearCode, code_descriptor, decode_bounded, is_codeword, parse_code_descriptor, random_codeword
+from .codes import (LinearCode, bch_descriptor_params, code_descriptor, decode_bounded, is_codeword,
+                    parse_code_descriptor, random_codeword)
 from .fields import FieldSpec, field_from_json, field_to_json, json_ints
 from .linalg import FieldVector
 from .transforms import VARIANTS, TransformDescriptor, apply, identity_transform, transform_from_json
@@ -207,8 +208,10 @@ def parse_record(data: bytes) -> Record:
         raise RecordFormatError("record nests too deeply") from None
     if not isinstance(obj, dict):
         raise RecordFormatError("record must be a JSON object")
-    if obj.get("version") != RECORD_VERSION:
-        raise MalformedRecordError(f"unsupported record version {obj.get('version')!r}")
+    version = obj.get("version")
+    # a JSON integer: true and 1.0 compare equal to 1 but are other records
+    if type(version) is not int or version != RECORD_VERSION:
+        raise MalformedRecordError(f"unsupported record version {version!r}")
     for key in ("field", "code", "f", "transform"):
         if key not in obj:
             raise RecordFormatError(f"missing record key {key!r}")
@@ -234,10 +237,10 @@ def parse_record(data: bytes) -> Record:
 
 def _code_block_length(code_id) -> int | None:
     if isinstance(code_id, str):
-        parts = code_id.split(":")
-        if len(parts) == 3 and parts[0] == "bch":
-            return int(parts[1])
-        raise MalformedRecordError(f"unknown code descriptor {code_id!r}")
+        try:
+            return bch_descriptor_params(code_id)[0]
+        except ValueError as exc:
+            raise MalformedRecordError(str(exc)) from None
     if isinstance(code_id, dict) and "generator" in code_id:
         return len(code_id["generator"])
     raise MalformedRecordError(f"unsupported code descriptor: {code_id!r}")

@@ -1,7 +1,7 @@
 import dataclasses
 import hashlib
 import json
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import numpy as np
 import pytest
@@ -154,7 +154,8 @@ def test_pattern_rank_unrank_round_trip(n, q, data):
 def _random_check_matrix(f, rng, rows, cols, degenerate=False):
     """Random H; degenerate=True zeroes column 1 and makes columns 3 and 5
     non-zero multiples of columns 0 and 2 (duplicates over GF(2)), which
-    repeats keys of both the pair table and the table of column multiples."""
+    repeats pair syndromes over GF(2) and keys of the table of column
+    multiples."""
     grid = [[int(x) for x in rng.integers(0, f.q, size=cols)] for _ in range(rows)]
     if degenerate:
         for row in grid:
@@ -173,15 +174,20 @@ def _all_hits(H, s, b, reference=False):
     (GF2, 6, 14, 3), (GF2, 4, 10, 4), (GF3, 4, 8, 2), (field(2, 2), 3, 6, 2),
     (GF2, 7, 12, 5), (GF2, 12, 14, 6), (GF2, 8, 12, 6),
     (GF3, 4, 8, 3), (field(2, 2), 3, 7, 3), (field(3, 2), 3, 6, 3), (field(2, 3), 3, 6, 3),
-    (field(5), 3, 8, 1), (field(5), 4, 12, 2), (field(7), 3, 7, 3)])
+    (field(5), 3, 8, 1), (field(5), 4, 12, 2), (field(7), 3, 7, 3),
+    (GF2, 2, 14, 3), (GF2, 3, 16, 4), (GF2, 2, 15, 5), (GF2, 16, 16, 4), (GF2, 20, 14, 5)])
 def test_scan_matches_reference(rng, f, rows, cols, b):
     """Full hit lists of the fast scan equal the naive scan's, on random H
     and, every other round, on H with zero and proportional columns.  GF(2)
-    covers the pair-table classes 3 to 6, with b = 3 and with larger b, and
-    the meet-in-the-middle guarded class 6; every other field the table of
-    column multiples, packed words in characteristic 2 (GF(4), GF(8)) and
-    entry tuples for odd p (GF(3), GF(5), GF(7), GF(9)); b = 1 over GF(5)
-    takes the per-column scalars instead of the table."""
+    covers the classes 3 to 6 that screen heads against the set of pair
+    syndromes, with b = 3 and with larger b, and the meet-in-the-middle
+    guarded class 6: with 2 or 3 rows nearly every syndrome is a pair
+    syndrome, so heads pass the screen and the pair walk lists many pairs
+    per syndrome, and with 16 or 20 rows most heads are skipped by it.
+    Every other field takes the table of column multiples, packed words in
+    characteristic 2 (GF(4), GF(8)) and entry tuples for odd p (GF(3),
+    GF(5), GF(7), GF(9)); b = 1 over GF(5) takes the per-column scalars
+    instead of the table."""
     for i in range(16):
         H = _random_check_matrix(f, rng, rows, cols, degenerate=i % 2 == 1)
         s = H @ random_weight_vector(f, cols, int(rng.integers(0, b + 1)), rng)
@@ -231,6 +237,33 @@ def test_all_hits_mode(rng):
     for h in hits:
         assert H @ h.pattern(GF2, 10) == s
         assert pattern_at(2, 10, h.index) == (h.support, h.values)
+
+
+def test_gf2_scan_hits_pinned():
+    """Hits of the GF(2) scan on real H~ of twelve seeded bch:127:13
+    bit-permuted pairs (ten related at distance 0..4, two unrelated): every
+    hit of b = 3, and the first three weight-4 hits of b = 4, support and
+    index, as found by the scan that looked the last two positions up in a
+    table of pair indices."""
+    c = bch_build(7, 13)
+    rng = np.random.default_rng(127)
+    b3, b4 = hashlib.sha256(), hashlib.sha256()
+    for i in range(12):
+        w1 = random_vector(GF2, c.n, rng)
+        w2 = (w1 + random_weight_vector(GF2, c.n, i % 5, rng) if i < 10
+              else random_vector(GF2, c.n, rng))
+        ts = [random_transform("bit-permutation", c.n, GF2, rng) for _ in range(2)]
+        f1, f2 = (apply_inverse(t, enroll(w, c, t, rng=rng).commitment)
+                  for w, t in zip((w1, w2), ts))
+        Ht = concat_cols(*(permuted_rows(c.G, t.inverse_permutation())
+                           for t in ts)).reduction().left_kernel
+        s = Ht @ (f1 - f2)
+        b3.update(json.dumps([(h.support, h.index)
+                              for h in scan_syndrome_hits(Ht, s, 3)]).encode())
+        weight4 = (h for h in scan_syndrome_hits(Ht, s, 4) if len(h.support) == 4)
+        b4.update(json.dumps([(h.support, h.index) for h in islice(weight4, 3)]).encode())
+    assert b3.hexdigest() == "06541e78245ab236cc2ce7614360e2906cc6800f1e085629ce1117b7b4a8c032"
+    assert b4.hexdigest() == "45e0cba04d773ec7dda790cad60c7c901c710d6e313540d0a9c6f980ffc9b641"
 
 
 # ---------------------------------------------------------------------------

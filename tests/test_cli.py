@@ -328,6 +328,13 @@ MALFORMED = {
     "generator-text": ("inline", ("code", "generator"),
                        [[str(x) for x in row] for row in HAMMING_7_4]),
     "d-float": ("inline", ("code", "d"), 3.5),
+    "version-bool": ("bch", ("version",), True),
+    "version-float": ("bch", ("version",), 1.0),
+    # other spellings of bch:31:5, once resolved to it by int()
+    "code-length-signed": ("bch", ("code",), "bch: +3_1:5"),
+    "code-length-arabic-indic": ("bch", ("code",), "bch:\u0663\u0661:5"),
+    "code-length-zero-padded": ("bch", ("code",), "bch:031:5"),
+    "code-t-spaced": ("bch", ("code",), "bch:31: 5"),
 }
 
 

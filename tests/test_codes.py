@@ -362,7 +362,11 @@ def test_code_descriptor_round_trip():
     assert c2.G == g.G and c2.d == g.d
 
 
-@pytest.mark.parametrize("bad", ["bch:32:5", "rs:31:5", "bch:31"])
+@pytest.mark.parametrize("bad", [
+    "bch:32:5", "rs:31:5", "bch:31",
+    # n and t are canonical ASCII decimals: int() reads each of these as 31 or 5
+    "bch: +3_1:5", "bch:\u0663\u0661:5", "bch:031:5", "bch:31:+5", "bch:31:5 ", "bch:31:05",
+    "bch:31:\uff15"])
 def test_bad_descriptors(bad):
     with pytest.raises(ValueError):
         parse_code_descriptor(bad)

@@ -335,6 +335,20 @@ def test_parse_record_survives_any_member_value(hashed_record_obj, member, value
     assert isinstance(rec, Record)
 
 
+def test_record_version_and_code_have_one_spelling(hashed_record_obj):
+    """The version is the JSON integer 1 and the BCH descriptor spells n
+    and t as canonical ASCII decimals: true, 1.0, "bch:031:5" or
+    Arabic-Indic digits were read as version 1 and bch:31:5, so the record
+    re-serialized to other bytes or kept a second spelling of the code."""
+    assert hashed_record_obj["version"] == 1 and hashed_record_obj["code"] == "bch:31:5"
+    for value in (True, 1.0, "1"):
+        with pytest.raises(MalformedRecordError, match="record version"):
+            parse_record(json.dumps(_with(hashed_record_obj, ("version",), value)).encode())
+    for desc in ("bch:\u0663\u0661:5", "bch: +3_1:5", "bch:031:5", "bch:31:+5", "bch:31:05"):
+        with pytest.raises(MalformedRecordError, match="unknown code descriptor"):
+            parse_record(json.dumps(_with(hashed_record_obj, ("code",), desc)).encode())
+
+
 def test_record_numbers_must_be_json_integers(hashed_record_obj):
     """A float, bool or numeric string where a record or an inline code
     holds an integer is refused, not rewritten into the integer it rounds
