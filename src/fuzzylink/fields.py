@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import islice, product
-from operator import mul
+from operator import mul, xor
 
 MAX_ORDER = 1 << 16
 
@@ -203,15 +203,28 @@ class FieldSpec:
         if gen is None:  # pragma: no cover - irreducible modulus guarantees one
             raise ValueError("no generator found; modulus is not irreducible?")
         place = [p ** i for i in range(m)]
-        exp = [0] * (2 * (q - 1))
+        powers = [1]
+        if gen == (0, 1):
+            # x^(i+1) = x * x^i on the integers: times p shifts the digits up
+            # one place, and a digit t carried out past x^(m-1) is t*x^m,
+            # which the monic modulus makes minus t times its lower digits
+            wrap = [sum(((-t * c) % p) * e for c, e in zip(mod, place)) for t in range(p)]
+            add = xor if p == 2 else self.add
+            a = 1
+            for _ in range(q - 2):
+                t, a = divmod(a * p, q)
+                if t:
+                    a = add(a, wrap[t])
+                powers.append(a)
+        else:
+            acc = (1,)
+            for _ in range(q - 2):
+                acc = _poly_mod(_poly_mul(acc, gen, p), mod, p)
+                powers.append(sum(map(mul, acc, place)))
         log = [0] * q
-        acc = (1,)
-        for i in range(q - 1):
-            a = sum(map(mul, acc, place))
-            exp[i] = exp[i + q - 1] = a
+        for i, a in enumerate(powers):
             log[a] = i
-            acc = _poly_mod(_poly_mul(acc, gen, p), mod, p)
-        self._exp = exp
+        self._exp = powers * 2
         self._log = log
 
     # -- element arithmetic ---------------------------------------------------

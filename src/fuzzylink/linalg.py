@@ -30,15 +30,17 @@ words.
 forward pass (``_reduce``), the same over every field: each row pivots on
 the M part only, at its lowest non-zero column (scaled to 1), after it is
 reduced against the echelon rows, which are never cleared above their
-pivot.  Only the step that subtracts a multiple of an echelon row depends
-on the field.  The pivot columns and the left kernel are fixed by
-insertion order.  Solving back-substitutes over the echelon rows, one dot
-product per row; the reduced row echelon form of M, and the row
-combinations that give it, are finished only when read.  Rank, kernel,
-left kernel, solving and inversion all read off that one pass, which each
-matrix keeps (:meth:`FieldMatrix.reduction`).  The reduction of
-[M | M | I] is read off that of [M | I] with no second pass
-(:meth:`RowReduction.doubled`).
+pivot.  The M part enters with its column order reversed, so that column
+is the row's highest set slot, read by one ``bit_length``; it is reversed
+back (``_reversed``) only where it leaves the reduction.  Only the step
+that subtracts a multiple of an echelon row depends on the field.  The
+pivot columns and the left kernel are fixed by insertion order.  Solving
+back-substitutes over the echelon rows, one dot product per row; the
+reduced row echelon form of M, and the row combinations that give it,
+are finished only when read.  Rank, kernel, left kernel, solving and
+inversion all read off that one pass, which each matrix keeps
+(:meth:`FieldMatrix.reduction`).  The reduction of [M | M | I] is read
+off that of [M | I] with no second pass (:meth:`RowReduction.doubled`).
 Arithmetic is exact.
 """
 
@@ -113,6 +115,22 @@ def _unpack(f: FieldSpec, word: int, n: int) -> tuple:
         return tuple((word >> i) & 1 for i in range(n))
     raw = word.to_bytes(n * s // 8, "little")
     return tuple(raw) if s == 8 else struct.unpack(f"<{n}H", raw)
+
+
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _reversed(f: FieldSpec, word: int, n: int) -> int:
+    """A packed length-n word over f with its slot order reversed: slot j
+    moves to slot n - 1 - j.  Over GF(2) through its bytes with each byte's
+    bits reversed, with 8-bit slots through its bytes in the other order."""
+    s = _slot(f)
+    if s == 16:
+        return _pack(f, _unpack(f, word, n)[::-1])
+    raw = word.to_bytes((s * n + 7) // 8, "little")
+    if s == 8:
+        return int.from_bytes(raw, "big")
+    return int.from_bytes(raw.translate(_BIT_REVERSED), "big") >> (-n % 8)
 
 
 class _Slots:
@@ -671,17 +689,20 @@ def _reduce(words, ncols: int, ar, f: FieldSpec):
     a time.
 
     Only the first ``ncols`` slots are pivoted on; the others (the I part
-    of an augmented [M | I]) ride along.  A new row is reduced against the
-    echelon row at its lowest non-zero pivot slot until it has none.  An
-    echelon row is 1 at its pivot and zero below it but is not cleared
-    above it, so each step moves that lowest slot up.  A row left non-zero
-    is scaled to 1 at its lowest slot and becomes the echelon row there.
-    A step subtracts c times an echelon row: over GF(2) one XOR, in
-    characteristic 2 otherwise the XOR of the row's x-powers that the bits
-    of c select (kept once per row), in odd characteristic one ``minus``.
-    Returns a list indexed by the first bit s*c of each pivot slot c (the
-    echelon row pivoting there, or 0) and the high parts of the rows that
-    became zero.
+    of an augmented [M | I]) ride along.  The pivot slots hold the columns
+    of M in reverse order, column 0 in the highest (the order
+    :class:`RowReduction` packs them in), so a row's lowest non-zero
+    column is its highest set slot, found by one ``bit_length``.
+    A new row is reduced against the echelon row at that slot until it has
+    none.  An echelon row is 1 at its pivot and zero in every later column
+    but is not cleared in earlier ones, so each step moves that highest
+    slot down.  A row left non-zero is scaled to 1 at its highest slot and
+    becomes the echelon row there.  A step subtracts c times an echelon
+    row: over GF(2) one XOR, in characteristic 2 otherwise the XOR of the
+    row's x-powers that the bits of c select (kept once per row), in odd
+    characteristic one ``minus``.  Returns a list indexed by the first bit
+    of each pivot slot (the echelon row pivoting there, or 0) and the high
+    parts of the rows that became zero.
     """
     s, char2 = ar.s, f.p == 2
     mask, split, align = (1 << s) - 1, s * ncols, -s
@@ -694,11 +715,11 @@ def _reduce(words, ncols: int, ar, f: FieldSpec):
         m = a & pmask
         if s == 1:
             while m:
-                a ^= pivots[(m & -m).bit_length() - 1]
+                a ^= pivots[m.bit_length() - 1]
                 m = a & pmask
         else:
             while m:
-                at = ((m & -m).bit_length() - 1) & align
+                at = (m.bit_length() - 1) & align
                 c = (a >> at) & mask
                 if char2:
                     pw = powers[at]
@@ -713,7 +734,7 @@ def _reduce(words, ncols: int, ar, f: FieldSpec):
         if not g:
             zero.append(a >> split)
             continue
-        at = ((g & -g).bit_length() - 1) & align
+        at = (g.bit_length() - 1) & align
         if s > 1:  # a GF(2) pivot is 1 already and its only x-power is itself
             if (lead := (a >> at) & mask) != 1:
                 a = ar.combine(((f.inv(lead), a),))
@@ -729,7 +750,10 @@ class RowReduction:
 
     ``left_kernel`` holds the I parts of the rows that became zero, a basis
     of {h : h M = 0}.  The pivot rows are left in echelon form, each
-    (E | u) with E = u M, and solving back-substitutes over them.
+    (E | u) with E = u M, and solving back-substitutes over them.  The M
+    part of every row is kept with its slot order reversed (column c in
+    slot n - 1 - c, see ``_reduce``); it is reversed back where it leaves
+    the reduction, in ``pivot_rows``, ``particular`` and ``null_space``.
     ``pivot_rows`` (packed words, in ``pivot_cols`` order), the reduced
     row echelon form of M, and ``ops``, whose row i is the I part of pivot
     row i (the combination of M's rows that gives it), are finished on the
@@ -742,10 +766,11 @@ class RowReduction:
         s = _slot(f)
         self._split = split = s * n
         self._ar = ar = word_arithmetic(f, n + M.rows)
-        words = [r | 1 << (split + s * i) for i, r in enumerate(M.packed_rows)]
+        words = [_reversed(f, r, n) | 1 << (split + s * i) for i, r in enumerate(M.packed_rows)]
         pivots, left = _reduce(words, n, ar, f)
-        self.pivot_cols = [c for c, row in enumerate(pivots[::s]) if row]
-        self._rows = [row for row in pivots[::s] if row]
+        by_col = pivots[::s][::-1]
+        self.pivot_cols = [c for c, row in enumerate(by_col) if row]
+        self._rows = [row for row in by_col if row]
         self.left_kernel = _mat(f, M.rows, left)
         self._parent = None  # the reduction of [M | I] that doubled() read this one off
 
@@ -760,19 +785,20 @@ class RowReduction:
         of the pivot columns where it is non-zero above its own pivot: a
         finished row is 1 in its pivot column and 0 in every other, so
         its coefficient is the echelon row's entry there."""
-        s = _slot(self.field)
+        s, last = _slot(self.field), self.cols - 1
         mask = (1 << s) - 1
         done, finished = {}, 0
         for c, a in zip(reversed(self.pivot_cols), reversed(self._rows)):
             m, pairs = a & finished, []
             while m:
-                at = ((m & -m).bit_length() - 1) & -s
+                at = (m.bit_length() - 1) & -s
                 e = (m >> at) & mask
                 pairs.append((e, done[at]))
                 m ^= e << at
-            done[s * c] = self._ar.minus(a, pairs)
-            finished |= mask << (s * c)
-        return [done[s * c] for c in self.pivot_cols]
+            at = s * (last - c)
+            done[at] = self._ar.minus(a, pairs)
+            finished |= mask << at
+        return [done[s * (last - c)] for c in self.pivot_cols]
 
     @cached_property
     def _dot_rows(self) -> list:
@@ -786,7 +812,8 @@ class RowReduction:
 
     @cached_property
     def pivot_rows(self) -> list:
-        return [r & ((1 << self._split) - 1) for r in self._rref]
+        low = (1 << self._split) - 1
+        return [_reversed(self.field, r & low, self.cols) for r in self._rref]
 
     @cached_property
     def ops(self) -> FieldMatrix:
@@ -798,11 +825,12 @@ class RowReduction:
         """z holds y in the I part and the free variables in the M part.
         Set the pivot variables of M x = y in descending pivot order: the
         echelon row (E | u) of pivot c has E x = u y, and E is zero below c
-        and 1 at c, so x_c is the dot product of (-E | u) with z."""
-        dot, s = self._ar.dot, _slot(self.field)
+        and 1 at c, so x_c is the dot product of (-E | u) with z.  The M
+        part of z is reversed, as the rows' is."""
+        dot, s, last = self._ar.dot, _slot(self.field), self.cols - 1
         for c, row in zip(reversed(self.pivot_cols), reversed(self._dot_rows)):
             if d := dot(row, z):
-                z |= d << (s * c)
+                z |= d << (s * (last - c))
         return z
 
     def null_space(self) -> FieldMatrix:
@@ -813,7 +841,8 @@ class RowReduction:
         s = _slot(f)
         pivot_set = set(self.pivot_cols)
         free = [j for j in range(n) if j not in pivot_set]
-        return _mat(f, n, [self._back_substitute(1 << (s * fc)) for fc in free]).transpose()
+        return _mat(f, n, [_reversed(f, self._back_substitute(1 << (s * (n - 1 - fc))), n)
+                           for fc in free]).transpose()
 
     def particular(self, y: FieldVector) -> FieldVector:
         """The solution of M x = y with every free variable 0, one
@@ -825,15 +854,16 @@ class RowReduction:
         if (self.left_kernel @ y).weight():
             raise NoSolutionError("inconsistent linear system")
         split = self._split
-        return _vec(self.field, self.cols,
-                    self._back_substitute(y.packed << split) & ((1 << split) - 1))
+        x = self._back_substitute(y.packed << split) & ((1 << split) - 1)
+        return _vec(self.field, self.cols, _reversed(self.field, x, self.cols))
 
     def doubled(self) -> "RowReduction":
         """The reduction of [M | M | I], read off this one of [M | I]
         without another elimination.  The right copy of M never holds a
         pivot, so the pivot columns, ``left_kernel`` and ``ops`` (the same
         objects; ``ops`` is finished on this reduction) are this one's, and
-        each row (E | u) becomes (E | E | u)."""
+        each row (E | u) becomes (E | E | u): the reversal of (E | E) is
+        (rev E | rev E), so the stored rows take the same form."""
         out = object.__new__(RowReduction)
         out.field, out.cols = self.field, 2 * self.cols
         out.pivot_cols, out.left_kernel = self.pivot_cols, self.left_kernel

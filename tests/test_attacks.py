@@ -490,6 +490,37 @@ def test_hash_filtering_refuses_cosets_beyond_cap(rng):
     assert out.related and out.all_solutions == 2 ** c.k
 
 
+@pytest.mark.parametrize("m,t,b", [(5, 5, 1), (6, 7, 1), (7, 13, 2), (8, 26, 1)])
+def test_bit_permuted_pairs_share_the_all_ones_word(m, t, b):
+    """Both bit-permuted copies of a BCH code contain the all-ones word 1,
+    so rank G~ <= 2k - 1 on every pair.  At rank 2k - 1 each hit has two
+    solutions, m and m + (a, a) with G a = 1, whose feature-vector
+    candidates differ by (1, 1): without digests the particular solution
+    gives (w1, w2) or (w1 + 1, w2 + 1), and digests single out (w1, w2)."""
+    c = bch_build(m, t)
+    ones = FieldVector(GF2, n=c.n, bits=(1 << c.n) - 1)
+    rng = np.random.default_rng(19 * m + t)
+    plain_forms = []  # whether each 2-solution pair came back as (w1, w2)
+    for i in range(10):
+        dist = i % (b + 1) if i < 8 else None
+        w1, w2, t1, t2, r1, r2 = _random_records(c, rng, distance=dist, with_hash=True)
+        recs = ((r1.commitment, t1), (r2.commitment, t2))
+        plain = modified_decodability_attack(c, *recs, b)
+        assert plain.gtilde_rank <= 2 * c.k - 1
+        if dist is None:
+            continue
+        assert plain.error_pattern == w1 - w2
+        assert plain.all_solutions == 2 ** (2 * c.k - plain.gtilde_rank)
+        if plain.all_solutions == 2:
+            assert plain.candidates in ((w1, w2), (w1 + ones, w2 + ones))
+            plain_forms.append(plain.candidates == (w1, w2))
+        hashed = modified_decodability_attack(c, *recs, b,
+                                              hashes=(r1.codeword_hash, r2.codeword_hash))
+        assert hashed.hash_verified and hashed.candidates == (w1, w2)
+    # every related pair had rank 2k - 1, and both forms came back
+    assert len(plain_forms) == 8 and set(plain_forms) == {False, True}
+
+
 def test_hash_filtering_resumes_through_pair_table_class(rng):
     # b = 4 on (31, 11): H~ has about 9 rows, so spurious hits of every
     # weight, weight 4 included, come before the genuine distance-4 pattern

@@ -373,8 +373,20 @@ def test_bad_descriptors(bad):
 
 
 def test_shared_all_ones_codeword():
-    # the all-ones vector lies in every narrow-sense BCH code here; the
-    # concatenated-generator rank observations depend on it
-    for m, t, n, k in TABLE_CODES:
-        c = bch_build(m, t)
-        assert is_codeword(c, FieldVector(GF2, n=n, bits=(1 << n) - 1))
+    """The all-ones word is a codeword of bch_build(m, t) for m = 4..8 and
+    every valid t: it is (x^n - 1)/(x - 1), whose roots are every non-zero
+    field element but 1, and the narrow-sense generator's roots
+    alpha .. alpha^2t never include 1.  A bit permutation fixes the word,
+    so two bit-permuted copies of a code share it and the concatenated
+    generator has rank at most 2k - 1."""
+    for m in range(4, 9):
+        n, t = 2 ** m - 1, 1
+        ones = FieldVector(GF2, n=n, bits=(1 << n) - 1)
+        while True:
+            try:
+                c = bch_build.__wrapped__(m, t)  # uncached: up to 127 codes per m
+            except ValueError:
+                break
+            assert is_codeword(c, ones), (m, t)
+            t += 1
+        assert t > n // 2  # every t whose generator degree stays below n was built

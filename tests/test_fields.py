@@ -110,6 +110,25 @@ TABLE_DIGESTS = {
     (2, 4, (1, 1, 1, 1, 1)): "0b6bb3cc5a34dbc9d14291649db86c11f9475763a560b11e1625d5e225d8bf3e",
     (3, 2, (1, 0, 1)): "57ea7160f413b054da6f58d9392a6077449cfef4f17c94f9abb5ad58c8da4b06",
 }
+# recorded before the powers of x were stepped as integers
+TABLE_DIGESTS.update({
+    (2, 2, None): "c36b2ea91d944eb27105bb3a81deb6a6ac387c6bbb1c1a92e166a2bf603bed69",
+    (2, 3, None): "b39ab7dab3c4cdbd3398fdb95434a477a7f1da34d227740255914d1c0e3e7fc5",
+    (2, 4, None): "5f36bd43bc25fe904c59e5e00ca170653c96f10ee28e4759e0868a4cac5e3f2b",
+    (2, 6, None): "9a14e50b6a19209d0240a400d730267a8eceb1ed5204f4e7b34754302d8cab47",
+    (2, 9, None): "de99701554edcc06b95b9a13592053d3738c3c479f0e400be06d4c9ce8e47d97",
+    (2, 10, None): "e2655e143b00abe6c35e0e13336a1cfe414ce70886ef4c442c10e61dc79518d5",
+    (2, 11, None): "c0a317be44231f6c673b4e33abc344d45481bdb084fd8e85f1798cd3cc6e90f2",
+    (2, 13, None): "42483af1ddae126ca7f1cb2cd47828a90ad23f46e65611a1927136b245eaede3",
+    (2, 14, None): "c33bb5c50f71042bffb17335ea58f128689cd2067e2ab910349cfa0dac323bbc",
+    (2, 15, None): "9fc46730fa2b44169b5ae08c51ae0284cdcfdda85b4de42eafc80d8667484682",
+    (3, 2, None): "c494c6b506b88c08ea4f1b458bf66489bb8c1945c3b9c787a737cf1e6bfeddf4",
+    (3, 9, None): "5f8e98ff53ac783c412b8221d6b4cf01d0aa9a0d362977ae73eab7f964a7c30e",
+    (5, 3, None): "55c883ce54b7ecb7aa377ac0c7f941b5c8bf341570141236cf8a53a0fc4481ed",
+    (7, 4, None): "aceb50e7c672088a1c6e2d08070ec5379a1e9518dcbe8894cded94b84658b2b7",
+    (13, 2, None): "99e8da24255e01ee737ccd21175f1a977a06cae124ba5b3a1cbb4f1ed328ebf2",
+    (251, 2, None): "2baf58f2ee2fa846ac07878fd68f5cfc363188f327585ffdfdd0fd2793166395",
+})
 
 
 @pytest.mark.parametrize("p,m,modulus", list(TABLE_DIGESTS))

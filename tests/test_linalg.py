@@ -407,6 +407,50 @@ def test_kernel_basis_and_invert_pinned(seed):
     assert matrices_sha256(invert(M) for M in seeded_invertibles(seed)) == PINNED_INVERSES[seed]
 
 
+def _rank_deficient(f, rng, rows, cols, r):
+    """A seeded rows x cols matrix over f of rank at most r."""
+    A = [[int(x) for x in rng.integers(0, f.q, size=r)] for _ in range(rows)]
+    B = [[int(x) for x in rng.integers(0, f.q, size=cols)] for _ in range(r)]
+    return FieldMatrix(f, A) @ FieldMatrix(f, B)
+
+
+# sha256 of every reading of a reduction, recorded before the M part of the
+# rows was packed with its column order reversed
+REDUCTION_DIGESTS = {
+    "bch:127:13": "24c4d0f873949e1186b3adfdbbbc079a2f7dc1976c3bc319a8a09827aafc3cfd",
+    "bch:255:26": "84b08f56d9a79c802780ab45759fc573dcc891571510dff3f68a1fce725fd916",
+    "gf32": "e996165ecfbeecade4af1649bed128cc2c54d798d8872a52e78e5f2b2263a774",
+    "gf3": "9d188e2a3ab881d96e1f7e73455212104eacbed0cc4549c4259dec18946dec2e",
+    "doubled": "39305dd13dca72670b901e2e0a7dbde7b64e128d72f0ea2de7cf55e7f71245aa",
+}
+
+
+@pytest.mark.parametrize("case", list(REDUCTION_DIGESTS))
+def test_reduction_readings_pinned(case):
+    """pivot_cols, pivot_rows, ops, left_kernel, the particular solution of
+    a consistent right-hand side and null_space on seeded matrices:
+    bit-permuted G~ of bch:127:13 and bch:255:26, rank-deficient GF(32)
+    and GF(3) matrices, and bch:63:7's G read off as [G | G]."""
+    rng = np.random.default_rng(1901)
+    if case in ("bch:127:13", "bch:255:26"):
+        G = bch_build(*{"bch:127:13": (7, 13), "bch:255:26": (8, 26)}[case]).G
+        M = concat_cols(*(permuted_rows(G, [int(i) for i in rng.permutation(G.rows)])
+                          for _ in range(2)))
+        red = RowReduction(M)
+    elif case == "doubled":
+        G = bch_build(6, 7).G
+        M, red = concat_cols(G, G), RowReduction(G).doubled()
+    else:
+        M = _rank_deficient(GF32 if case == "gf32" else GF3, rng, 14, 11, 7)
+        red = RowReduction(M)
+    y = M @ random_vector(M.field, M.cols, rng)
+    readings = [red.pivot_cols, [hex(w) for w in red.pivot_rows], red.ops.to_grid(),
+                red.left_kernel.to_grid(), list(red.particular(y).entries),
+                red.null_space().to_grid()]
+    digest = hashlib.sha256(json.dumps(readings).encode()).hexdigest()
+    assert digest == REDUCTION_DIGESTS[case]
+
+
 # ---------------------------------------------------------------------------
 # packed storage against entrywise FieldSpec arithmetic
 # ---------------------------------------------------------------------------
@@ -422,6 +466,21 @@ def _slot_entries(f, n, word):
     up to q = 256 and 16 bits above."""
     s = 1 if f.q == 2 else 8 if f.q <= 256 else 16
     return [(word >> (s * j)) & ((1 << s) - 1) for j in range(n)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 100, 127, 255])
+@pytest.mark.parametrize("f", [GF2, GF32, field(2, 9), GF3, field(257)], ids=str)
+def test_reversed_slot_order(f, n):
+    """linalg._reversed moves slot j to slot n - 1 - j at slot widths 1, 8
+    and 16: read slot by slot, and through _unpack, it is the word's
+    entries reversed, and reversing twice gives the word back."""
+    rng = np.random.default_rng(n)
+    for word in (0, random_vector(f, n, rng).packed, FieldVector(f, [f.q - 1] * n).packed,
+                 FieldVector.from_support(f, n, [0], [1]).packed if n else 0):
+        back = linalg._reversed(f, word, n)
+        assert _slot_entries(f, n, back) == _slot_entries(f, n, word)[::-1]
+        assert linalg._unpack(f, back, n) == linalg._unpack(f, word, n)[::-1]
+        assert linalg._reversed(f, back, n) == word
 
 
 def _elements(f):
