@@ -16,11 +16,11 @@ whose third positions leaves a syndrome in the set is skipped whole, and
 a third that does is completed by the weight-2 walk.  Classes of weight
 >= 6 are first ruled out by a meet-in-the-middle existence check.  Over
 every other field the last position and its value come from one table of
-the words s - v*cols[j], v != 0, so each pattern costs the sum of its
-head's column multiples and one lookup, on packed words over every field
-(added by XOR in characteristic 2).  Both preserve first-hit order and
-indices exactly (differentially tested against the naive itertools scan
-that defines the order).
+the words -v*cols[j], v != 0, which the transpose of H~ keeps, so each
+pattern costs -s plus the sum of its head's column multiples and one
+lookup, on packed words over every field (added by XOR in characteristic
+2).  Both preserve first-hit order and indices exactly (differentially
+tested against the naive itertools scan that defines the order).
 
 The linear algebra is one reduction of [G~ | I_n], G~ = (G1 | G2): rows
 whose G~ part vanishes form the annihilator H~ the scan tests against.
@@ -35,8 +35,9 @@ blocks are equal (affine-reduced records, two identity records, one
 generator passed twice), that reduction is read off the reduction of
 [G | I_n] that G keeps (:meth:`~fuzzylink.linalg.RowReduction.doubled`):
 no elimination runs per pair, the particular solution is that of
-G x = r - e padded with zeros, and H~, the row combinations and the
-transposes the products read are the same objects on every attack on G.
+G x = r - e padded with zeros, and H~, the row combinations, the
+transposes the products read and the scan's table are the same objects
+on every attack on G.
 
 Every attack ends in one loop over the solutions of a hit.  With codeword
 digests that loop runs over the whole coset and accepts a solution only
@@ -249,21 +250,24 @@ def _scan_multiples(cols: FieldMatrix, s: FieldVector, n: int, b: int):
 
     ``cols`` holds the columns as rows.  Words are packed ints, added by
     the ``add`` of :func:`~fuzzylink.linalg.word_arithmetic` (XOR in
-    characteristic 2).  A scan that reaches class 2 first builds one table
-    of the n(q - 1) words s - v*cols[j], v != 0, mapping each to its entry
-    index j*(q - 1) + v - 1: a head support with values u completes to a
-    hit at (j, v) exactly when the head's sum of u_i*cols[i] is
-    s - v*cols[j].  Class 1 looks up the zero word, class 2 each
-    precomputed multiple and classes >= 3 the sum of the head's multiples;
-    zero and proportional columns repeat keys, which then list all their
+    characteristic 2).  A scan that reaches class 2 reads the table of the
+    n(q - 1) words -v*cols[j], v != 0, that ``cols`` keeps
+    (:meth:`~fuzzylink.linalg.FieldMatrix.multiples_table`, each word
+    mapped to its entry index j*(q - 1) + v - 1): a head support with
+    values u completes to a hit at (j, v) exactly when -s plus the head's
+    sum of u_i*cols[i] is -v*cols[j].  Every sum therefore starts from -s.
+    Class 1 looks up -s itself; classes >= 2 add each multiple of the last
+    head position to the sum of the others, after one ``isdisjoint`` call
+    has screened all q - 1 of those probes against the table at once.
+    Zero and proportional columns repeat keys, which then list all their
     entries.  Hits of one head support are sorted by (last position,
     values) before they are yielded, which is canonical order.  A scan
     that stops at class 1 skips the table, whose size grows with q: each
     column has at most one scalar (:meth:`FieldMatrix.row_scalars`)."""
     f = cols.field
     q = f.q
-    add, target = word_arithmetic(f, s.n).add, s.packed
-    if not target:
+    add = word_arithmetic(f, s.n).add
+    if not s.packed:
         yield (), ()
     if b < 2:
         for j, v in cols.row_scalars(s) if b else ():
@@ -271,21 +275,15 @@ def _scan_multiples(cols: FieldMatrix, s: FieldVector, n: int, b: int):
         return
     q1 = q - 1
     multiples = cols.row_multiples()
-    # s - v*cols[j] is s + (-v)*cols[j]; -v = v in characteristic 2
-    negs = [f.neg(v) for v in range(1, q)]
-    keys = [add(target, mult[v]) for mult in multiples for v in negs]
-    table = dict(zip(keys, range(len(keys))))
-    if len(table) < len(keys):  # repeated keys: each lists all its entries
-        table = {}
-        for i, key in enumerate(keys):
-            table.setdefault(key, []).append(i)
-    get = table.get
+    table = cols.multiples_table()
+    keys, get = table.keys(), table.get
+    start = (-s).packed
 
     def indices(found):
         """The ascending entry indices of a table value."""
         return (found,) if isinstance(found, int) else found
 
-    found = get(0)
+    found = get(start)
     for i in indices(found) if found is not None else ():
         yield (i // q1,), (i % q1 + 1,)
     for w in range(2, b + 1):
@@ -296,13 +294,11 @@ def _scan_multiples(cols: FieldMatrix, s: FieldVector, n: int, b: int):
             lo = (j + 1) * q1
             hits = []
             for prefix in product(range(1, q), repeat=w - 2):
-                if prefix:
-                    t = reduce(add, [multiples[i][u] for i, u in zip(outer, prefix)])
-                    lookups = [add(t, m) for m in row]
-                else:
-                    lookups = row
-                for v, key in enumerate(lookups, 1):
-                    found = get(key)
+                t = reduce(add, [multiples[i][u] for i, u in zip(outer, prefix)], start)
+                if keys.isdisjoint(map(add, repeat(t), row)):
+                    continue
+                for v, m in enumerate(row, 1):
+                    found = get(add(t, m))
                     if found is not None:
                         hits += [(i // q1, prefix + (v, i % q1 + 1))
                                  for i in indices(found) if i >= lo]

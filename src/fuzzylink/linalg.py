@@ -190,9 +190,7 @@ class _Slots:
     def dot(self, powers: list, z: int) -> int:
         """The sum of a_j * z_j over the slots, with powers = x_powers(a):
         bit k of z_j selects x^k * a_j, and the selected slots are folded
-        into slot 0 by XOR.  Over GF(2), the parity of a AND z."""
-        if self.m == 1:
-            return (powers[0] & z).bit_count() & 1
+        into slot 0 by XOR."""
         ones, mask = self.ones, self.mask
         t = 0
         for k, p in enumerate(powers):
@@ -450,7 +448,7 @@ def _mat(f: FieldSpec, cols: int, rows) -> "FieldMatrix":
     M.rows = len(rows)
     M.cols = cols
     M.packed_rows = tuple(rows)
-    M._transposed = M._multiples = M._reduced = None
+    M._transposed = M._multiples = M._table = M._reduced = None
     return M
 
 
@@ -466,12 +464,12 @@ class FieldMatrix:
     """Immutable rows x cols matrix over a finite field, one packed word per
     row.  ``packed_rows=`` takes rows over any field of characteristic 2;
     the rows are ORed together and checked once.
-    Being immutable, a matrix keeps its transpose, its row multiples and
-    its reduction once computed.
+    Being immutable, a matrix keeps its transpose, its row multiples, the
+    table of their negatives and its reduction once computed.
     """
 
     __slots__ = ("field", "rows", "cols", "packed_rows", "_transposed", "_multiples",
-                 "_reduced")
+                 "_table", "_reduced")
 
     def __init__(self, field: FieldSpec, entries=None, *, cols=None, packed_rows=None):
         self.field = field
@@ -493,7 +491,7 @@ class FieldMatrix:
         self.rows = len(rows)
         self.cols = cols
         self.packed_rows = rows
-        self._transposed = self._multiples = self._reduced = None
+        self._transposed = self._multiples = self._table = self._reduced = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -588,6 +586,23 @@ class FieldMatrix:
             ar = word_arithmetic(self.field, self.cols)
             self._multiples = [ar.multiples(r) for r in self.packed_rows]
         return self._multiples
+
+    def multiples_table(self) -> dict:
+        """The words -v*row j, v != 0, each mapped to its entry index
+        j*(q - 1) + v - 1; where words repeat (zero and proportional rows)
+        every word maps to the ascending list of its entries instead.
+        Computed on the first call and kept (callers must not modify it)."""
+        if self._table is None:
+            f = self.field
+            negs = [f.neg(v) for v in range(1, f.q)]  # -v = v in characteristic 2
+            keys = [mult[v] for mult in self.row_multiples() for v in negs]
+            table = dict(zip(keys, range(len(keys))))
+            if len(table) < len(keys):
+                table = {}
+                for i, key in enumerate(keys):
+                    table.setdefault(key, []).append(i)
+            self._table = table
+        return self._table
 
     def reduction(self) -> "RowReduction":
         """The :class:`RowReduction` of [M | I], computed on the first call
@@ -802,9 +817,9 @@ class RowReduction:
 
     @cached_property
     def _dot_rows(self) -> list:
-        """Each echelon row (E | u) as (-E | u), in the form ``dot`` reads:
-        its x-powers in characteristic 2, where -E = E, the word itself
-        otherwise."""
+        """Each echelon row (E | u) as (-E | u), in the form ``dot`` reads,
+        for q > 2: its x-powers in characteristic 2, where -E = E, the word
+        itself otherwise."""
         ar, low = self._ar, (1 << self._split) - 1
         if self.field.p == 2:
             return [ar.x_powers(r) for r in self._rows]
@@ -825,10 +840,18 @@ class RowReduction:
         """z holds y in the I part and the free variables in the M part.
         Set the pivot variables of M x = y in descending pivot order: the
         echelon row (E | u) of pivot c has E x = u y, and E is zero below c
-        and 1 at c, so x_c is the dot product of (-E | u) with z.  The M
-        part of z is reversed, as the rows' is."""
-        dot, s, last = self._ar.dot, _slot(self.field), self.cols - 1
-        for c, row in zip(reversed(self.pivot_cols), reversed(self._dot_rows)):
+        and 1 at c, so x_c is the dot product of (-E | u) with z, over GF(2)
+        the parity of the row AND z.  The M part of z is reversed, as the
+        rows' is."""
+        s, last = _slot(self.field), self.cols - 1
+        pivots = reversed(self.pivot_cols)
+        if s == 1:
+            for c, row in zip(pivots, reversed(self._rows)):
+                if (row & z).bit_count() & 1:
+                    z |= 1 << (last - c)
+            return z
+        dot = self._ar.dot
+        for c, row in zip(pivots, reversed(self._dot_rows)):
             if d := dot(row, z):
                 z |= d << (s * (last - c))
         return z

@@ -266,6 +266,47 @@ def test_gf2_scan_hits_pinned():
     assert b4.hexdigest() == "45e0cba04d773ec7dda790cad60c7c901c710d6e313540d0a9c6f980ffc9b641"
 
 
+def test_multiples_scan_hits_pinned():
+    """Complete hit lists (support, values, index) of the q > 2 scan, as
+    found by the scan that keyed its table by s - v*cols[j]: on the c10
+    code's H~ (the equal-block check matrix) for a seeded weight-2 pattern
+    on every weight-2 support with b = 2; on the H~ of four seeded
+    bit-permuted GF(32) pairs of that code (unequal blocks) with b = 3, for
+    syndromes of weight 0..3 patterns and a random syndrome; and on check
+    matrices with a zero column and proportional columns over GF(3), GF(4)
+    and GF(9) with b = 3, s = 0 included."""
+    def digest(cases):
+        h = hashlib.sha256()
+        for H, s, b in cases:
+            hits = [(hit.support, hit.values, hit.index) for hit in scan_syndrome_hits(H, s, b)]
+            h.update(json.dumps(hits).encode())
+        return h.hexdigest()
+
+    c = _c10_code()
+    g32, n = c.field, c.n
+    rng = np.random.default_rng(2001)
+    Ht = c.G.reduction().doubled().left_kernel
+    assert digest((Ht, Ht @ FieldVector.from_support(
+        g32, n, support, [int(v) for v in rng.integers(1, 32, size=2)]), 2)
+        for support in combinations(range(n), 2)) == (
+        "d863d3316edeb31b7a599a79c25e949a8a460190b6a54d8b3e6385dd86673d47")
+    unequal = []
+    for _ in range(4):
+        Ht = concat_cols(*(permuted_rows(c.G, [int(j) for j in rng.permutation(n)])
+                           for _ in range(2))).reduction().left_kernel
+        for w in range(5):
+            e = random_weight_vector(g32, n, w, rng) if w < 4 else random_vector(g32, n, rng)
+            unequal.append((Ht, Ht @ e, 3))
+    assert digest(unequal) == "258211fe619ed25b511f2aead75fcd766051300b1edc86136af3abf160c83646"
+    degenerate = []
+    for f in (GF3, field(2, 2), field(3, 2)):
+        for i in range(4):
+            H = _random_check_matrix(f, rng, 3, 7, degenerate=True)
+            s = FieldVector.zeros(f, 3) if i == 0 else H @ random_weight_vector(f, 7, i - 1, rng)
+            degenerate.append((H, s, 3))
+    assert digest(degenerate) == "9ea858a0009394be4809c6c9832f51ee822959c1324a14fe36c948ac24a90af0"
+
+
 # ---------------------------------------------------------------------------
 # plain decodability attack
 # ---------------------------------------------------------------------------
@@ -650,6 +691,40 @@ def test_affine_reduction_outcomes_pinned():
         h.update(json.dumps(fields, sort_keys=True).encode())
     assert related == [i < 12 and i % 3 <= 1 + i % 2 for i in range(16)]
     assert h.hexdigest() == "ecb83252181bca6433c10a1b83417d504571c87a82d62f882447a502deee3b53"
+
+
+def test_equal_block_attacks_scan_with_one_table(monkeypatch):
+    """Two affine_reduction_attack calls and one generalized_attack(G, G,
+    ...) on the c10 code scan with the one table of column multiples that
+    the code's check matrix keeps."""
+    c = _c10_code()
+    g32, n = c.field, c.n
+    rng = np.random.default_rng(20)
+    tables = []
+    keep = FieldMatrix.multiples_table
+
+    def spy(M):
+        tables.append(keep(M))
+        return tables[-1]
+
+    monkeypatch.setattr(FieldMatrix, "multiples_table", spy)
+    for _ in range(2):
+        sigmas = []
+        for _ in range(2):
+            a, s = int(rng.integers(1, 32)), int(rng.integers(0, 32))
+            sigmas.append(tuple(g32.add(g32.mul(a, x), s) for x in range(32)))
+        t1, t2 = (TransformDescriptor("field-permutation", n, g32, sigma=sg) for sg in sigmas)
+        w1 = random_vector(g32, n, rng)
+        w2 = w1 + random_weight_vector(g32, n, 2, rng)
+        r1, r2 = enroll(w1, c, t1, rng=rng), enroll(w2, c, t2, rng=rng)
+        assert affine_reduction_attack(c, (r1.commitment, t1), (r2.commitment, t2), 2).related
+    w1 = random_vector(g32, n, rng)
+    w2 = w1 + random_weight_vector(g32, n, 2, rng)
+    f1, f2 = (random_codeword(c, rng) + w for w in (w1, w2))
+    assert generalized_attack(c.G, c.G, f1, f2, 2).related
+    assert len(tables) == 3
+    assert all(t is tables[0] for t in tables)
+    assert tables[0] is keep(c.G.reduction().left_kernel.transpose())
 
 
 def test_affine_reduction_rejects_non_affine(rng):

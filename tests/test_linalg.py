@@ -1,5 +1,6 @@
 import hashlib
 import json
+from itertools import product
 
 import numpy as np
 import pytest
@@ -701,11 +702,12 @@ def test_doubled_reduction_matches_full_reduction(system, data):
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([GF2] + PACKED_FIELDS), st.integers(0, 4), st.integers(0, 4), st.data())
 def test_matrices_keep_their_transpose_and_row_multiples(f, rows, cols, data):
-    """transpose(), row_multiples() and reduction() equal a fresh
-    computation, a second call returns the same object, a transpose's
-    transpose is the matrix itself, and every constructor starts with
-    nothing kept, also after its operand has filled its own.  Row multiples
-    are compared for q <= 512 only (q words per row)."""
+    """transpose(), row_multiples(), multiples_table() and reduction()
+    equal a fresh computation, a second call returns the same object, a
+    transpose's transpose is the matrix itself, and every constructor
+    starts with nothing kept, also after its operand has filled its own.
+    Row multiples and their table are compared for q <= 512 only (q words
+    per row)."""
     M = FieldMatrix(f, _grid(data.draw, f, rows, cols), cols=cols)
     c = data.draw(st.integers(1, f.q - 1))
     perm = data.draw(st.permutations(range(rows)))
@@ -717,10 +719,12 @@ def test_matrices_keep_their_transpose_and_row_multiples(f, rows, cols, data):
         M.reduction()
         if f.q <= 512:
             M.row_multiples()
+            M.multiples_table()
         built.append(make())
     for A in built[1:]:
         if A is not M:  # over GF(2), M.scale(1) is M
             assert A._transposed is None and A._multiples is None and A._reduced is None
+            assert A._table is None
     for A in built:
         grid = A.to_grid()
         T = A.transpose()
@@ -735,6 +739,16 @@ def test_matrices_keep_their_transpose_and_row_multiples(f, rows, cols, data):
             assert multiples == [[FieldVector(f, [f.mul(v, e) for e in row]).packed
                                   for v in range(f.q)] for row in grid]
             assert A.row_multiples() is multiples
+            # -v*row j for v != 0 lists entry j*(q - 1) + v - 1; a key
+            # without repeats maps to its one index
+            entries = {}
+            for i, (row, v) in enumerate(product(grid, range(1, f.q))):
+                key = FieldVector(f, [f.mul(f.neg(v), e) for e in row]).packed
+                entries.setdefault(key, []).append(i)
+            table = A.multiples_table()
+            repeats = any(len(lst) > 1 for lst in entries.values())
+            assert table == (entries if repeats else {k: i for k, (i,) in entries.items()})
+            assert A.multiples_table() is table
 
 
 @pytest.mark.parametrize("m", [1, 3, 9])
