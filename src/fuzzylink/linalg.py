@@ -9,8 +9,8 @@ are the ``packed`` / ``packed_rows`` views (and, over GF(2) only,
 transposition, concatenation, row permutation and reading kernels and
 solutions off a reduction act on the words, whatever the field.  Matrices
 are read by rows; columns are the rows of :meth:`FieldMatrix.transpose`,
-which a matrix computes once and keeps, as it keeps its row multiples
-and its reduction.
+which a matrix computes once and keeps, as it keeps its row multiples,
+its rows in reversed slot order and its reduction.
 
 Arithmetic on words goes through one object per characteristic, both with
 the same operations: a sum of two words, a combination sum c*w, a word
@@ -30,9 +30,10 @@ words.
 forward pass (``_reduce``), the same over every field: each row pivots on
 the M part only, at its lowest non-zero column (scaled to 1), after it is
 reduced against the echelon rows, which are never cleared above their
-pivot.  The M part enters with its column order reversed, so that column
-is the row's highest set slot, read by one ``bit_length``; it is reversed
-back (``_reversed``) only where it leaves the reduction.  Only the step
+pivot.  The M part enters with its column order reversed (the rows that
+:meth:`FieldMatrix.reversed_rows` keeps), so that column is the row's
+highest set slot, read by one ``bit_length``; it is reversed back
+(``_reversed``) only where it leaves the reduction.  Only the step
 that subtracts a multiple of an echelon row depends on the field.  The
 pivot columns and the left kernel are fixed by insertion order.  Solving
 back-substitutes over the echelon rows, one dot product per row; the
@@ -51,6 +52,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import repeat
 from operator import mul, or_, xor
+
+import numpy as np
 
 from .fields import FieldSpec
 
@@ -400,6 +403,16 @@ class FieldVector:
         f.check_element(c)
         return _vec(f, self.n, word_arithmetic(f, self.n).combine(((c, self.packed),)))
 
+    def relabeled(self, table) -> "FieldVector":
+        """Every entry e replaced by table[e], for a table of q field
+        elements (not checked): with one byte per slot (2 < q <= 256) one
+        ``bytes.translate`` of the word, otherwise entry by entry."""
+        f = self.field
+        if _slot(f) == 8:
+            raw = self.packed.to_bytes(self.n, "little").translate(bytes(table).ljust(256, b"\0"))
+            return _vec(f, self.n, int.from_bytes(raw, "little"))
+        return _vec(f, self.n, _pack(f, [table[e] for e in self.entries]))
+
     def weight(self) -> int:
         # OR every slot's bits down into its bit 0, then count those
         w = self.packed
@@ -448,7 +461,7 @@ def _mat(f: FieldSpec, cols: int, rows) -> "FieldMatrix":
     M.rows = len(rows)
     M.cols = cols
     M.packed_rows = tuple(rows)
-    M._transposed = M._multiples = M._table = M._reduced = None
+    M._transposed = M._multiples = M._table = M._reduced = M._rev = None
     return M
 
 
@@ -465,11 +478,12 @@ class FieldMatrix:
     row.  ``packed_rows=`` takes rows over any field of characteristic 2;
     the rows are ORed together and checked once.
     Being immutable, a matrix keeps its transpose, its row multiples, the
-    table of their negatives and its reduction once computed.
+    table of their negatives, its reversed rows and its reduction once
+    computed.
     """
 
     __slots__ = ("field", "rows", "cols", "packed_rows", "_transposed", "_multiples",
-                 "_table", "_reduced")
+                 "_table", "_reduced", "_rev")
 
     def __init__(self, field: FieldSpec, entries=None, *, cols=None, packed_rows=None):
         self.field = field
@@ -491,7 +505,7 @@ class FieldMatrix:
         self.rows = len(rows)
         self.cols = cols
         self.packed_rows = rows
-        self._transposed = self._multiples = self._table = self._reduced = None
+        self._transposed = self._multiples = self._table = self._reduced = self._rev = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -545,19 +559,28 @@ class FieldMatrix:
         return self._transposed
 
     def _transpose(self) -> "FieldMatrix":
-        """Over GF(2) through the rows' binary strings: row j of the result
-        reads character j from the right of every string, row 0 lowest.
-        Over every other field through the rows' bytes: row j of the result
-        is every (s/8)-th byte group of the joined rows, starting at group j."""
+        """Over GF(2) as one bit matrix: the rows' joined bytes are unpacked
+        to one bit per entry, transposed and packed again, in numpy, with
+        bit i of each byte entry i (``bitorder="little"``); ints go in and
+        come out.  Over every other field through the rows' bytes: row j of
+        the result is every (s/8)-th byte group of the joined rows, starting
+        at group j."""
         f = self.field
         if not (self.rows and self.cols):
             return FieldMatrix.zeros(f, self.cols, self.rows)
         s = _slot(f)
         if s == 1:
-            rows = [format(r, f"0{self.cols}b") for r in reversed(self.packed_rows)]
-            out = [int("".join(col), 2) for col in zip(*rows)]
-            out.reverse()
-            return _mat(f, self.rows, out)
+            nbytes = (self.cols + 7) // 8
+            grid = np.frombuffer(_join_rows(self.packed_rows, nbytes), np.uint8)
+            bits = np.unpackbits(grid.reshape(self.rows, nbytes), axis=1, count=self.cols,
+                                 bitorder="little")
+            cols = np.packbits(bits.T, axis=1, bitorder="little")
+            width = cols.shape[1]
+            if width > 8:
+                return _mat(f, self.rows, _split_rows(cols.tobytes(), width, self.cols))
+            words = np.zeros((self.cols, 8), np.uint8)  # one little-endian u8 per column
+            words[:, :width] = cols
+            return _mat(f, self.rows, words.view("<u8").ravel().tolist())
         step = s // 8
         raw = memoryview(_join_rows(self.packed_rows, self.cols * step))
         if step == 2:
@@ -603,6 +626,17 @@ class FieldMatrix:
                     table.setdefault(key, []).append(i)
             self._table = table
         return self._table
+
+    def reversed_rows(self) -> list:
+        """Each row with its slot order reversed (``_reversed``), the form
+        in which :class:`RowReduction` packs the M part, computed on the
+        first call and kept (callers must not modify the list).
+        :func:`permuted_rows` and :func:`concat_cols` derive their result's
+        from their operands' kept ones."""
+        if self._rev is None:
+            f, n = self.field, self.cols
+            self._rev = [_reversed(f, r, n) for r in self.packed_rows]
+        return self._rev
 
     def reduction(self) -> "RowReduction":
         """The :class:`RowReduction` of [M | I], computed on the first call
@@ -679,20 +713,29 @@ class FieldMatrix:
 
 
 def concat_cols(A: FieldMatrix, B: FieldMatrix) -> FieldMatrix:
-    """Column-block concatenation (A|B)."""
+    """Column-block concatenation (A|B).  When A and B both keep their
+    reversed rows, so does (A|B): rev(A|B) = rev B | rev A << s*cols(B)."""
     _check_same_field(A, B)
     if A.rows != B.rows:
         raise ValueError(f"row mismatch: {A.rows} vs {B.rows}")
-    shift = _slot(A.field) * A.cols
-    return _mat(A.field, A.cols + B.cols,
-                [a | (b << shift) for a, b in zip(A.packed_rows, B.packed_rows)])
+    s = _slot(A.field)
+    width_a, width_b = s * A.cols, s * B.cols
+    out = _mat(A.field, A.cols + B.cols,
+               [a | (b << width_a) for a, b in zip(A.packed_rows, B.packed_rows)])
+    if A._rev is not None and B._rev is not None:
+        out._rev = [b | (a << width_b) for a, b in zip(A._rev, B._rev)]
+    return out
 
 
 def permuted_rows(M: FieldMatrix, index_map) -> FieldMatrix:
-    """Matrix whose row i is row index_map[i] of M."""
+    """Matrix whose row i is row index_map[i] of M; it keeps its reversed
+    rows, picked the same way, when M keeps M's."""
     if len(index_map) != M.rows:
         raise ValueError("index map length must equal row count")
-    return _mat(M.field, M.cols, [M.packed_rows[j] for j in index_map])
+    out = _mat(M.field, M.cols, [M.packed_rows[j] for j in index_map])
+    if M._rev is not None:
+        out._rev = [M._rev[j] for j in index_map]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +824,7 @@ class RowReduction:
         s = _slot(f)
         self._split = split = s * n
         self._ar = ar = word_arithmetic(f, n + M.rows)
-        words = [_reversed(f, r, n) | 1 << (split + s * i) for i, r in enumerate(M.packed_rows)]
+        words = [r | 1 << (split + s * i) for i, r in enumerate(M.reversed_rows())]
         pivots, left = _reduce(words, n, ar, f)
         by_col = pivots[::s][::-1]
         self.pivot_cols = [c for c, row in enumerate(by_col) if row]

@@ -14,18 +14,21 @@ permutation-plus-shift maps) and all affine bijections of small fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import permutations as iter_permutations, product
+from operator import itemgetter
 
 from .fields import FieldSpec, json_ints
 from .linalg import (FieldMatrix, FieldVector, hamming_distance, permuted_rows,
-                     random_vector)
+                     random_vector, word_arithmetic)
 
 VARIANTS = ("identity", "bit-permutation", "field-permutation")
 
 
 @dataclass(frozen=True)
 class TransformDescriptor:
-    """Serializable public transform attached to a record."""
+    """Serializable public transform attached to a record.  It keeps the
+    inverse of its permutation or sigma once built."""
 
     kind: str
     n: int
@@ -46,8 +49,12 @@ class TransformDescriptor:
             if self.permutation is not None or self.sigma is not None:
                 raise ValueError("identity transform takes no tables")
 
+    @cached_property
+    def _inverse_table(self) -> tuple:
+        return _inverse(self.permutation if self.kind == "bit-permutation" else self.sigma)
+
     def inverse_permutation(self) -> tuple:
-        return _inverse(self.permutation)
+        return self._inverse_table
 
     def to_json(self) -> dict:
         if self.kind == "bit-permutation":
@@ -85,20 +92,17 @@ def _inverse(table) -> tuple:
 def _transform(T: TransformDescriptor, w: FieldVector, inverse: bool) -> FieldVector:
     if w.field != T.field or w.n != T.n:
         raise ValueError("vector does not match transform domain")
-    if T.kind == "identity":
+    if T.kind == "identity" or not T.n:  # a length-0 word is its own image
         return w
-    if T.kind == "bit-permutation":
-        perm = T.inverse_permutation() if inverse else T.permutation
-        if w.bits is not None:
-            mask = 0
-            bits = w.bits
-            for i, p in enumerate(perm):
-                mask |= ((bits >> p) & 1) << i
-            return FieldVector(w.field, n=w.n, bits=mask)
-        e = w.entries
-        return FieldVector(w.field, tuple(e[p] for p in perm))
-    sig = _inverse(T.sigma) if inverse else T.sigma
-    return FieldVector(w.field, tuple(sig[e] for e in w.entries))
+    if T.kind == "field-permutation":
+        return w.relabeled(T._inverse_table if inverse else T.sigma)
+    perm = T._inverse_table if inverse else T.permutation
+    if w.bits is not None:
+        # one gather over the bits as characters, character i being entry i
+        chars = format(w.bits, f"0{w.n}b")[::-1]
+        return FieldVector(w.field, n=w.n, bits=int("".join(itemgetter(*perm)(chars))[::-1], 2))
+    e = w.entries
+    return FieldVector(w.field, tuple(e[p] for p in perm))
 
 
 def apply(T: TransformDescriptor, w: FieldVector) -> FieldVector:
@@ -138,11 +142,21 @@ def random_transform(kind: str, n: int, field: FieldSpec, rng) -> TransformDescr
 # affine structure of a field bijection
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _field_line(field: FieldSpec):
+    """The vector (0, 1, ..., q-1), the word of (1, ..., 1) and the word
+    arithmetic of their length q."""
+    q = field.q
+    return FieldVector(field, range(q)), FieldVector(field, (1,) * q).packed, word_arithmetic(field, q)
+
+
 def detect_affine(sigma, field: FieldSpec):
     """(a, b) with sigma(x) = a*x + b for all x, or None.
 
     The only possible pair is a = sigma(1) - sigma(0), b = sigma(0); it is
-    verified on the whole field.
+    verified on the whole field at once: the packed word of sigma, which is
+    (0, 1, ..., q-1) relabeled through sigma, against a*(0, 1, ..., q-1) +
+    b*(1, ..., 1).
     """
     sigma = tuple(sigma)
     if sorted(sigma) != list(range(field.q)):
@@ -151,10 +165,9 @@ def detect_affine(sigma, field: FieldSpec):
     a = field.sub(sigma[1], b)
     if a == 0:
         return None
-    for x in range(field.q):
-        if field.add(field.mul(a, x), b) != sigma[x]:
-            return None
-    return a, b
+    elements, ones, ar = _field_line(field)
+    line = ar.combine(((a, elements.packed), (b, ones)))
+    return (a, b) if line == elements.relabeled(sigma).packed else None
 
 
 # ---------------------------------------------------------------------------

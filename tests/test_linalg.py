@@ -261,6 +261,48 @@ def test_transpose(rng, f, rows, cols):
     assert T.to_grid() == [[row[j] for row in grid] for j in range(cols)]
 
 
+def ref_transpose_gf2(rows, cols, words):
+    """The GF(2) transpose through the rows' binary strings, entry by entry:
+    column j reads character j from the right of every row's string."""
+    strings = [format(w, f"0{cols}b") for w in reversed(words)]
+    return [int("".join(col), 2) for col in zip(*strings)][::-1] if rows and cols else [0] * cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.integers(0, 9), st.integers(60, 140)),
+       st.one_of(st.integers(0, 17), st.integers(60, 130)), st.data())
+def test_gf2_transpose_matches_string_reference(rows, cols, data):
+    """The numpy bit transpose equals the string one on shapes with 0 and 1
+    rows or columns, columns not a multiple of 8, and more than 64 rows
+    (a column of more than 8 bytes), and returns Python ints."""
+    words = data.draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+    T = FieldMatrix(GF2, cols=cols, packed_rows=words).transpose()
+    assert (T.rows, T.cols) == (cols, rows)
+    assert list(T.packed_rows) == ref_transpose_gf2(rows, cols, words)
+    assert all(type(w) is int for w in T.packed_rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([GF2, GF32, GF3]), st.integers(0, 5), st.integers(0, 4),
+       st.integers(0, 4), st.data())
+def test_derived_reversed_rows_match_fresh_reversal(f, rows, k1, k2, data):
+    """The reversed rows that permuted_rows and concat_cols derive from
+    their operands' kept ones, also nested, equal a fresh _reversed of each
+    row, and the reduction that reads them equals one of a matrix that
+    keeps nothing."""
+    A = FieldMatrix(f, _grid(data.draw, f, rows, k1), cols=k1)
+    B = FieldMatrix(f, _grid(data.draw, f, rows, k2), cols=k2)
+    A.reversed_rows()
+    B.reversed_rows()
+    p1, p2 = (data.draw(st.permutations(range(rows))) for _ in range(2))
+    PA, PB = permuted_rows(A, p1), permuted_rows(B, p2)
+    for D in (PA, concat_cols(A, B), concat_cols(PA, PB), concat_cols(concat_cols(PA, B), PA),
+              permuted_rows(concat_cols(PB, A), p1)):
+        assert D._rev == [linalg._reversed(f, r, D.cols) for r in D.packed_rows]
+        fresh = FieldMatrix(f, D.to_grid(), cols=D.cols)
+        assert _reduction_fields(D.reduction()) == _reduction_fields(RowReduction(fresh))
+
+
 def test_invert_permutation_is_transpose(rng):
     perm = [int(i) for i in rng.permutation(7)]
     P = FieldMatrix(GF2, cols=7, packed_rows=[1 << p for p in perm])
@@ -702,35 +744,44 @@ def test_doubled_reduction_matches_full_reduction(system, data):
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([GF2] + PACKED_FIELDS), st.integers(0, 4), st.integers(0, 4), st.data())
 def test_matrices_keep_their_transpose_and_row_multiples(f, rows, cols, data):
-    """transpose(), row_multiples(), multiples_table() and reduction()
-    equal a fresh computation, a second call returns the same object, a
-    transpose's transpose is the matrix itself, and every constructor
-    starts with nothing kept, also after its operand has filled its own.
-    Row multiples and their table are compared for q <= 512 only (q words
-    per row)."""
+    """transpose(), row_multiples(), multiples_table(), reversed_rows() and
+    reduction() equal a fresh computation, a second call returns the same
+    object, a transpose's transpose is the matrix itself, and every
+    constructor starts with nothing kept, also after its operand has filled
+    its own; only permuted_rows and concat_cols keep reversed rows from the
+    start, when their operands keep theirs.  Row multiples and their table
+    are compared for q <= 512 only (q words per row)."""
     M = FieldMatrix(f, _grid(data.draw, f, rows, cols), cols=cols)
     c = data.draw(st.integers(1, f.q - 1))
     perm = data.draw(st.permutations(range(rows)))
-    built = [M]
-    for make in (lambda: M.scale(c), lambda: permuted_rows(M, perm),
-                 lambda: concat_cols(M, M.scale(c)), lambda: FieldMatrix.identity(f, cols),
-                 lambda: FieldMatrix.zeros(f, rows, cols)):
+    built, derived = [M], []
+    for make, derives in ((lambda: M.scale(c), False), (lambda: permuted_rows(M, perm), True),
+                          (lambda: concat_cols(M, M.scale(c)), f.q == 2),  # M.scale(1) is M
+                          (lambda: concat_cols(M, M), True),
+                          (lambda: FieldMatrix.identity(f, cols), False),
+                          (lambda: FieldMatrix.zeros(f, rows, cols), False)):
         M.transpose()
-        M.reduction()
+        M.reduction()  # fills M's reversed rows too
+        assert M._rev is not None
         if f.q <= 512:
             M.row_multiples()
             M.multiples_table()
         built.append(make())
-    for A in built[1:]:
+        derived.append(derives)
+    for A, derives in zip(built[1:], derived):
         if A is not M:  # over GF(2), M.scale(1) is M
             assert A._transposed is None and A._multiples is None and A._reduced is None
             assert A._table is None
+            assert (A._rev is not None) == derives
     for A in built:
         grid = A.to_grid()
         T = A.transpose()
         assert (T.rows, T.cols) == (A.cols, A.rows)
         assert T.to_grid() == [[row[j] for row in grid] for j in range(A.cols)]
         assert A.transpose() is T and T.transpose() is A
+        rev = A.reversed_rows()
+        assert rev == [linalg._reversed(f, r, A.cols) for r in A.packed_rows]
+        assert A.reversed_rows() is rev
         red = A.reduction()
         assert _reduction_fields(red) == _reduction_fields(RowReduction(A))
         assert A.reduction() is red

@@ -103,6 +103,38 @@ def test_random_transform_uniformity(rng):
     assert chi2 < 20.5  # chi-square 5 dof at the 0.1% tail
 
 
+@pytest.mark.parametrize("n", [1, 7, 8, 127, 255])
+def test_bit_permutation_matches_per_bit_loop(rng, n):
+    """apply and apply_inverse of a GF(2) bit permutation against a loop
+    that moves one bit at a time: output bit i is input bit perm[i], and
+    for the inverse perm[i] receives bit i."""
+    for _ in range(10):
+        t = random_transform("bit-permutation", n, GF2, rng)
+        w = random_vector(GF2, n, rng)
+        forward = inverse = 0
+        for i, p in enumerate(t.permutation):
+            forward |= ((w.bits >> p) & 1) << i
+            inverse |= ((w.bits >> i) & 1) << p
+        assert apply(t, w).bits == forward
+        assert apply_inverse(t, w).bits == inverse
+    assert t.inverse_permutation() is t.inverse_permutation()  # kept, not rebuilt
+
+
+@pytest.mark.parametrize("f", [field(2, 2), field(3, 2), field(2, 5), GF2, field(2, 9)], ids=str)
+def test_field_permutation_matches_per_entry_map(rng, f):
+    """apply and apply_inverse of a field permutation against mapping each
+    entry through sigma and through its inverse: one bytes.translate with
+    one byte per slot (GF(4), GF(3^2), GF(32)), entry by entry over GF(2)
+    and with 16-bit slots."""
+    for n in (1, 9, 40):
+        for _ in range(10):
+            t = random_transform("field-permutation", n, f, rng)
+            inv = {y: x for x, y in enumerate(t.sigma)}
+            w = random_vector(f, n, rng)
+            assert apply(t, w).entries == tuple(t.sigma[e] for e in w.entries)
+            assert apply_inverse(t, w).entries == tuple(inv[e] for e in w.entries)
+
+
 def test_transform_json_round_trip(rng):
     for kind, f in (("identity", GF2), ("bit-permutation", GF2),
                     ("field-permutation", GF5)):
@@ -137,6 +169,29 @@ def test_detect_affine_extension_field():
     f8 = field(2, 3)
     sigma = [f8.add(f8.mul(5, x), 3) for x in range(8)]
     assert detect_affine(sigma, f8) == (5, 3)
+
+
+def ref_detect_affine(sigma, f):
+    """detect_affine as a loop over the field, one mul and add per element."""
+    b = sigma[0]
+    a = f.sub(sigma[1], b)
+    if a == 0 or any(f.add(f.mul(a, x), b) != sigma[x] for x in range(f.q)):
+        return None
+    return a, b
+
+
+@pytest.mark.parametrize("f", [GF2, field(3), GF5, field(2, 2), field(2, 5)], ids=str)
+def test_detect_affine_matches_per_element_loop(rng, f):
+    """The whole-word comparison against the per-element loop on every
+    affine map and on random bijections, which are rarely affine."""
+    q = f.q
+    for a in range(1, q):
+        for b in range(q):
+            sigma = [f.add(f.mul(a, x), b) for x in range(q)]
+            assert detect_affine(sigma, f) == ref_detect_affine(sigma, f) == (a, b)
+    for _ in range(200):
+        sigma = [int(x) for x in rng.permutation(q)]
+        assert detect_affine(sigma, f) == ref_detect_affine(sigma, f)
 
 
 # ---------------------------------------------------------------------------
