@@ -10,14 +10,15 @@ column syndromes, so no full matrix-vector product is ever taken per
 pattern.  The tail of each pattern is looked up, not looped over, by one
 of two scans chosen by q.  Over GF(2), weight 1 takes its position from a
 hash map of column syndromes and weight 2 walks that map for the pairs
-whose syndromes XOR to s.  Weights >= 3 screen each head against a set of
-the pair syndromes cols[i] ^ cols[j], built once per scan: a head none of
-whose third positions leaves a syndrome in the set is skipped whole, and
-a third that does is completed by the weight-2 walk.  Classes of weight
->= 6 are first ruled out by a meet-in-the-middle existence check.  Over
-every other field the last position and its value come from one table of
-the words -v*cols[j], v != 0, which the transpose of H~ keeps, so each
-pattern costs -s plus the sum of its head's column multiples and one
+whose syndromes XOR to s.  Weights >= 3 probe a numpy array of the
+pair syndromes cols[i] ^ cols[j], folded to 32 bits and built once per
+scan: class 3 in one probe, a class w >= 4 in one probe per head of
+w - 4 positions, and each member is completed by the pairs of its fold,
+checked on the exact syndromes.  Classes of weight >= 6 are first ruled
+out by a meet-in-the-middle existence check.  Over every other field
+the last position and its value come from one table of the words
+-v*cols[j], v != 0, which the transpose of H~ keeps, so each pattern
+costs -s plus the sum of its head's column multiples and one
 lookup, on packed words over every field (added by XOR in characteristic
 2).  Both preserve first-hit order and indices exactly (differentially
 tested against the naive itertools scan that defines the order).
@@ -52,10 +53,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, product, repeat, starmap
+from itertools import combinations, product, repeat
 from math import comb
 from operator import xor
 from time import perf_counter
+
+import numpy as np
 
 from .codes import LinearCode, decode_bounded
 from .commitment import HASH_BY_SIZE, codeword_digest
@@ -196,26 +199,43 @@ def _mitm_weight_exists(cols, s: int, n: int, w: int) -> bool:
     return False
 
 
-def _pairs_to(by_val, cols, t: int, lo: int, n: int):
-    """The pairs lo <= k < l with cols[k] ^ cols[l] = t, in lex order:
-    k in ascending order, l from the column map of the values t ^ cols[k]."""
+def _pairs_to(by_val, cols, t: int, n: int):
+    """The pairs k < l with cols[k] ^ cols[l] = t, in lex order: k in
+    ascending order, l from the column map of the values t ^ cols[k]."""
     get = by_val.get
-    for k in range(lo, n - 1):
+    for k in range(n - 1):
         lst = get(t ^ cols[k])
         if lst is not None:
             for j in lst[bisect_right(lst, k):]:
                 yield k, j
 
 
+def _fold(x: int) -> int:
+    """The XOR of the 32-bit pieces of x.  The fold is linear, so a sum of
+    columns equal to t has the fold of t: folding never loses a match."""
+    acc = 0
+    while x:
+        acc ^= x & 0xFFFFFFFF
+        x >>= 32
+    return acc
+
+
 def _scan_gf2(cols, s: int, n: int, b: int):
     """Yield hit supports in canonical order (values are implicitly all
     ones over GF(2)).  Class 1 looks s up in a map of column syndromes and
     class 2 walks the pairs whose syndromes XOR to s through that map.
-    Classes w >= 3 loop over heads of w - 3 positions: a head is skipped
-    when none of its third positions leaves a syndrome in the set of pair
-    syndromes cols[k] ^ cols[l], built once when the scan first enters
-    class 3, and otherwise each third that does is completed by the pair
-    walk of class 2."""
+
+    On entering class 3 the scan builds, in numpy, the folds (:func:`_fold`)
+    of the pair syndromes cols[k] ^ cols[l], k < l, in lexicographic pair
+    order, their keys fold * C(n, 2) + pair index, sorted, and a boolean
+    screen indexed by a fold's low bits.  Class 3 is then one probe, of the
+    folds of s ^ cols[a] for every a, and a class w >= 4 one probe per head
+    of w - 4 positions, of the folds of the head's sum plus each pair
+    (a, c) after the head.  A probe that passes the screen finds the pairs
+    after its positions that have its fold by two binary searches of the
+    keys, in canonical order; such a completion counts when the exact
+    syndromes, Python ints, add up to s, which drops fold collisions.  The
+    arrays live as long as the generator."""
     if s == 0:
         yield ()
     by_val: dict[int, list[int]] = {}
@@ -224,25 +244,53 @@ def _scan_gf2(cols, s: int, n: int, b: int):
     if b >= 1:
         yield from ((j,) for j in by_val.get(s, ()))
     if b >= 2:
-        yield from _pairs_to(by_val, cols, s, 0, n)
+        yield from _pairs_to(by_val, cols, s, n)
     if b < 3:
         return
-    sums = set(starmap(xor, combinations(cols, 2)))
-    for w in range(3, b + 1):
+    width = max(max(cols), s).bit_length() // 32 + 1  # 32-bit pieces per syndrome
+    folds = np.bitwise_xor.reduce(np.frombuffer(
+        b"".join(c.to_bytes(4 * width, "little") for c in cols), "<u4").reshape(n, width), axis=1)
+    # pair p is (first[p], second[p]); the pairs whose first position is i start at starts[i]
+    i = np.arange(n + 1, dtype=np.int32)
+    starts = i * (2 * n - 1 - i) // 2
+    count = int(starts[n])
+    first = np.repeat(i[:n], n - 1 - i[:n])
+    second = np.arange(count, dtype=np.int32) - starts[first] + first + 1
+    pairs = folds[first] ^ folds[second]
+    keys = pairs.astype(np.int64) * count
+    keys += np.arange(count)
+    keys.sort()  # by fold, then by pair index
+    mask = (1 << count.bit_length() + 4) - 1  # 16 to 32 screen entries per pair
+    screen = np.zeros(mask + 1, bool)
+    screen[pairs & mask] = True
+
+    def tails(t, probes, *stems):
+        """Yield stem + (k, l) for each stem j, the positions stems[.][j],
+        and each pair k < l after it whose columns add up to t with the
+        stem's, in canonical order; probes[j] is the fold of t plus the
+        stem's columns."""
+        js = np.flatnonzero(screen[probes & mask])
+        base = probes[js].astype(np.int64) * count
+        lo = np.searchsorted(keys, base + starts[stems[-1][js] + 1])
+        sizes = np.searchsorted(keys, base + count) - lo
+        ends = np.cumsum(sizes)
+        p = keys[np.arange(sizes.sum()) + np.repeat(lo - ends + sizes, sizes)] % count
+        js = np.repeat(js, sizes)
+        for tail in zip(*(x[js].tolist() for x in stems), first[p].tolist(), second[p].tolist()):
+            if reduce(xor, map(cols.__getitem__, tail), t) == 0:
+                yield tail
+
+    yield from tails(s, _fold(s) ^ folds[:n - 2], i[:n - 2])
+    for w in range(4, b + 1):
         if w >= 6 and not _mitm_weight_exists(cols, s, n, w):
             continue
-        for head in combinations(range(n - 3), w - 3):
-            base = s
+        for head in combinations(range(n - 4), w - 4):
+            t = s
             for j in head:
-                base ^= cols[j]
-            lo = head[-1] + 1 if head else 0
-            if sums.isdisjoint(map(xor, repeat(base), cols[lo:n - 2])):
-                continue
-            for third in range(lo, n - 2):
-                t = base ^ cols[third]
-                if t in sums:
-                    for pair in _pairs_to(by_val, cols, t, third + 1, n):
-                        yield head + (third,) + pair
+                t ^= cols[j]
+            off = starts[head[-1] + 1] if head else 0
+            for tail in tails(t, _fold(t) ^ pairs[off:], first[off:], second[off:]):
+                yield head + tail
 
 
 def _scan_multiples(cols: FieldMatrix, s: FieldVector, n: int, b: int):
@@ -314,7 +362,7 @@ def scan_syndrome_hits(H: FieldMatrix, s: FieldVector, b: int, *, reference: boo
     The generator is lazy: taking its first element is the first-hit scan,
     continuing it resumes the scan (hash filtering does this), exhausting
     it is the all-hits diagnostic mode.  There are two fast scans, chosen
-    by q: over GF(2) the column map and the set of pair syndromes, and
+    by q: over GF(2) the column map and the array of pair syndromes, and
     over every other field the table of column multiples.  With
     ``reference=True`` a naive scan walks every pattern and takes a full
     matrix-vector product for each; its walk defines canonical order

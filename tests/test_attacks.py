@@ -165,6 +165,14 @@ def _random_check_matrix(f, rng, rows, cols, degenerate=False):
     return FieldMatrix(f, grid)
 
 
+def _mirrored(H):
+    """H over GF(2), at most 64 rows, stacked on zero rows and on itself so
+    that column x becomes x | x << 64: the 32-bit pieces of every sum of
+    columns cancel, so every fold the GF(2) scan probes is 0."""
+    return FieldMatrix(GF2, cols=H.cols,
+                       packed_rows=H.packed_rows + (0,) * (64 - H.rows) + H.packed_rows)
+
+
 def _all_hits(H, s, b, reference=False):
     return [(h.support, h.values, h.index)
             for h in scan_syndrome_hits(H, s, b, reference=reference)]
@@ -175,25 +183,39 @@ def _all_hits(H, s, b, reference=False):
     (GF2, 7, 12, 5), (GF2, 12, 14, 6), (GF2, 8, 12, 6),
     (GF3, 4, 8, 3), (field(2, 2), 3, 7, 3), (field(3, 2), 3, 6, 3), (field(2, 3), 3, 6, 3),
     (field(5), 3, 8, 1), (field(5), 4, 12, 2), (field(7), 3, 7, 3),
-    (GF2, 2, 14, 3), (GF2, 3, 16, 4), (GF2, 2, 15, 5), (GF2, 16, 16, 4), (GF2, 20, 14, 5)])
+    (GF2, 2, 14, 3), (GF2, 3, 16, 4), (GF2, 2, 15, 5), (GF2, 16, 16, 4), (GF2, 20, 14, 5),
+    (GF2, 65, 12, 4), (GF2, 100, 13, 3), (GF2, 130, 14, 5),
+    (GF2, 2, 3, 3), (GF2, 3, 4, 4), (GF2, 4, 5, 5), (GF2, 30, 14, 5)])
 def test_scan_matches_reference(rng, f, rows, cols, b):
     """Full hit lists of the fast scan equal the naive scan's, on random H
-    and, every other round, on H with zero and proportional columns.  GF(2)
-    covers the classes 3 to 6 that screen heads against the set of pair
-    syndromes, with b = 3 and with larger b, and the meet-in-the-middle
-    guarded class 6: with 2 or 3 rows nearly every syndrome is a pair
-    syndrome, so heads pass the screen and the pair walk lists many pairs
-    per syndrome, and with 16 or 20 rows most heads are skipped by it.
-    Every other field takes the table of column multiples, packed words in
-    characteristic 2 (GF(4), GF(8)) and entry tuples for odd p (GF(3),
-    GF(5), GF(7), GF(9)); b = 1 over GF(5) takes the per-column scalars
-    instead of the table."""
+    and, every other round, on H with zero and proportional columns (six
+    columns or more), and so does the first hit of a scan that stops
+    there.  GF(2) covers the classes 3 to 6 that probe the array of folded
+    pair syndromes, with b = 3 and with larger b, b = n for n = 3, 4, 5,
+    and the meet-in-the-middle guarded class 6: with 2 or 3 rows nearly
+    every syndrome is a pair syndrome, so most probes are members with
+    many pairs each, and with 16 to 30 rows few probes pass the screen.
+    With 65 to 130 rows the folds XOR three to five 32-bit pieces, and in
+    half the rounds of H with at most 64 rows every column is x | x << 64,
+    so every fold is 0 and only the exact syndromes tell completions
+    apart.  With b = 5 every fourth round plants a weight-3 pattern, which
+    is the first hit when H has 20 rows or more.  Every other field takes the table of
+    column multiples, packed words in characteristic 2 (GF(4), GF(8)) and
+    entry tuples for odd p (GF(3), GF(5), GF(7), GF(9)); b = 1 over GF(5)
+    takes the per-column scalars instead of the table."""
     for i in range(16):
-        H = _random_check_matrix(f, rng, rows, cols, degenerate=i % 2 == 1)
-        s = H @ random_weight_vector(f, cols, int(rng.integers(0, b + 1)), rng)
+        H = _random_check_matrix(f, rng, rows, cols, degenerate=i % 2 == 1 and cols >= 6)
+        if f.q == 2 and rows <= 64 and i % 4 >= 2:
+            H = _mirrored(H)
+        weight3 = b == 5 and i % 4 == 0
+        s = H @ random_weight_vector(f, cols, 3 if weight3 else int(rng.integers(0, b + 1)), rng)
         fast = _all_hits(H, s, b)
         assert fast == _all_hits(H, s, b, reference=True)
         assert fast  # the planted pattern guarantees at least one hit
+        first = next(scan_syndrome_hits(H, s, b))
+        assert (first.support, first.values, first.index) == fast[0]
+        if weight3 and rows >= 20:
+            assert len(first.support) == 3
 
 
 @settings(max_examples=100, deadline=None)
@@ -207,8 +229,22 @@ def test_scan_matches_reference_property(pm, data):
     H = FieldMatrix(f, data.draw(st.lists(st.lists(elements, min_size=n, max_size=n),
                                           min_size=rows, max_size=rows)))
     s = FieldVector(f, data.draw(st.lists(elements, min_size=rows, max_size=rows)))
+    if f.q == 2:
+        # syndromes of more than 64 bits, which the scan folds: a tall H, or
+        # the drawn one with every column x turned into x | x << 64
+        shape = data.draw(st.sampled_from(["drawn", "tall", "mirrored"]))
+        if shape == "tall":
+            H = FieldMatrix(GF2, cols=n, packed_rows=data.draw(
+                st.lists(st.integers(0, (1 << n) - 1), min_size=65, max_size=130)))
+        elif shape == "mirrored":
+            H = _mirrored(H)
+        if shape != "drawn":
+            s = H @ FieldVector(GF2, n=n, bits=data.draw(st.integers(0, (1 << n) - 1)))
     b = data.draw(st.integers(0, min(1 if f.q == 512 else 6, n)))
-    assert _all_hits(H, s, b) == _all_hits(H, s, b, reference=True)
+    hits = _all_hits(H, s, b)
+    assert hits == _all_hits(H, s, b, reference=True)
+    first = [(h.support, h.values, h.index) for h in islice(scan_syndrome_hits(H, s, b), 1)]
+    assert first == hits[:1]
 
 
 @pytest.mark.parametrize("reference", [False, True])
