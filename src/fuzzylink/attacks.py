@@ -102,13 +102,15 @@ def check_pattern_budget(q: int, n: int, b: int, force: bool = False) -> None:
 # ---------------------------------------------------------------------------
 
 def _comb_rank(support, n: int) -> int:
-    """Lexicographic rank of an ascending index combination."""
+    """Lexicographic rank of an ascending index combination.  The
+    combinations skipped at position i, one C(n-1-v, w-1-i) per value v
+    between the previous index and s_i, sum by the hockey-stick identity
+    to C(n-1-prev, w-i) - C(n-s_i, w-i)."""
     w = len(support)
     r = 0
     prev = -1
     for i, s_i in enumerate(support):
-        for v in range(prev + 1, s_i):
-            r += comb(n - 1 - v, w - 1 - i)
+        r += comb(n - 1 - prev, w - i) - comb(n - s_i, w - i)
         prev = s_i
     return r
 

@@ -6,9 +6,11 @@ a user-supplied generator matrix.  The generator convention is G in
 F^(n x k) with codewords G.m (message on the right).
 
 BCH codes decode algebraically on packed GF(2^m) words (see
-:mod:`fuzzylink.linalg`): the syndromes and the Chien search are products
-with two matrices the code keeps, and Berlekamp-Massey finds the error
-locator from log/antilog tables.  Generic codes scan error patterns.
+:mod:`fuzzylink.linalg`): the syndromes are one XOR of table entries per
+4-bit chunk of the word, Berlekamp-Massey finds the error locator from
+log/antilog tables, and the Chien search is a product with a matrix the
+code keeps, whose zero bytes are the error positions.  Generic codes scan
+error patterns.
 Decoding is strictly bounded-distance: a codeword is returned only when
 it lies within radius t = floor((d-1)/2) of the input, never farther,
 even when the error-locator polynomial happens to factor.
@@ -17,7 +19,8 @@ even when the error-locator polynomial happens to factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import getitem, xor
 
 from .fields import (FieldSpec, GF2, _poly_mul, exp_log_tables, field, field_from_json,
                      field_to_json, json_ints)
@@ -47,11 +50,15 @@ class LinearCode:
 
     A BCH code also keeps two matrices over GF(2^m), with alpha the
     primitive element: the 2t x n syndrome matrix V[i][j] = alpha^((i+1)j)
-    and the n x (t+1) Chien matrix C[j][l] = alpha^(-jl).  The syndromes
-    of a word v are V v, and sigma(alpha^-j) = (C sigma)[j].
+    and the n x (t+1) Chien matrix C[j][l] = alpha^(-jl), so that the
+    syndromes of a word v are V v and sigma(alpha^-j) = (C sigma)[j].  It
+    reads V v off its syndrome tables, one per 4-bit chunk of the word,
+    highest chunk first: entry e of a chunk is the packed 2t-slot word of
+    the sum of the columns of V at the chunk's positions set in e.
     """
 
-    __slots__ = ("field", "n", "k", "d", "G", "H", "bch", "_syndrome_matrix", "_chien_matrix")
+    __slots__ = ("field", "n", "k", "d", "G", "H", "bch", "_syndrome_matrix", "_chien_matrix",
+                 "_syndrome_tables")
 
     def __init__(self, G: FieldMatrix, d: int, bch: BCHParams | None = None):
         self.field = G.field
@@ -69,7 +76,7 @@ class LinearCode:
         if any(prod.packed_rows):
             raise ValueError("check matrix does not annihilate the generator")
         if bch is None:
-            self._syndrome_matrix = self._chien_matrix = None
+            self._syndrome_matrix = self._chien_matrix = self._syndrome_tables = None
             return
         f2m = field(2, bch.m)
         exp = bytes(exp_log_tables(f2m)[0][:n])
@@ -84,6 +91,17 @@ class LinearCode:
         # column l of C holds alpha^((n - l)j) = alpha^(-jl)
         self._chien_matrix = FieldMatrix(
             f2m, cols=n, packed_rows=[powers(n - l) for l in range(bch.t + 1)]).transpose()
+        # column j of V is every n-th byte of its joined rows from byte j;
+        # past n it is 0
+        raw = b"".join(r.to_bytes(n, "little") for r in self._syndrome_matrix.packed_rows)
+        cols = [int.from_bytes(raw[j::n], "little") for j in range(n)] + [0] * (-n % 4)
+        tables = []
+        for c in range(len(cols) - 4, -1, -4):
+            table = [0]
+            for col in cols[c:c + 4]:
+                table += [e ^ col for e in table]
+            tables.append(table)
+        self._syndrome_tables = tables
 
     @property
     def decoder(self) -> str:
@@ -245,33 +263,46 @@ def _berlekamp_massey(synd, exp, log, qm1: int):
     return sigma, L
 
 
-_BYTE_SLOTS = bytes.maketrans(b"01", b"\0\1")
+_HEX_NIBBLES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
+
+def _bch_syndromes(code: LinearCode, bits: int) -> int:
+    """The packed word of S_i = v(alpha^i), i = 1..2t, of the GF(2) word
+    with mask ``bits``: the XOR of one syndrome-table entry per 4-bit
+    chunk, read off the word's hex digits (highest chunk first)."""
+    tables = code._syndrome_tables
+    chunks = format(bits, f"0{len(tables)}x").encode().translate(_HEX_NIBBLES)
+    return reduce(xor, map(getitem, tables, chunks), 0)
 
 
 def _decode_bch(code: LinearCode, v: FieldVector):
     n, t = code.n, code.t
-    V = code._syndrome_matrix
-    f2m = V.field
-    # S_i = v(alpha^i), i = 1..2t: V times v lifted to GF(2^m), one byte
-    # slot per bit of v, through v's binary digits
-    lifted = int.from_bytes(format(v.bits, f"0{n}b").encode().translate(_BYTE_SLOTS), "big")
-    synd = (V @ FieldVector(f2m, n=n, packed=lifted)).entries
-    if not any(synd):
+    synd = _bch_syndromes(code, v.bits)
+    if not synd:
         return v
+    f2m = code._chien_matrix.field
     exp, log = exp_log_tables(f2m)
-    sigma, L = _berlekamp_massey(synd, exp, log, n)
+    sigma, L = _berlekamp_massey(list(synd.to_bytes(2 * t, "little")), exp, log, n)
     if L > t or len(sigma) - 1 > t:
         return None
-    # Chien search: the error positions are the j with sigma(alpha^-j) = 0
-    values = (code._chien_matrix @ FieldVector(f2m, sigma + [0] * (t + 1 - len(sigma)))).entries
+    # Chien search: the error positions are the j with sigma(alpha^-j) = 0,
+    # the zero bytes of the product's packed word (sigma packed one byte
+    # per coefficient, its missing top coefficients 0)
+    sigma = FieldVector(f2m, n=t + 1, packed=int.from_bytes(bytes(sigma), "little"))
+    values = (code._chien_matrix @ sigma).packed.to_bytes(n, "little")
     if values.count(0) != L:
         return None
-    roots = [j for j, x in enumerate(values) if not x]
-    corrected = v + FieldVector.from_support(code.field, n, roots)
-    # strict bounded-distance semantics: accept only actual codewords
-    if not is_codeword(code, corrected):
+    error, j = 0, -1
+    for _ in range(L):
+        j = values.find(0, j + 1)
+        error |= 1 << j
+    corrected = v.bits ^ error
+    # strict bounded-distance semantics: accept only actual codewords, the
+    # words whose syndromes S_1..S_2t all vanish (g is the lcm of the
+    # minimal polynomials of alpha^1..alpha^2t)
+    if _bch_syndromes(code, corrected):
         return None
-    return corrected
+    return FieldVector(code.field, n=n, bits=corrected)
 
 
 def _decode_exhaustive(code: LinearCode, v: FieldVector):

@@ -16,6 +16,7 @@ from fuzzylink.codes import (
     is_codeword,
     parse_code_descriptor,
     random_codeword,
+    _bch_syndromes,
     _berlekamp_massey,
     _decode_exhaustive,
 )
@@ -259,6 +260,41 @@ def _pin_words(c, rng):
             yield random_codeword(c, rng) + random_weight_vector(GF2, c.n, w, rng)
     for _ in range(20):
         yield random_vector(GF2, c.n, rng)
+
+
+@pytest.mark.parametrize("m,t", DECODE_PIN_CODES)
+def test_syndrome_tables_match_naive_evaluation(m, t):
+    """The table syndromes are S_1..S_2t, one byte each, on uniform words,
+    the all-ones word and the single-bit word at every position (n is
+    never a multiple of 4, so the highest chunk is always partial)."""
+    rng = np.random.default_rng(100 + m)
+    c = bch_build(m, t)
+    f, alpha = _alpha(m)
+    n = c.n
+    assert n % 4 and len(c._syndrome_tables) == (n + 3) // 4
+    words = [random_vector(GF2, n, rng) for _ in range(10)]
+    words.append(FieldVector(GF2, n=n, bits=(1 << n) - 1))
+    words += [FieldVector.from_support(GF2, n, [j]) for j in range(n)]
+    for v in words:
+        synd = _bch_syndromes(c, v.bits)
+        assert list(synd.to_bytes(2 * t, "little")) == _naive_syndromes(f, alpha, v, 2 * t)
+
+
+@pytest.mark.parametrize("m,t", DECODE_PIN_CODES)
+def test_syndrome_codeword_check_matches_is_codeword(m, t):
+    """A word of the narrow-sense BCH code is a codeword exactly when its
+    syndromes S_1..S_2t vanish: codewords, codewords plus 1..t+3 errors,
+    uniform words."""
+    rng = np.random.default_rng(200 + m)
+    c = bch_build(m, t)
+    words = [random_codeword(c, rng) for _ in range(10)]
+    words += [random_codeword(c, rng) + random_weight_vector(GF2, c.n, w, rng)
+              for w in range(1, t + 4) for _ in range(3)]
+    words += [random_vector(GF2, c.n, rng) for _ in range(20)]
+    checks = [not _bch_syndromes(c, v.bits) for v in words]
+    assert checks == [is_codeword(c, v) for v in words]
+    # 1..t+3 <= 2t errors leave a word of a code of distance 2t+1
+    assert all(checks[:10]) and not any(checks[10:10 + 3 * (t + 3)])
 
 
 def test_decode_bounded_pinned_with_both_reject_paths():
