@@ -35,11 +35,10 @@ pivot.  The M part enters with its column order reversed (the rows that
 highest set slot, read by one ``bit_length``; it is reversed back
 (``_reversed``) only where it leaves the reduction.  Only the step
 that subtracts a multiple of an echelon row depends on the field.  The
-pivot columns and the left kernel are fixed by insertion order.  Solving
-back-substitutes over the echelon rows, one dot product per row; the
-reduced row echelon form of M, and the row combinations that give it,
-are finished only when read.  Rank, kernel, left kernel, solving and
-inversion all read off that one pass, which each matrix keeps
+pivot columns and the left kernel are fixed by insertion order.  The
+echelon rows are the reduction's one form: solving, the kernel and
+inversion all back-substitute over them, one dot product per row, and
+rank and the left kernel read off the same pass, which each matrix keeps
 (:meth:`FieldMatrix.reduction`).  The reduction of [M | M | I] is read
 off that of [M | I] with no second pass (:meth:`RowReduction.doubled`).
 Arithmetic is exact.
@@ -808,15 +807,11 @@ class RowReduction:
 
     ``left_kernel`` holds the I parts of the rows that became zero, a basis
     of {h : h M = 0}.  The pivot rows are left in echelon form, each
-    (E | u) with E = u M, and solving back-substitutes over them.  The M
-    part of every row is kept with its slot order reversed (column c in
+    (E | u) with E = u M, and are the only form kept: ``particular``,
+    ``null_space`` and :func:`invert` each back-substitute over them.  The
+    M part of every row is kept with its slot order reversed (column c in
     slot n - 1 - c, see ``_reduce``); it is reversed back where it leaves
-    the reduction, in ``pivot_rows``, ``particular`` and ``null_space``.
-    ``pivot_rows`` (packed words, in ``pivot_cols`` order), the reduced
-    row echelon form of M, and ``ops``, whose row i is the I part of pivot
-    row i (the combination of M's rows that gives it), are finished on the
-    first read.  The RREF is unique and its rows combine only rows that
-    raised the rank.
+    the reduction, in ``particular`` and ``null_space``.
     """
 
     def __init__(self, M: FieldMatrix):
@@ -837,28 +832,6 @@ class RowReduction:
         return len(self.pivot_cols)
 
     @cached_property
-    def _rref(self) -> list:
-        """The rows, finished to the RREF once.  In descending pivot order
-        each echelon row subtracts, in one combination, the finished rows
-        of the pivot columns where it is non-zero above its own pivot: a
-        finished row is 1 in its pivot column and 0 in every other, so
-        its coefficient is the echelon row's entry there."""
-        s, last = _slot(self.field), self.cols - 1
-        mask = (1 << s) - 1
-        done, finished = {}, 0
-        for c, a in zip(reversed(self.pivot_cols), reversed(self._rows)):
-            m, pairs = a & finished, []
-            while m:
-                at = (m.bit_length() - 1) & -s
-                e = (m >> at) & mask
-                pairs.append((e, done[at]))
-                m ^= e << at
-            at = s * (last - c)
-            done[at] = self._ar.minus(a, pairs)
-            finished |= mask << at
-        return [done[s * (last - c)] for c in self.pivot_cols]
-
-    @cached_property
     def _dot_rows(self) -> list:
         """Each echelon row (E | u) as (-E | u), in the form ``dot`` reads,
         for q > 2: its x-powers in characteristic 2, where -E = E, the word
@@ -867,17 +840,6 @@ class RowReduction:
         if self.field.p == 2:
             return [ar.x_powers(r) for r in self._rows]
         return [ar.minus(r & ~low, ((1, r & low),)) for r in self._rows]
-
-    @cached_property
-    def pivot_rows(self) -> list:
-        low = (1 << self._split) - 1
-        return [_reversed(self.field, r & low, self.cols) for r in self._rref]
-
-    @cached_property
-    def ops(self) -> FieldMatrix:
-        if self._parent is not None:
-            return self._parent.ops
-        return _mat(self.field, self.left_kernel.cols, [r >> self._split for r in self._rref])
 
     def _back_substitute(self, z: int) -> int:
         """z holds y in the I part and the free variables in the M part.
@@ -926,10 +888,11 @@ class RowReduction:
     def doubled(self) -> "RowReduction":
         """The reduction of [M | M | I], read off this one of [M | I]
         without another elimination.  The right copy of M never holds a
-        pivot, so the pivot columns, ``left_kernel`` and ``ops`` (the same
-        objects; ``ops`` is finished on this reduction) are this one's, and
-        each row (E | u) becomes (E | E | u): the reversal of (E | E) is
-        (rev E | rev E), so the stored rows take the same form."""
+        pivot, so the pivot columns and ``left_kernel`` (the same objects)
+        are this one's, and each echelon row (E | u) becomes (E | E | u):
+        the reversal of (E | E) is (rev E | rev E), so the stored rows take
+        the same form.  ``null_space`` back-substitutes over those rows,
+        ``particular`` over this reduction's."""
         out = object.__new__(RowReduction)
         out.field, out.cols = self.field, 2 * self.cols
         out.pivot_cols, out.left_kernel = self.pivot_cols, self.left_kernel
@@ -1004,11 +967,14 @@ def solve_affine(M: FieldMatrix, y: FieldVector) -> AffineSolutions:
 
 
 def invert(M: FieldMatrix) -> FieldMatrix:
-    """Inverse of a square full-rank matrix: the row combinations that
-    reduce M to the identity."""
+    """Inverse of a square full-rank matrix: column i solves M x = e_i, one
+    back-substitution over the echelon rows of the kept reduction; the
+    columns are packed as rows and transposed once."""
     if M.rows != M.cols:
         raise SingularMatrixError("only square matrices are invertible")
     red = M.reduction()
     if red.rank < M.rows:
         raise SingularMatrixError("matrix is singular")
-    return red.ops
+    ident = FieldMatrix.identity(M.field, M.rows)
+    return _mat(M.field, M.rows, [red.particular(ident.row(i)).packed
+                                  for i in range(M.rows)]).transpose()

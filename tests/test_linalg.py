@@ -160,16 +160,38 @@ def test_rank_equals_transpose_rank(rng, rows, cols):
     assert rank(M) == rank(M.transpose())
 
 
+def _rref_from_null_space(red):
+    """The reduced row echelon form of M, as packed words in pivot order,
+    read off pivot_cols and null_space: the null-space column of free
+    column j is 1 at j, 0 at the other free columns and, at each pivot
+    column, minus the RREF's entry in column j of that pivot's row."""
+    f = red.field
+    free = [j for j in range(red.cols) if j not in red.pivot_cols]
+    kernel = red.null_space().transpose().to_grid()  # one row per free column
+    rows = []
+    for c in red.pivot_cols:
+        row = [0] * red.cols
+        row[c] = 1
+        for j, v in zip(free, kernel):
+            row[j] = f.neg(v[c])
+        rows.append(FieldVector(f, row).packed)
+    return rows
+
+
 def test_rref_matches_naive_reference(rng):
+    """Pivots, the RREF read off null_space and the left kernel against
+    column-order Gauss-Jordan."""
     for _ in range(40):
         r, c = (int(x) for x in rng.integers(1, 20, size=2))
         grid = random_gf2_matrix(rng, r, c)
-        red = RowReduction(FieldMatrix(GF2, grid))
-        work = red.pivot_rows + [0] * (r - red.rank)
+        M = FieldMatrix(GF2, grid)
+        red = RowReduction(M)
+        work = _rref_from_null_space(red) + [0] * (r - red.rank)
         ref_grid, ref_pivots = ref_rref(grid)
         assert red.pivot_cols == ref_pivots
         unpacked = [[(m >> j) & 1 for j in range(c)] for m in work]
         assert unpacked == ref_grid
+        assert red.left_kernel.to_grid() == ref_solve(GF2, M.transpose().to_grid(), [0] * c)[1]
 
 
 def test_kernel_trivial():
@@ -240,7 +262,7 @@ def test_solve_inconsistent():
         solve_affine(M, FieldVector(GF2, [1, 0]))
 
 
-@pytest.mark.parametrize("f", [GF2, GF5])
+@pytest.mark.parametrize("f", [GF2, GF5, GF32])
 def test_invert_round_trip(rng, f):
     ident = FieldMatrix.identity(f, 6)
     assert invert(ident) == ident
@@ -457,21 +479,21 @@ def _rank_deficient(f, rng, rows, cols, r):
     return FieldMatrix(f, A) @ FieldMatrix(f, B)
 
 
-# sha256 of every reading of a reduction, recorded before the M part of the
-# rows was packed with its column order reversed
+# sha256 of every reading of a reduction, recorded before the reduction
+# stopped finishing the RREF of its echelon rows
 REDUCTION_DIGESTS = {
-    "bch:127:13": "24c4d0f873949e1186b3adfdbbbc079a2f7dc1976c3bc319a8a09827aafc3cfd",
-    "bch:255:26": "84b08f56d9a79c802780ab45759fc573dcc891571510dff3f68a1fce725fd916",
-    "gf32": "e996165ecfbeecade4af1649bed128cc2c54d798d8872a52e78e5f2b2263a774",
-    "gf3": "9d188e2a3ab881d96e1f7e73455212104eacbed0cc4549c4259dec18946dec2e",
-    "doubled": "39305dd13dca72670b901e2e0a7dbde7b64e128d72f0ea2de7cf55e7f71245aa",
+    "bch:127:13": "454b17c7d56c96078d7e94b645ddc8d07c8b3fd15e237a4c48e47a0e63c71a86",
+    "bch:255:26": "46922f4df954c1f63e9c3589bb613374e38cf661f11977957100058807feca26",
+    "gf32": "11bc47d2ab0af2fd58874c60d688f4c355db253eaaf346fbf59e17d362827968",
+    "gf3": "ac2117c6d401ad18c176793490a9b37f1190114907f7ab645c5e9f187ef454d1",
+    "doubled": "1834ee917c358fa92692bcfe4e5a900938b3af4ba54ec2e7daa8831edac88d0b",
 }
 
 
 @pytest.mark.parametrize("case", list(REDUCTION_DIGESTS))
 def test_reduction_readings_pinned(case):
-    """pivot_cols, pivot_rows, ops, left_kernel, the particular solution of
-    a consistent right-hand side and null_space on seeded matrices:
+    """pivot_cols, left_kernel, the particular solution of a consistent
+    right-hand side and null_space on seeded matrices:
     bit-permuted G~ of bch:127:13 and bch:255:26, rank-deficient GF(32)
     and GF(3) matrices, and bch:63:7's G read off as [G | G]."""
     rng = np.random.default_rng(1901)
@@ -487,8 +509,7 @@ def test_reduction_readings_pinned(case):
         M = _rank_deficient(GF32 if case == "gf32" else GF3, rng, 14, 11, 7)
         red = RowReduction(M)
     y = M @ random_vector(M.field, M.cols, rng)
-    readings = [red.pivot_cols, [hex(w) for w in red.pivot_rows], red.ops.to_grid(),
-                red.left_kernel.to_grid(), list(red.particular(y).entries),
+    readings = [red.pivot_cols, red.left_kernel.to_grid(), list(red.particular(y).entries),
                 red.null_space().to_grid()]
     digest = hashlib.sha256(json.dumps(readings).encode()).hexdigest()
     assert digest == REDUCTION_DIGESTS[case]
@@ -643,22 +664,20 @@ def packed_systems(draw, fields=PACKED_FIELDS):
 @settings(max_examples=150, deadline=None)
 @given(packed_systems([GF2] + PACKED_FIELDS), st.data())
 def test_packed_row_reduction_matches_reference(system, data):
-    """Pivots and RREF equal column-order Gauss-Jordan.  ``ops`` and
-    ``left_kernel`` are pinned down by insertion order: pivot rows combine
-    only rows that raised the rank when inserted, and the left-kernel row
-    of a dependent row a is 1 at a and 0 at every later or dependent row."""
+    """Pivots, and the RREF read off null_space, equal column-order
+    Gauss-Jordan.  ``left_kernel`` is pinned down by insertion order: the
+    left-kernel row of a row a that did not raise the rank when inserted
+    is 1 at a and 0 at every later or dependent row."""
     f, grid = system
     rows, cols = len(grid), len(grid[0])
     M = FieldMatrix(f, grid)
     red = RowReduction(M)
     rref, pivots = ref_rref(grid, f)
     assert red.pivot_cols == pivots
-    assert [_slot_entries(f, cols, r) for r in red.pivot_rows] == rref[:len(pivots)]
+    assert [_slot_entries(f, cols, r) for r in _rref_from_null_space(red)] == rref[:len(pivots)]
     ranks = [len(ref_rref(grid[:i + 1], f)[1]) for i in range(rows)]
     raised = [i for i in range(rows) if ranks[i] > (ranks[i - 1] if i else 0)]
     dependent = [i for i in range(rows) if i not in raised]
-    assert (red.ops @ M).to_grid() == rref[:len(pivots)]
-    assert all(row[i] == 0 for row in red.ops.to_grid() for i in dependent)
     assert red.left_kernel.rows == len(dependent)
     for a, h in zip(dependent, red.left_kernel.to_grid()):
         assert h[a] == 1
@@ -708,14 +727,15 @@ def test_attack_sized_reduction_matches_reference(m, t, pair):
 
 
 def _reduction_fields(red):
-    return (red.field, red.cols, red.pivot_cols, red.pivot_rows, red.ops, red.left_kernel)
+    return (red.field, red.cols, red.pivot_cols, red._rows, red.left_kernel)
 
 
 @settings(max_examples=120, deadline=None)
 @given(packed_systems([GF2] + PACKED_FIELDS), st.data())
 def test_doubled_reduction_matches_full_reduction(system, data):
     """RowReduction(M).doubled() against the elimination of [M | M] it
-    stands in for, on rank-deficient M too."""
+    stands in for, on rank-deficient M too: the same pivots, echelon rows
+    and left kernel, null space and particular solutions."""
     f, grid = system
     rows = len(grid)
     M = FieldMatrix(f, grid)
@@ -725,7 +745,7 @@ def test_doubled_reduction_matches_full_reduction(system, data):
     full = RowReduction(wide)
     assert _reduction_fields(derived) == _reduction_fields(full)
     assert derived.rank == full.rank
-    assert derived.left_kernel is red.left_kernel and derived.ops is red.ops
+    assert derived.left_kernel is red.left_kernel and derived.pivot_cols is red.pivot_cols
     assert derived.null_space() == full.null_space()
     x = data.draw(st.lists(_elements(f), min_size=wide.cols, max_size=wide.cols))
     y = wide @ FieldVector(f, x)
@@ -836,7 +856,8 @@ def test_packed_words_are_checked_once(m):
 ])
 def test_slot_boundaries_pinned(p, m, words, transposed, pivot_rows, left_kernel):
     """Rows (1, q-1, 0, 2), (q-2, 0, 1, q-1) and their sum on either side of
-    the 8/16-bit slot boundary (q = 256 | 512, 251 | 257)."""
+    the 8/16-bit slot boundary (q = 256 | 512, 251 | 257).  The pinned RREF
+    rows are read off null_space."""
     f = field(p, m)
     q = f.q
     r0, r1 = [1, q - 1, 0, 2], [q - 2, 0, 1, q - 1]
@@ -844,7 +865,7 @@ def test_slot_boundaries_pinned(p, m, words, transposed, pivot_rows, left_kernel
     assert list(M.packed_rows) == words
     assert list(M.transpose().packed_rows) == transposed
     red = RowReduction(M)
-    assert (red.pivot_cols, red.pivot_rows) == ([0, 1], pivot_rows)
+    assert (red.pivot_cols, _rref_from_null_space(red)) == ([0, 1], pivot_rows)
     assert list(red.left_kernel.packed_rows) == left_kernel
 
 
@@ -852,7 +873,8 @@ def test_slot_boundaries_pinned(p, m, words, transposed, pivot_rows, left_kernel
 def test_one_matrix_is_eliminated_once(f, monkeypatch):
     """rank, kernel_basis, solve_affine (one consistent and one
     inconsistent right-hand side) and invert of one matrix read the one
-    reduction of [M | I] that the matrix keeps."""
+    reduction of [M | I] that the matrix keeps; so does invert of a
+    full-rank matrix, which back-substitutes over it."""
     calls = []
 
     def counted(*args, _reduce=linalg._reduce):
@@ -875,6 +897,14 @@ def test_one_matrix_is_eliminated_once(f, monkeypatch):
         invert(M)
     assert len(calls) == 1
     assert M._reduced is red
+    N = FieldMatrix(f, [r0, r1, [0, 0, 1]])
+    assert rank(N) == 3
+    kept = N._reduced
+    inverse = invert(N)
+    ident = FieldMatrix.identity(f, 3)
+    assert inverse @ N == ident and N @ inverse == ident
+    assert len(calls) == 2
+    assert N._reduced is kept
 
 
 # ---------------------------------------------------------------------------
