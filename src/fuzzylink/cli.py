@@ -20,7 +20,6 @@ import click
 import numpy as np
 
 from . import analysis, attacks, codes, commitment, experiments, transforms
-from .fields import field
 from .linalg import random_vector, random_weight_vector
 
 

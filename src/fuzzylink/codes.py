@@ -45,7 +45,8 @@ class LinearCode:
     may be larger); only the decoding radius t = (d-1)//2 is relied on.
 
     H is the left kernel of the reduction of [G | I_n], which G keeps
-    (:meth:`~fuzzylink.linalg.FieldMatrix.reduction`), so attacks whose
+    (:meth:`~fuzzylink.linalg.FieldMatrix.reduction`), so H G = 0 by
+    construction; only the rank of G is checked.  Attacks whose
     two blocks are G read theirs off it with no further elimination.
 
     A BCH code also keeps two matrices over GF(2^m), with alpha the
@@ -67,14 +68,10 @@ class LinearCode:
         self.d = d
         self.G = G
         red = G.reduction()
-        self.H = H = red.left_kernel
+        self.H = red.left_kernel
         self.bch = bch
-        # construction-time duality checks
         if red.rank != k:
             raise ValueError("generator matrix must have full column rank k")
-        prod = H @ G
-        if any(prod.packed_rows):
-            raise ValueError("check matrix does not annihilate the generator")
         if bch is None:
             self._syndrome_matrix = self._chien_matrix = self._syndrome_tables = None
             return
@@ -91,10 +88,8 @@ class LinearCode:
         # column l of C holds alpha^((n - l)j) = alpha^(-jl)
         self._chien_matrix = FieldMatrix(
             f2m, cols=n, packed_rows=[powers(n - l) for l in range(bch.t + 1)]).transpose()
-        # column j of V is every n-th byte of its joined rows from byte j;
-        # past n it is 0
-        raw = b"".join(r.to_bytes(n, "little") for r in self._syndrome_matrix.packed_rows)
-        cols = [int.from_bytes(raw[j::n], "little") for j in range(n)] + [0] * (-n % 4)
+        # the columns of V, padded with zero columns to a multiple of 4
+        cols = list(self._syndrome_matrix.transpose().packed_rows) + [0] * (-n % 4)
         tables = []
         for c in range(len(cols) - 4, -1, -4):
             table = [0]
@@ -129,8 +124,9 @@ def _cyclotomic_coset(s: int, n: int) -> tuple:
 
 
 def _minimal_polynomial(coset, f2m: FieldSpec):
-    """prod over the coset of (x - alpha^i), computed in GF(2^m); the
-    result must have GF(2) coefficients."""
+    """prod over the coset of (x - alpha^i), computed in GF(2^m).  A
+    cyclotomic coset is closed under squaring, so the product equals its
+    own Frobenius image and its coefficients lie in GF(2)."""
     exp, _ = exp_log_tables(f2m)
     poly = [1]
     for i in coset:
@@ -141,8 +137,6 @@ def _minimal_polynomial(coset, f2m: FieldSpec):
                 nxt[j + 1] ^= c
                 nxt[j] ^= f2m.mul(c, root)
         poly = nxt
-    if any(c not in (0, 1) for c in poly):
-        raise AssertionError("minimal polynomial has coefficients outside GF(2)")
     return tuple(poly)
 
 

@@ -15,10 +15,10 @@ import json
 import struct
 from dataclasses import dataclass
 
-from .codes import (LinearCode, bch_descriptor_params, code_descriptor, decode_bounded, is_codeword,
+from .codes import (LinearCode, bch_descriptor_params, code_descriptor, decode_bounded,
                     parse_code_descriptor, random_codeword)
 from .fields import FieldSpec, field_from_json, field_to_json, json_ints
-from .linalg import FieldVector
+from .linalg import _BIT_REVERSED, FieldVector
 from .transforms import VARIANTS, TransformDescriptor, apply, identity_transform, transform_from_json
 
 RECORD_VERSION = 1
@@ -40,8 +40,6 @@ HASH_ALGORITHMS = ("sha256", "sha512", "sha1")
 # Supported digests differ in size, so a digest names its own algorithm.
 HASH_BY_SIZE = {hashlib.new(name).digest_size: name for name in HASH_ALGORITHMS}
 DEFAULT_HASH = "sha256"
-
-_BIT_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 
 
 def canonical_bytes(v: FieldVector) -> bytes:
@@ -86,8 +84,8 @@ class Record:
 @dataclass(frozen=True)
 class VerifyResult:
     """Accept carries the recovered codeword; hash_checked distinguishes a
-    digest-verified accept from a re-encoding-consistency ("unverified")
-    accept."""
+    digest-verified accept from an "unverified" one, which rests on
+    :func:`~fuzzylink.codes.decode_bounded` returning only codewords."""
 
     accepted: bool
     codeword: FieldVector | None = None
@@ -106,6 +104,8 @@ def enroll(w: FieldVector, code: LinearCode, transform: TransformDescriptor | No
         transform = identity_transform(code.field, code.n)
     if transform.n != code.n or transform.field != code.field:
         raise ValueError("transform does not match the code")
+    if noise_flips < 0:
+        raise ValueError("noise flips must be >= 0")
     if noise_flips:
         if code.field.q != 2:
             raise ValueError("enrollment noise is defined for GF(2) only")
@@ -125,9 +125,10 @@ def enroll(w: FieldVector, code: LinearCode, transform: TransformDescriptor | No
 
 
 def verify(record: Record, code: LinearCode, w_prime: FieldVector) -> VerifyResult:
-    """Accept when the residual commitment - T(w') decodes and the decoded
-    codeword passes the digest check (or, without a digest, re-encoding
-    consistency)."""
+    """Accept when the residual commitment - T(w') decodes and, if the
+    record has a digest, the decoded codeword matches it.  Without a
+    digest, decoding alone accepts: :func:`~fuzzylink.codes.decode_bounded`
+    returns only codewords, so the result is not checked again."""
     if w_prime.n != code.n or w_prime.field != code.field:
         raise ValueError("candidate feature vector does not match the code")
     if record.commitment.n != code.n or record.commitment.field != code.field:
@@ -139,8 +140,6 @@ def verify(record: Record, code: LinearCode, w_prime: FieldVector) -> VerifyResu
     if record.codeword_hash is not None:
         if codeword_digest(c, record.hash_id) == record.codeword_hash:
             return VerifyResult(True, c, hash_checked=True)
-        return VerifyResult(False)
-    if not is_codeword(code, c):  # decode_bounded guarantees this; keep the contract explicit
         return VerifyResult(False)
     return VerifyResult(True, c, hash_checked=False)
 

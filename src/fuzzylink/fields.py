@@ -197,11 +197,9 @@ class FieldSpec:
     def _build_tables(self):
         p, m, q, mod = self.p, self.m, self.q, self.modulus
         # the first generator of the multiplicative group in integer order,
-        # from x = p up: the default moduli are primitive, so normally x
-        gen = next((_poly_trim(g) for g in islice(_polys(p, m), p, None)
-                    if _generates(g, mod, p)), None)
-        if gen is None:  # pragma: no cover - irreducible modulus guarantees one
-            raise ValueError("no generator found; modulus is not irreducible?")
+        # from x = p up: the default moduli are primitive, so normally x;
+        # one exists because __init__ accepted the modulus as irreducible
+        gen = next(_poly_trim(g) for g in islice(_polys(p, m), p, None) if _generates(g, mod, p))
         place = [p ** i for i in range(m)]
         powers = [1]
         if gen == (0, 1):
@@ -255,15 +253,7 @@ class FieldSpec:
             return (-a) % self.p
         if self.p == 2:
             return a
-        # digit by digit, not through _polys: coefficient tuples made this 2.5-3.5x slower
-        out = 0
-        mult = 1
-        p = self.p
-        while a:
-            out += ((p - a % p) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return self.mul(a, self.p - 1)  # -1 is the constant p - 1
 
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:

@@ -363,6 +363,19 @@ def test_malformed_record_fails_cleanly(runner, tmp_path, shape):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize("args", [
+    ["enroll", "--code", "bch:31:5", "--w", "random", "--seed", "1", "--noise-z", "-1",
+     "--out", "{tmp}/r.json"],
+    ["experiment", "table1", "--code", "bch:31:5", "--b", "0", "--trials", "2",
+     "--noise-z", "-3"],
+], ids=["enroll", "table1"])
+def test_negative_noise_exits_2_with_clear_error(runner, tmp_path, args):
+    res = runner.invoke(main, [a.format(tmp=tmp_path) for a in args])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == ["error: noise flips must be >= 0"]
+
+
 # inputs that used to escape the error boundary with a traceback
 BAD_INPUTS = {
     "enroll-out-missing-dir": ["enroll", "--code", "bch:31:5", "--w", "random",

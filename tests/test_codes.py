@@ -45,8 +45,27 @@ def test_hamming_code_construction():
     assert len(c.bch.generator_polynomial) == 4  # degree 3
 
 
-def test_bch_duality_asserted():
-    c = bch_build(5, 5)
+def _vandermonde_gf32(n=20, k=8):
+    """The (20, 8) GF(32) Vandermonde code of acceptance c10."""
+    g32 = field(2, 5)
+    G = FieldMatrix(g32, [[g32.pow(i + 1, j) for j in range(k)] for i in range(n)])
+    return generic_code(G, n - k + 1)
+
+
+DUALITY_CODES = {
+    **{f"bch:{n}:{t}": (lambda m=m, t=t: bch_build(m, t)) for m, t, n, _ in TABLE_CODES},
+    "gf3-inline": lambda: parse_code_descriptor(
+        {"field": {"p": 3}, "generator": [[1, 0], [0, 1], [1, 1], [1, 2], [2, 1]], "d": 3}),
+    "gf32-vandermonde-20-8": _vandermonde_gf32,
+}
+
+
+@pytest.mark.parametrize("name", DUALITY_CODES)
+def test_bch_duality_asserted(name):
+    # H @ G = 0 and both ranks hold by construction, so LinearCode no
+    # longer checks them when it is built: this test does
+    c = DUALITY_CODES[name]()
+    assert (c.H.rows, c.H.cols) == (c.n - c.k, c.n)
     assert rank(c.G) == c.k
     assert rank(c.H) == c.n - c.k
     prod = c.H @ c.G

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzylink.attacks import generalized_attack
-from fuzzylink.codes import bch_build, generic_code, parse_code_descriptor, random_codeword
+from fuzzylink.codes import (bch_build, generic_code, is_codeword, parse_code_descriptor,
+                             random_codeword)
 from fuzzylink.commitment import (
     HASH_ALGORITHMS,
     HASH_BY_SIZE,
@@ -131,7 +132,6 @@ def test_vector_to_text_pinned():
 def test_enroll_identity_commitment_difference(code, rng):
     w = random_vector(GF2, code.n, rng)
     rec = enroll(w, code, identity_transform(GF2, code.n), rng=rng)
-    from fuzzylink.codes import is_codeword
     assert is_codeword(code, rec.commitment - w)
 
 
@@ -144,6 +144,9 @@ def test_enroll_verify_round_trip(code, rng):
             res = verify(rec, code, w)
             assert res.accepted
             assert res.hash_checked == with_hash
+            # verify checks no codeword itself: a digest-free accept rests on
+            # decode_bounded returning only codewords
+            assert is_codeword(code, res.codeword)
 
 
 def test_verify_within_radius(code, rng):
@@ -153,9 +156,10 @@ def test_verify_within_radius(code, rng):
         rec = enroll(w, code, t, with_hash=True, rng=rng)
         w_close = w + random_weight_vector(GF2, code.n, dist, rng)
         assert verify(rec, code, w_close).accepted
+    # the residual lies t + d - 1 from the enrolled codeword, so it cannot
+    # decode to it, and any other codeword fails the digest
     w_far = w + random_weight_vector(GF2, code.n, code.t + code.d - 1, rng)
-    accepted = verify(rec, code, w_far).accepted
-    assert not accepted or True  # far vectors may rarely fall into another ball
+    assert not verify(rec, code, w_far).accepted
 
 
 def test_tampered_hash_rejects(code, rng):
@@ -177,6 +181,12 @@ def test_noise_flips_triangle(code, rng):
         w_close = w + random_weight_vector(GF2, code.n, 3, rng)
         accepted += verify(rec, code, w_close).accepted
     assert accepted == trials
+
+
+def test_negative_noise_flips_rejected(code, rng):
+    w = random_vector(GF2, code.n, rng)
+    with pytest.raises(ValueError, match="noise flips must be >= 0"):
+        enroll(w, code, noise_flips=-1, rng=rng)
 
 
 def test_noise_rejected_on_non_binary_field(rng):

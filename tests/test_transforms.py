@@ -247,6 +247,14 @@ def test_check_distance_preserving_counterexample():
     assert hamming_distance(fn(v1), fn(v2)) != hamming_distance(v1, v2)
 
 
+def test_check_distance_preserving_refuses_large_domains():
+    # 2^13 vectors exceed the exhaustive limit of 4096: refused before any call
+    calls = []
+    with pytest.raises(ValueError):
+        check_distance_preserving(calls.append, GF2, 13)
+    assert calls == []
+
+
 def test_check_distance_preserving_field_permutation(rng):
     t = random_transform("field-permutation", 4, GF5, rng)
     ok, _ = check_distance_preserving(lambda v: apply(t, v), GF5, 4)
