@@ -23,7 +23,7 @@ lookup, on packed words over every field (added by XOR in characteristic
 2).  Both preserve first-hit order and indices exactly (differentially
 tested against the naive itertools scan that defines the order).
 
-The linear algebra is one reduction of [G~ | I_n], G~ = (G1 | G2): rows
+The linear algebra is the reduction of [G~ | I_n], G~ = (G1 | G2): rows
 whose G~ part vanishes form the annihilator H~ the scan tests against.
 The particular solution x of G~ x = r - e for a hit e comes from the pivot
 rows, left in echelon form (E | u) with E = u G~, over every field: x is
@@ -31,14 +31,21 @@ one back-substitution, in descending pivot order x_c = <u, r - e> minus
 E x over the columns above c, one dot product per row.  The coset has
 q^(cols - rank) solutions; its kernel is built only when digests filter
 it.  The second candidate is read off the first: G1 m1 - G2 m2 = r - e
-gives f2 - G2 m2 = (f1 - G1 m1) - e.  When the two
-blocks are equal (affine-reduced records, two identity records, one
-generator passed twice), that reduction is read off the reduction of
-[G | I_n] that G keeps (:meth:`~fuzzylink.linalg.RowReduction.doubled`):
-no elimination runs per pair, the particular solution is that of
-G x = r - e padded with zeros, and H~, the row combinations, the
+gives f2 - G2 m2 = (f1 - G1 m1) - e.  Bit-permuted records have
+G~ = (P1 G | P2 G), G with its rows picked by each record's inverse
+permutation, so that reduction is read off the reduction of [G | I_n]
+that G keeps (:meth:`~fuzzylink.linalg.RowReduction.doubled`): G's
+echelon rows carry over, and only the n - k rows of G's left kernel are
+reduced again, on the k columns of the second block.  When the two
+blocks are equal (affine-reduced records, two identity records, two
+records with one permutation, one generator passed twice) nothing is
+reduced per pair: the particular solution is that of G x = r - e padded
+with zeros, and for identical blocks H~, the row combinations, the
 transposes the products read and the scan's table are the same objects
-on every attack on G.
+on every attack on G.  Over q > 2, unequal permutations reduce
+[G~ | I_n] afresh, which measured faster there than the read-off, as do
+the arbitrary blocks of :func:`generalized_attack` and
+:func:`linear_decodability_attack`.
 
 Every attack ends in one loop over the solutions of a hit.  With codeword
 digests that loop runs over the whole coset and accepts a solution only
@@ -422,15 +429,17 @@ class AttackOutcome:
         return "related" if self.related else "non-related"
 
 
-def _attack_core(G1, G2, f1, f2, b, hashes, ref_G1, ref_G2, reference_scan=False):
-    """The one attack on generator blocks G1, G2 and commitments f1, f2,
-    with codewords hashed as ref_G1 m1 and ref_G2 m2."""
-    start = perf_counter()
+def _attack_core(start, red, k1, encode1, f1, f2, b, hashes, ref_G1, ref_G2,
+                 reference_scan=False):
+    """The one attack on commitments f1, f2 through the reduction red of
+    [G~ | I_n], G~ = (G1 | G2), begun at perf_counter() time start: G1 has
+    k1 columns, encode1(m1) is G1 m1, and codewords are hashed as
+    ref_G1 m1 and ref_G2 m2."""
     f = f1.field
     n = f1.n
     if f2.field != f or f2.n != n:
         raise ValueError("commitments must share field and length")
-    if G1.rows != n or G2.rows != n:
+    if red.left_kernel.cols != n:
         raise ValueError("generator blocks must have n rows")
     if hashes is not None:
         if len(hashes) != 2:
@@ -439,17 +448,14 @@ def _attack_core(G1, G2, f1, f2, b, hashes, ref_G1, ref_G2, reference_scan=False
         if None in algs:
             raise ValueError("digest length matches no supported hash algorithm")
     r = f1 - f2
-    # equal blocks: [G | G | I_n] is read off G's kept reduction of [G | I_n]
-    red = G1.reduction().doubled() if G1 == G2 else concat_cols(G1, G2).reduction()
     gtilde_rank = red.rank
     Ht = red.left_kernel
-    k1 = G1.cols
     count = f.q ** (red.cols - gtilde_rank)  # solutions per hit, the coset size
     # only digest filtering walks the coset
     kernel = None if hashes is None or count > SOLUTION_ENUM_CAP else red.null_space()
 
     def outcome(scanned, e=None, m1=None):
-        c1 = None if e is None else f1 - (G1 @ m1)  # the second candidate is c1 - e
+        c1 = None if e is None else f1 - encode1(m1)  # the second candidate is c1 - e
         return AttackOutcome(
             related=e is not None,
             candidates=None if e is None else (c1, c1 - e),
@@ -481,6 +487,15 @@ def _attack_core(G1, G2, f1, f2, b, hashes, ref_G1, ref_G2, reference_scan=False
     return outcome(pattern_count(f.q, n, b))
 
 
+def _attack_blocks(G1, G2, f1, f2, b, hashes, ref_G1, ref_G2):
+    """The attack on two given generator blocks: equal blocks read
+    [G1 | G1 | I_n] off the reduction of [G1 | I_n] that G1 keeps, and
+    other blocks reduce [G1 | G2 | I_n] afresh."""
+    start = perf_counter()
+    red = G1.reduction().doubled() if G1 == G2 else concat_cols(G1, G2).reduction()
+    return _attack_core(start, red, G1.cols, G1.__matmul__, f1, f2, b, hashes, ref_G1, ref_G2)
+
+
 def decodability_attack(f1: FieldVector, f2: FieldVector, code: LinearCode) -> bool:
     """Label two plain commitments as related when their offset decodes."""
     return decode_bounded(code, f1 - f2) is not None
@@ -501,7 +516,7 @@ def generalized_attack(G1: FieldMatrix, G2: FieldMatrix, f1: FieldVector,
     scan continues past patterns whose coset contains no digest match, so
     a candidate pair is only ever returned hash-verified.
     """
-    return _attack_core(G1, G2, f1, f2, b, hashes, G1, G2)
+    return _attack_blocks(G1, G2, f1, f2, b, hashes, G1, G2)
 
 
 def modified_decodability_attack(code, rec1, rec2, b: int, *, hashes=None,
@@ -511,22 +526,36 @@ def modified_decodability_attack(code, rec1, rec2, b: int, *, hashes=None,
 
     rec1/rec2 are (commitment, transform) pairs.  Un-permuting each
     commitment and generator copy reduces the problem to the two-code
-    attack; recovered codeword candidates live in the original code, so
-    the returned feature-vector candidates are already expressed in the
-    un-permuted domain.  ``reference_scan=True`` scans with the naive walk
-    of :func:`scan_syndrome_hits` (the oracle of the fast scan in tests).
+    attack, whose reduction is read off the one the code's G keeps (see
+    the module docstring); recovered codeword candidates live in the
+    original code, so the returned feature-vector candidates are already
+    expressed in the un-permuted domain.  ``reference_scan=True`` scans
+    with the naive walk of :func:`scan_syndrome_hits` (the oracle of the
+    fast scan in tests).
     """
+    start = perf_counter()
     G = code.G if isinstance(code, LinearCode) else code
-    blocks = []
+    maps = []
     for _, T in (rec1, rec2):
         if T.kind == "identity":
-            blocks.append(G)
+            maps.append(None)
         elif T.kind == "bit-permutation":
-            blocks.append(permuted_rows(G, T.inverse_permutation()))
+            maps.append(T.inverse_permutation())
         else:
             raise ValueError("records must carry bit-permutation (or identity) transforms")
     f1, f2 = (apply_inverse(T, fvec) for fvec, T in (rec1, rec2))
-    return _attack_core(*blocks, f1, f2, b, hashes, G, G, reference_scan)
+    # G~ = (P1 G | P2 G) is G with its rows picked by each record's inverse
+    # permutation, so its reduction is read off the one G keeps; over q > 2
+    # that read-off is slower than a fresh reduction unless the maps are
+    # equal (BENCH_pair_readoff.json)
+    if G.field.q == 2 or maps[0] == maps[1]:
+        red = G.reduction().doubled(*maps)
+    else:
+        red = concat_cols(*(G if m is None else permuted_rows(G, m) for m in maps)).reduction()
+    T1 = rec1[1]
+    # G1 m1 = P1 (G m1) is G's product un-permuted
+    return _attack_core(start, red, G.cols, lambda m1: apply_inverse(T1, G @ m1), f1, f2, b,
+                        hashes, G, G, reference_scan)
 
 
 def affine_reduction_attack(code, rec1, rec2, b: int, *, hashes=None) -> AttackOutcome:
@@ -559,7 +588,7 @@ def affine_reduction_attack(code, rec1, rec2, b: int, *, hashes=None) -> AttackO
         commitments.append((fvec - FieldVector(f, (c,) * n)).scale(f.inv(a)))
     # only digests read the reference generators a_i G
     refs = (G, G) if hashes is None else [G.scale(a) for a in scales]
-    return _attack_core(G, G, *commitments, b, hashes, *refs)
+    return _attack_blocks(G, G, *commitments, b, hashes, *refs)
 
 
 def linear_decodability_attack(code, f1: FieldVector, f2: FieldVector,
@@ -580,4 +609,4 @@ def linear_decodability_attack(code, f1: FieldVector, f2: FieldVector,
         raise ValueError("Q and R must be n x n")
     if rank(Q) != n or rank(R) != n:
         raise ValueError("Q and R must be invertible")
-    return _attack_core(Q @ G, R @ G, Q @ f1, R @ f2, b, hashes, G, G)
+    return _attack_blocks(Q @ G, R @ G, Q @ f1, R @ f2, b, hashes, G, G)

@@ -6,11 +6,15 @@ holds entry j, with s = 1 over GF(2), 8 for q <= 256 and 16 above.  These
 are the ``packed`` / ``packed_rows`` views (and, over GF(2) only,
 ``bits``); ``entries`` and ``row_entries`` unpack them through
 ``bytes`` or ``struct``.  Indexing, slicing, comparison, weight,
-transposition, concatenation, row permutation and reading kernels and
-solutions off a reduction act on the words, whatever the field.  Matrices
-are read by rows; columns are the rows of :meth:`FieldMatrix.transpose`,
-which a matrix computes once and keeps, as it keeps its row multiples,
-its rows in reversed slot order and its reduction.
+concatenation, row permutation and reading kernels and solutions off a
+reduction act on the words, whatever the field.  Matrices are read by
+rows; columns are the rows of :meth:`FieldMatrix.transpose`, which a
+matrix computes once and keeps, as it keeps its row multiples, its rows
+in reversed slot order and its reduction.  A matrix-vector product adds
+the columns that the vector's entries weight, over GF(2) by XOR.  A
+transpose, or a gather of every row's entries, is one numpy operation on
+the array of slots (one bit per entry over GF(2)); a GF(2) matrix product
+is the method of Four Russians in numpy (:func:`_gf2_product`).
 
 Arithmetic on words goes through one object per characteristic, both with
 the same operations: a sum of two words, a combination sum c*w, a word
@@ -39,9 +43,11 @@ pivot columns and the left kernel are fixed by insertion order.  The
 echelon rows are the reduction's one form: solving, the kernel and
 inversion all back-substitute over them, one dot product per row, and
 rank and the left kernel read off the same pass, which each matrix keeps
-(:meth:`FieldMatrix.reduction`).  The reduction of [M | M | I] is read
-off that of [M | I] with no second pass (:meth:`RowReduction.doubled`).
-Arithmetic is exact.
+(:meth:`FieldMatrix.reduction`).  The reduction of [M1 | M2 | I], where
+M1 and M2 are M with its rows permuted, is read off that of [M | I]
+(:meth:`RowReduction.doubled`): its echelon rows carry over, and only the
+rows of M's left kernel are reduced again, on the columns of M2; with
+M1 = M2 nothing is.  Arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import repeat
-from operator import mul, or_, xor
+from operator import itemgetter, mul, or_, xor
 
 import numpy as np
 
@@ -412,6 +418,19 @@ class FieldVector:
             return _vec(f, self.n, int.from_bytes(raw, "little"))
         return _vec(f, self.n, _pack(f, [table[e] for e in self.entries]))
 
+    def gathered(self, index) -> "FieldVector":
+        """The vector whose entry i is entry index[i] of this one (index is
+        not checked): over GF(2) one gather over the bit string, character
+        i being entry i."""
+        f = self.field
+        if not index:
+            return _vec(f, 0, 0)
+        if self.bits is not None:
+            bits = format(self.bits, f"0{self.n}b")[::-1]
+            return _vec(f, len(index), int("".join(itemgetter(*index)(bits))[::-1], 2))
+        e = self.entries
+        return _vec(f, len(index), _pack(f, [e[j] for j in index]))
+
     def weight(self) -> int:
         # OR every slot's bits down into its bit 0, then count those
         w = self.packed
@@ -465,11 +484,55 @@ def _mat(f: FieldSpec, cols: int, rows) -> "FieldMatrix":
 
 
 def _join_rows(words, nbytes: int) -> bytes:
-    return b"".join(w.to_bytes(nbytes, "little") for w in words)
+    return b"".join([w.to_bytes(nbytes, "little") for w in words])
 
 
 def _split_rows(raw, nbytes: int, count: int) -> list:
     return [int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little") for i in range(count)]
+
+
+def _byte_array(words, nbytes: int):
+    """The words as a (len(words), nbytes) numpy array of their little-endian
+    bytes."""
+    return np.frombuffer(_join_rows(words, nbytes), np.uint8).reshape(len(words), nbytes)
+
+
+def _u64_words(words) -> list:
+    """The rows of a 2-D array of u8 words as ints, word j of a row holding
+    its bits 64j .. 64j + 63: one ``tolist`` per column, joined 64 bits at
+    a time."""
+    if not words.shape[1]:
+        return [0] * len(words)
+    *low, out = words.T.tolist()
+    for col in reversed(low):
+        out = [w << 64 | x for w, x in zip(out, col)]
+    return out
+
+
+def _slot_array(f: FieldSpec, words, n: int):
+    """Packed length-n words over f as a (len(words), n) numpy array of
+    their slots: over GF(2) one uint8 bit per entry (bit i of each byte is
+    entry i, ``bitorder="little"``), otherwise uint8 or uint16 entries."""
+    s = _slot(f)
+    raw = _byte_array(words, (s * n + 7) // 8)
+    if s == 1:
+        return np.unpackbits(raw, axis=1, count=n, bitorder="little")
+    return raw.view("<u2") if s == 16 else raw
+
+
+def _slot_words(f: FieldSpec, slots) -> list:
+    """The packed words of the rows of a 2-D array of slots over f, the
+    inverse of :func:`_slot_array`.  The rows are padded with zero slots to
+    whole u8 words, so that over GF(2) one ``packbits`` of the flat array
+    packs them all."""
+    rows, n = slots.shape
+    s = _slot(f)
+    per = 64 // s  # slots per u8 word
+    width = -(-n // per)
+    padded = np.zeros((rows, width * per), "<u2" if s == 16 else np.uint8)
+    padded[:, :n] = slots
+    raw = np.packbits(padded.reshape(-1), bitorder="little") if s == 1 else padded
+    return _u64_words(raw.view("<u8").reshape(rows, width))
 
 
 class FieldMatrix:
@@ -558,34 +621,12 @@ class FieldMatrix:
         return self._transposed
 
     def _transpose(self) -> "FieldMatrix":
-        """Over GF(2) as one bit matrix: the rows' joined bytes are unpacked
-        to one bit per entry, transposed and packed again, in numpy, with
-        bit i of each byte entry i (``bitorder="little"``); ints go in and
-        come out.  Over every other field through the rows' bytes: row j of
-        the result is every (s/8)-th byte group of the joined rows, starting
-        at group j."""
+        """One numpy transpose of the array of slots (:func:`_slot_array`),
+        over GF(2) one bit per entry; ints go in and come out."""
         f = self.field
         if not (self.rows and self.cols):
             return FieldMatrix.zeros(f, self.cols, self.rows)
-        s = _slot(f)
-        if s == 1:
-            nbytes = (self.cols + 7) // 8
-            grid = np.frombuffer(_join_rows(self.packed_rows, nbytes), np.uint8)
-            bits = np.unpackbits(grid.reshape(self.rows, nbytes), axis=1, count=self.cols,
-                                 bitorder="little")
-            cols = np.packbits(bits.T, axis=1, bitorder="little")
-            width = cols.shape[1]
-            if width > 8:
-                return _mat(f, self.rows, _split_rows(cols.tobytes(), width, self.cols))
-            words = np.zeros((self.cols, 8), np.uint8)  # one little-endian u8 per column
-            words[:, :width] = cols
-            return _mat(f, self.rows, words.view("<u8").ravel().tolist())
-        step = s // 8
-        raw = memoryview(_join_rows(self.packed_rows, self.cols * step))
-        if step == 2:
-            raw = raw.cast("H")  # moves whole two-byte slots; their byte order is kept
-        return _mat(f, self.rows, [int.from_bytes(raw[j::self.cols].tobytes(), "little")
-                                   for j in range(self.cols)])
+        return _mat(f, self.rows, _slot_words(f, _slot_array(f, self.packed_rows, self.cols).T))
 
     def scale(self, c: int) -> "FieldMatrix":
         """Every entry times the field element c."""
@@ -669,14 +710,16 @@ class FieldMatrix:
         if v.n != self.cols:
             raise ValueError(f"dimension mismatch: {self.rows}x{self.cols} times length {v.n}")
         f = self.field
-        if f.q == 2:
-            out = 0
-            vb = v.packed
-            for i, r in enumerate(self.packed_rows):
-                out |= ((r & vb).bit_count() & 1) << i
-            return _vec(f, self.rows, out)
-        # the columns (the rows of the kept transpose) weighted by the entries of v
+        # the columns (the rows of the kept transpose) weighted by the entries
+        # of v: over GF(2) the XOR of those that v's set bits select
         cols = self.transpose().packed_rows
+        if f.q == 2:
+            out, vb = 0, v.packed
+            while vb:
+                low = vb & -vb
+                out ^= cols[low.bit_length() - 1]
+                vb ^= low
+            return _vec(f, self.rows, out)
         return _vec(f, self.rows, word_arithmetic(f, self.rows).combine(zip(v.entries, cols)))
 
     def mat_mul(self, other: "FieldMatrix") -> "FieldMatrix":
@@ -686,17 +729,8 @@ class FieldMatrix:
                 f"dimension mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
         f = self.field
         if f.q == 2:
-            orows = other.packed_rows
-            out = []
-            for r in self.packed_rows:
-                acc = 0
-                rr = r
-                while rr:
-                    k = (rr & -rr).bit_length() - 1
-                    acc ^= orows[k]
-                    rr &= rr - 1
-                out.append(acc)
-            return _mat(f, other.cols, out)
+            return _mat(f, other.cols, _gf2_product(self.packed_rows, other.packed_rows,
+                                                    self.cols, other.cols))
         # row i of the product weights the rows of other by row i of self
         ar = word_arithmetic(f, other.cols)
         orows = other.packed_rows
@@ -709,6 +743,29 @@ class FieldMatrix:
         if isinstance(other, FieldMatrix):
             return self.mat_mul(other)
         return NotImplemented
+
+
+def _gf2_product(left, right, inner: int, cols: int) -> list:
+    """The GF(2) product of packed rows, left (len(left) x inner) times right
+    (inner x cols), by the method of Four Russians (Arlazarov, Dinic,
+    Kronrod and Faradzev, 1970) in numpy.  Each 8 consecutive rows of right,
+    as u8 words, give a table of all 256 of their sums, built by doubling;
+    row i of the product is the XOR, over the bytes c of left row i, of
+    entry (byte c) of table c.  All tables are built at once, entry v of
+    every table side by side, and all picks are one ``take``.  No float
+    arithmetic and no BLAS call."""
+    if not (left and inner and cols):
+        return [0] * len(left)
+    nbytes, width = (inner + 7) // 8, (cols + 63) // 64
+    rows = np.zeros((8 * nbytes, width), np.uint64)
+    rows[:inner] = _byte_array(right, 8 * width).view("<u8")
+    rows = rows.reshape(nbytes, 8, width).transpose(1, 0, 2)  # rows[i, c] is row 8c + i
+    sums = np.zeros((256, nbytes, width), np.uint64)  # sums[v, c]: the rows 8c + i, i in v
+    for i in range(8):
+        np.bitwise_xor(sums[:1 << i], rows[i], out=sums[1 << i:2 << i])
+    picks = _byte_array(left, nbytes).T.astype(np.intp) * nbytes + np.arange(nbytes)[:, None]
+    product = np.bitwise_xor.reduce(np.take(sums.reshape(-1, width), picks, axis=0), axis=0)
+    return _u64_words(product)
 
 
 def concat_cols(A: FieldMatrix, B: FieldMatrix) -> FieldMatrix:
@@ -811,7 +868,10 @@ class RowReduction:
     ``null_space`` and :func:`invert` each back-substitute over them.  The
     M part of every row is kept with its slot order reversed (column c in
     slot n - 1 - c, see ``_reduce``); it is reversed back where it leaves
-    the reduction, in ``particular`` and ``null_space``.
+    the reduction, in ``particular`` and ``null_space``.  A reduction that
+    :meth:`doubled` read off may hold its rows in a permuted order of the
+    equations; ``particular`` then gathers its right-hand side into that
+    order, and ``left_kernel`` is always in the order of M's rows.
     """
 
     def __init__(self, M: FieldMatrix):
@@ -825,7 +885,9 @@ class RowReduction:
         self.pivot_cols = [c for c, row in enumerate(by_col) if row]
         self._rows = [row for row in by_col if row]
         self.left_kernel = _mat(f, M.rows, left)
+        self._m_rows = M.reversed_rows()  # what doubled() multiplies by
         self._parent = None  # the reduction of [M | I] that doubled() read this one off
+        self._frame = None   # the gather that takes a right-hand side to the rows' order
 
     @property
     def rank(self) -> int:
@@ -875,32 +937,81 @@ class RowReduction:
     def particular(self, y: FieldVector) -> FieldVector:
         """The solution of M x = y with every free variable 0, one
         back-substitution; NoSolutionError if y is outside the column
-        space.  On a doubled reduction it is the solution of the reduction
-        it was read off, padded with zeros: the second copy of M is free."""
-        if self._parent is not None:
-            return _vec(self.field, self.cols, self._parent.particular(y).packed)
-        if (self.left_kernel @ y).weight():
+        space.  On a reduction that :meth:`doubled` read off with a row
+        map, y is first gathered into the order of its rows; with equal
+        maps the solution is that of the reduction it was read off, padded
+        with zeros: the second copy of M is free."""
+        parent = self._parent
+        if parent is None and (self.left_kernel @ y).weight():
             raise NoSolutionError("inconsistent linear system")
+        if self._frame is not None:
+            y = y.gathered(self._frame)
+        f, n = self.field, self.cols
+        if parent is not None:
+            return _vec(f, n, parent.particular(y).packed)
         split = self._split
         x = self._back_substitute(y.packed << split) & ((1 << split) - 1)
-        return _vec(self.field, self.cols, _reversed(self.field, x, self.cols))
+        return _vec(f, n, _reversed(f, x, n))
 
-    def doubled(self) -> "RowReduction":
-        """The reduction of [M | M | I], read off this one of [M | I]
-        without another elimination.  The right copy of M never holds a
-        pivot, so the pivot columns and ``left_kernel`` (the same objects)
-        are this one's, and each echelon row (E | u) becomes (E | E | u):
-        the reversal of (E | E) is (rev E | rev E), so the stored rows take
-        the same form.  ``null_space`` back-substitutes over those rows,
-        ``particular`` over this reduction's."""
+    def doubled(self, first=None, second=None) -> "RowReduction":
+        """The reduction of [M1 | M2 | I], M1 and M2 the rows of M picked by
+        the index maps ``first`` and ``second`` (as :func:`permuted_rows`
+        picks them; None keeps M), read off this one of [M | I].
+
+        Put row j of [M1 | M2] at position first[j]: the rows become
+        [M | Q M], with Q = second after the inverse of first, one gather
+        of M's rows.  Each row (E | u) of this reduction, the left-kernel
+        rows (0 | u) included, has u M = E, so (E | u Q M | u) is a row of
+        [M | Q M | I]; the n products u Q M are one
+        :meth:`FieldMatrix.mat_mul` by M's kept reversed rows, which gives
+        them reversed as the stored rows hold them.  The echelon rows keep
+        their pivots in the M part, and only the left-kernel rows
+        (0 | u Q M | u) enter ``_reduce``, pivoting on the Q M part: those
+        that become zero, with their entries gathered back by ``first``,
+        are the new left kernel.  ``particular`` gathers its right-hand
+        side the other way.  The pivot columns depend only on the row
+        space, so the rank, ``pivot_cols``, ``particular`` and
+        ``null_space`` are those of :class:`RowReduction` of [M1 | M2]
+        itself; only the left kernel's basis may differ.  Equal maps give
+        Q = I and u Q M = E: neither the product nor ``_reduce`` runs, and
+        ``particular`` is this reduction's solution padded with zeros.
+        With both maps None, ``pivot_cols`` and ``left_kernel`` are this
+        reduction's own objects."""
+        f, k, split = self.field, self.cols, self._split
+        K = self.left_kernel
+        n = K.cols
+        for index in (first, second):
+            if index is not None and len(index) != n:
+                raise ValueError("index map length must equal row count")
         out = object.__new__(RowReduction)
-        out.field, out.cols = self.field, 2 * self.cols
-        out.pivot_cols, out.left_kernel = self.pivot_cols, self.left_kernel
-        split = self._split
-        out._split = 2 * split
-        out._ar = word_arithmetic(self.field, out.cols + self.left_kernel.cols)
-        out._rows = [(r & ((1 << split) - 1)) | r << split for r in self._rows]
-        out._parent = self
+        out.field, out.cols, out._split = f, 2 * k, 2 * split
+        out._ar = word_arithmetic(f, 2 * k + n)
+        out._m_rows = out._parent = out._frame = None
+        if first is not None:
+            out._frame = frame = [0] * n
+            for j, t in enumerate(first):
+                frame[t] = j
+        low = (1 << split) - 1
+        if first == second:
+            out._parent, out.pivot_cols = self, self.pivot_cols
+            out._rows = [(row & low) | row << split for row in self._rows]
+            zero = K.packed_rows
+        else:
+            picks = range(n) if first is None else out._frame
+            if second is not None:
+                picks = [second[j] for j in picks]
+            tails = (_mat(f, n, [row >> split for row in self._rows] + list(K.packed_rows))
+                     @ _mat(f, k, [self._m_rows[j] for j in picks])).packed_rows
+            kept, zero = _reduce([t | h << split for t, h in zip(tails[self.rank:], K.packed_rows)],
+                                 k, word_arithmetic(f, k + n), f)
+            by_col = kept[::_slot(f)][::-1]
+            out.pivot_cols = self.pivot_cols + [k + c for c, row in enumerate(by_col) if row]
+            out._rows = ([t | row << split for t, row in zip(tails, self._rows)]
+                         + [(a & low) | (a >> split) << 2 * split for a in by_col if a])
+        if first is None:
+            out.left_kernel = K if second is None else _mat(f, n, zero)
+        else:  # back in the order of M's rows
+            out.left_kernel = _mat(f, n, _slot_words(f, _slot_array(f, zero, n)[:, first]))
         return out
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations as iter_permutations, product
-from operator import itemgetter
 
 from .fields import FieldSpec, json_ints
 from .linalg import FieldMatrix, FieldVector, hamming_distance, permuted_rows, word_arithmetic
@@ -91,17 +90,11 @@ def _inverse(table) -> tuple:
 def _transform(T: TransformDescriptor, w: FieldVector, inverse: bool) -> FieldVector:
     if w.field != T.field or w.n != T.n:
         raise ValueError("vector does not match transform domain")
-    if T.kind == "identity" or not T.n:  # a length-0 word is its own image
+    if T.kind == "identity":
         return w
     if T.kind == "field-permutation":
         return w.relabeled(T._inverse_table if inverse else T.sigma)
-    perm = T._inverse_table if inverse else T.permutation
-    if w.bits is not None:
-        # one gather over the bits as characters, character i being entry i
-        chars = format(w.bits, f"0{w.n}b")[::-1]
-        return FieldVector(w.field, n=w.n, bits=int("".join(itemgetter(*perm)(chars))[::-1], 2))
-    e = w.entries
-    return FieldVector(w.field, tuple(e[p] for p in perm))
+    return w.gathered(T._inverse_table if inverse else T.permutation)
 
 
 def apply(T: TransformDescriptor, w: FieldVector) -> FieldVector:

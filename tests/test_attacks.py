@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fuzzylink import linalg
 from fuzzylink.attacks import (
     SOLUTION_ENUM_CAP,
     AttackOutcome,
@@ -727,6 +728,44 @@ def test_affine_reduction_outcomes_pinned():
         h.update(json.dumps(fields, sort_keys=True).encode())
     assert related == [i < 12 and i % 3 <= 1 + i % 2 for i in range(16)]
     assert h.hexdigest() == "ecb83252181bca6433c10a1b83417d504571c87a82d62f882447a502deee3b53"
+
+
+def test_bit_permuted_attacks_reduce_only_the_kernel_rows(monkeypatch, rng):
+    """The rows that enter the forward pass, counted at ``_reduce``: a
+    bit-permuted bch:127:13 pair reads its reduction off the one the code's
+    G keeps and reduces only the n - k = 77 rows of G's left kernel, with
+    and without digests; two records with one permutation, two identity
+    records and generalized_attack(G, G, ...) reduce none."""
+    c = bch_build(7, 13)
+    c.G.reduction()  # the code's own reduction, kept before counting
+    inserted = []
+    forward_pass = linalg._reduce
+
+    def counting(words, *rest):
+        words = list(words)
+        inserted.append(len(words))
+        return forward_pass(words, *rest)
+
+    monkeypatch.setattr(linalg, "_reduce", counting)
+    for with_hash in (False, True):
+        w1, w2, t1, t2, r1, r2 = _random_records(c, rng, distance=2, with_hash=with_hash)
+        hashes = (r1.codeword_hash, r2.codeword_hash) if with_hash else None
+        out = modified_decodability_attack(c, (r1.commitment, t1), (r2.commitment, t2), 2,
+                                           hashes=hashes)
+        # without digests the pair may come back as its complements, the
+        # other solution of the coset that the all-ones codeword makes
+        ones = FieldVector(GF2, n=c.n, bits=(1 << c.n) - 1)
+        assert out.candidates in ((w1, w2),) + (() if with_hash else ((w1 + ones, w2 + ones),))
+        assert inserted == [c.n - c.k] == [77]
+        inserted.clear()
+    w1 = random_vector(GF2, c.n, rng)
+    w2 = w1 + random_weight_vector(GF2, c.n, 2, rng)
+    for kind in ("bit-permutation", "identity"):
+        t = random_transform(kind, c.n, GF2, rng)
+        r1, r2 = (enroll(w, c, t, rng=rng) for w in (w1, w2))
+        assert modified_decodability_attack(c, (r1.commitment, t), (r2.commitment, t), 2).related
+    assert generalized_attack(c.G, c.G, r1.commitment, r2.commitment, 2).related
+    assert inserted == []
 
 
 def test_equal_block_attacks_scan_with_one_table(monkeypatch):

@@ -125,13 +125,69 @@ def test_mat_mul_dimension_mismatch():
 
 
 def test_matvec_matches_reference(rng):
-    for _ in range(50):
-        r, c = (int(x) for x in rng.integers(1, 24, size=2))
+    # small shapes, then products wider than 64 bits and a bch:255:26 H-sized one
+    shapes = [tuple(int(x) for x in rng.integers(1, 24, size=2)) for _ in range(50)]
+    for r, c in shapes + [(77, 127), (127, 50), (70, 1), (1, 130), (208, 255)]:
         grid = random_gf2_matrix(rng, r, c)
         vec = [int(x) for x in rng.integers(0, 2, size=c)]
         M = FieldMatrix(GF2, grid)
         out = M @ FieldVector(GF2, vec)
         assert list(out.entries) == ref_matvec(grid, vec)
+
+
+def ref_mat_mul_gf2(left, right):
+    """The GF(2) product of packed rows, bit by bit: row i XORs the rows of
+    right that the set bits of left row i select."""
+    out = []
+    for r in left:
+        acc = 0
+        for j, w in enumerate(right):
+            if r >> j & 1:
+                acc ^= w
+        out.append(acc)
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(st.integers(0, 9), st.integers(60, 140)),
+       st.one_of(st.integers(0, 17), st.integers(60, 140)),
+       st.one_of(st.integers(0, 9), st.integers(60, 140)), st.data())
+def test_gf2_mat_mul_matches_bit_loop(rows, inner, cols, data):
+    """The numpy product (Four Russians) equals the per-bit loop on empty
+    shapes, inner sizes that are not a multiple of 8, and products wider
+    than 64 bits (more than one u8 word per row); Python ints come out."""
+    left = data.draw(st.lists(st.integers(0, (1 << inner) - 1), min_size=rows, max_size=rows))
+    right = data.draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=inner, max_size=inner))
+    P = (FieldMatrix(GF2, cols=inner, packed_rows=left)
+         @ FieldMatrix(GF2, cols=cols, packed_rows=right))
+    assert (P.rows, P.cols) == (rows, cols)
+    assert list(P.packed_rows) == ref_mat_mul_gf2(left, right)
+    assert all(type(w) is int for w in P.packed_rows)
+
+
+def test_gf2_mat_mul_at_length_255(rng):
+    """255 x 255 times 255 x 128, the products a bch:255:26 pair's read-off
+    takes, and dense all-ones rows."""
+    for fill in ("random", "ones"):
+        if fill == "ones":
+            left, right = [(1 << 255) - 1] * 255, [(1 << 128) - 1] * 255
+        else:
+            left = [FieldVector(GF2, row).bits for row in random_gf2_matrix(rng, 255, 255)]
+            right = [FieldVector(GF2, row).bits for row in random_gf2_matrix(rng, 255, 128)]
+        P = FieldMatrix(GF2, cols=255, packed_rows=left) @ FieldMatrix(GF2, cols=128,
+                                                                       packed_rows=right)
+        assert list(P.packed_rows) == ref_mat_mul_gf2(left, right)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([GF2, GF3, GF32, field(2, 9)]), st.integers(0, 140), st.data())
+def test_vector_gathered_picks_entries(f, n, data):
+    """v.gathered(index) has entry index[i] of v at i, for any index list
+    over the positions of v, repeats and an empty list included."""
+    v = FieldVector(f, data.draw(st.lists(_elements(f), min_size=n, max_size=n)))
+    index = data.draw(st.lists(st.integers(0, n - 1), max_size=n + 3)) if n else []
+    g = v.gathered(index)
+    assert (g.field, g.n, g.entries) == (f, len(index), tuple(v.entries[j] for j in index))
 
 
 def test_matmul_associative_with_vector(rng):
@@ -759,6 +815,98 @@ def test_doubled_reduction_matches_full_reduction(system, data):
             derived.particular(y)
     else:
         assert derived.particular(y) == expected
+
+
+@st.composite
+def row_map_pairs(draw):
+    """A matrix over GF(2), GF(3) or GF(32), with a repeated row in some
+    draws, and two row index maps for doubled(): both None, one None, equal,
+    near-equal (the first with two entries swapped: [M1 | M2] loses rank,
+    so a hit has a coset larger than one solution) or independent."""
+    f = draw(st.sampled_from([GF2, GF3, GF32]))
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 5))
+    grid = _grid(draw, f, rows, cols)
+    if draw(st.booleans()):  # repeat a row, possibly scaled, for rank deficiency
+        grid += [[f.mul(draw(_elements(f)), e) for e in grid[0]]]
+    p1, p2 = (draw(st.permutations(range(len(grid)))) for _ in range(2))
+    near = list(p1)
+    if len(near) > 1:
+        i, j = draw(st.lists(st.integers(0, len(near) - 1), min_size=2, max_size=2,
+                             unique=True))
+        near[i], near[j] = near[j], near[i]
+    maps = draw(st.sampled_from([(None, None), (None, p2), (p1, None), (p1, p1), (p1, near),
+                                 (p1, p2)]))
+    return FieldMatrix(f, grid), maps
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_map_pairs(), st.data())
+def test_pair_readoff_matches_full_reduction(system, data):
+    """RowReduction(M).doubled(first, second) against RowReduction of
+    [M1 | M2], the rows of M picked by each map: the same rank, pivot
+    columns, null space and particular solutions, and the same refusals of
+    a right-hand side outside the column space.  The left kernel may have
+    another basis, so it is checked for what it must be: as many rows, each
+    annihilating [M1 | M2], and of full rank."""
+    M, (first, second) = system
+    f, rows = M.field, M.rows
+    wide = concat_cols(*(M if p is None else permuted_rows(M, p) for p in (first, second)))
+    full = RowReduction(wide)
+    derived = RowReduction(M).doubled(first, second)
+    assert (derived.field, derived.cols, derived.rank) == (f, full.cols, full.rank)
+    assert derived.pivot_cols == full.pivot_cols
+    assert derived.null_space() == full.null_space()
+    K = derived.left_kernel
+    assert (K.rows, K.cols) == (full.left_kernel.rows, rows)
+    assert K @ wide == FieldMatrix.zeros(f, K.rows, wide.cols)
+    assert rank(K) == K.rows
+    x = data.draw(st.lists(_elements(f), min_size=wide.cols, max_size=wide.cols))
+    y = wide @ FieldVector(f, x)
+    assert derived.particular(y) == full.particular(y)
+    y = FieldVector(f, data.draw(st.lists(_elements(f), min_size=rows, max_size=rows)))
+    try:
+        expected = full.particular(y)
+    except NoSolutionError:
+        with pytest.raises(NoSolutionError):
+            derived.particular(y)
+    else:
+        assert derived.particular(y) == expected
+
+
+@pytest.mark.parametrize("pair", ["independent", "near", "equal"])
+def test_pair_readoff_matches_full_reduction_on_bch(pair):
+    """The read-off on bch:63:7's G against the full reduction of the pair:
+    independent maps (full rank 2k - 1, a shared all-ones word), the first
+    with its first three entries rotated (a few more dependent columns) and
+    one map twice (rank k)."""
+    rng = np.random.default_rng(6307)
+    G = bch_build(6, 7).G
+    n = G.rows
+    p1 = [int(i) for i in rng.permutation(n)]
+    p2 = {"independent": [int(i) for i in rng.permutation(n)],
+          "near": p1[1:3] + p1[:1] + p1[3:], "equal": p1}[pair]
+    wide = concat_cols(permuted_rows(G, p1), permuted_rows(G, p2))
+    full = RowReduction(wide)
+    derived = G.reduction().doubled(p1, p2)
+    assert (derived.rank, derived.pivot_cols) == (full.rank, full.pivot_cols)
+    assert derived.null_space() == full.null_space()
+    assert derived.left_kernel.rows == n - full.rank
+    assert derived.left_kernel @ wide == FieldMatrix.zeros(GF2, n - full.rank, wide.cols)
+    for _ in range(4):
+        y = wide @ random_vector(GF2, wide.cols, rng)
+        assert derived.particular(y) == full.particular(y)
+    y = random_vector(GF2, n, rng)
+    while not (full.left_kernel @ y).weight():
+        y = random_vector(GF2, n, rng)
+    with pytest.raises(NoSolutionError):
+        derived.particular(y)
+
+
+def test_pair_readoff_refuses_maps_of_another_length():
+    red = FieldMatrix.identity(GF2, 4).reduction()
+    for maps in (([0, 1, 2], None), (None, [0, 1, 2, 3, 4])):
+        with pytest.raises(ValueError, match="index map length"):
+            red.doubled(*maps)
 
 
 @settings(max_examples=100, deadline=None)
