@@ -59,6 +59,7 @@ from .attacks import (
     Hit,
     ResourceCapError,
     affine_reduction_attack,
+    attack_records,
     decodability_attack,
     generalized_attack,
     linear_decodability_attack,

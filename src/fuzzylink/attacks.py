@@ -31,21 +31,13 @@ one back-substitution, in descending pivot order x_c = <u, r - e> minus
 E x over the columns above c, one dot product per row.  The coset has
 q^(cols - rank) solutions; its kernel is built only when digests filter
 it.  The second candidate is read off the first: G1 m1 - G2 m2 = r - e
-gives f2 - G2 m2 = (f1 - G1 m1) - e.  Bit-permuted records have
-G~ = (P1 G | P2 G), G with its rows picked by each record's inverse
-permutation, so that reduction is read off the reduction of [G | I_n]
-that G keeps (:meth:`~fuzzylink.linalg.RowReduction.doubled`): G's
-echelon rows carry over, and only the n - k rows of G's left kernel are
-reduced again, on the k columns of the second block.  When the two
-blocks are equal (affine-reduced records, two identity records, two
-records with one permutation, one generator passed twice) nothing is
-reduced per pair: the particular solution is that of G x = r - e padded
-with zeros, and for identical blocks H~, the row combinations, the
-transposes the products read and the scan's table are the same objects
-on every attack on G.  Over q > 2, unequal permutations reduce
-[G~ | I_n] afresh, which measured faster there than the read-off, as do
-the arbitrary blocks of :func:`generalized_attack` and
-:func:`linear_decodability_attack`.
+gives f2 - G2 m2 = (f1 - G1 m1) - e.  :func:`attack_records` strips
+each record's transform off its commitment, one step per transform kind,
+so that its block is G with its rows permuted or not, and reads the
+reduction off the one of [G | I_n] that G keeps
+(:meth:`~fuzzylink.linalg.RowReduction.doubled`) where that is faster.
+The blocks of :func:`generalized_attack` and
+:func:`linear_decodability_attack` are reduced afresh unless equal.
 
 Every attack ends in one loop over the solutions of a hit.  With codeword
 digests that loop runs over the whole coset and accepts a solution only
@@ -58,7 +50,7 @@ accepts it unchecked.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import combinations, product, repeat
 from math import comb
@@ -519,76 +511,103 @@ def generalized_attack(G1: FieldMatrix, G2: FieldMatrix, f1: FieldVector,
     return _attack_blocks(G1, G2, f1, f2, b, hashes, G1, G2)
 
 
-def modified_decodability_attack(code, rec1, rec2, b: int, *, hashes=None,
-                                 reference_scan: bool = False) -> AttackOutcome:
-    """Attack on records whose feature vectors went through public
-    record-specific bit permutations.
+def _strip(G: FieldMatrix, fvec: FieldVector, T):
+    """The strip step of one record (commitment fvec, transform T) over G:
+    the row map of its generator block (None keeps G), its commitment with
+    T stripped, the scale a of the generator a*G that its codeword is hashed
+    under, and whether a candidate must go back through sigma^-1."""
+    if T.kind == "bit-permutation":
+        # P^-1 (P w + G m) = w + (P^-1 G) m
+        return T.inverse_permutation(), apply_inverse(T, fvec), 1, False
+    if T.kind == "field-permutation":
+        f = G.field
+        ac = detect_affine(T.sigma, f)
+        if ac is None:
+            # sigma(w) + G m is attacked as it is
+            return None, fvec, 1, True
+        # (a w + c*1 + G m - c*1)/a = w + G (m/a); a bijection has a != 0
+        a, c = ac
+        return None, (fvec - FieldVector(f, (c,) * G.rows)).scale(f.inv(a)), a, False
+    return None, fvec, 1, False
 
-    rec1/rec2 are (commitment, transform) pairs.  Un-permuting each
-    commitment and generator copy reduces the problem to the two-code
-    attack, whose reduction is read off the one the code's G keeps (see
-    the module docstring); recovered codeword candidates live in the
-    original code, so the returned feature-vector candidates are already
-    expressed in the un-permuted domain.  ``reference_scan=True`` scans
-    with the naive walk of :func:`scan_syndrome_hits` (the oracle of the
-    fast scan in tests).
+
+def _attack_stripped(start, G, rec1, rec2, steps, b, hashes, reference_scan=False):
+    """The attack on records rec1, rec2 over G, begun at perf_counter()
+    time start, from their strip steps.  It stands apart from
+    :func:`attack_records` so that :func:`affine_reduction_attack` can
+    refuse a non-affine record by its step, one detect_affine per record."""
+    (map1, f1, a1, back1), (map2, f2, a2, back2) = steps
+    if G.field.q == 2 or map1 == map2:
+        red = G.reduction().doubled(map1, map2)
+    else:
+        red = concat_cols(*(G if m is None else permuted_rows(G, m)
+                            for m in (map1, map2))).reduction()
+    # only digests read the reference generators a_i G
+    refs = (G, G) if hashes is None else [G if a == 1 else G.scale(a) for a in (a1, a2)]
+    # G1 m1 = P1^-1 (G m1) is G's product gathered by the row map
+    out = _attack_core(start, red, G.cols,
+                       G.__matmul__ if map1 is None else lambda m1: (G @ m1).gathered(map1),
+                       f1, f2, b, hashes, *refs, reference_scan)
+    if out.candidates is not None and (back1 or back2):
+        c1, c2 = out.candidates
+        out = replace(out, candidates=(apply_inverse(rec1[1], c1) if back1 else c1,
+                                       apply_inverse(rec2[1], c2) if back2 else c2))
+    return out
+
+
+def attack_records(code, rec1, rec2, b: int, *, hashes=None,
+                   reference_scan: bool = False) -> AttackOutcome:
+    """Linkage/recovery attack on two records of one code, whatever their
+    public transforms.
+
+    rec1/rec2 are (commitment, transform) pairs.  Each record's transform
+    is stripped off its commitment, one step per kind:
+
+    - identity: the commitment w + G m itself, block G;
+    - bit permutation P: P^-1 f = w + (P^-1 G) m, block G with its rows
+      picked by P's inverse;
+    - affine field permutation sigma = a*x + c: (f - c*1)/a = w + G (m/a),
+      block G, its codeword hashed as (a G)(m/a) = G m;
+    - any other sigma: sigma(w) + G m as it is, block G, each candidate
+      mapped back through sigma^-1.
+
+    So the candidates are always feature vectors.  The reduction of
+    [G1 | G2 | I_n] is read off the one G keeps over GF(2) and whenever the
+    row maps are equal (neither record bit-permuted, or one permutation
+    twice); over q > 2 unequal maps reduce it afresh, which measured faster
+    there (BENCH_pair_readoff.json).  ``reference_scan=True`` scans with the
+    naive walk of :func:`scan_syndrome_hits` (the oracle of the fast scan).
     """
     start = perf_counter()
     G = code.G if isinstance(code, LinearCode) else code
-    maps = []
-    for _, T in (rec1, rec2):
-        if T.kind == "identity":
-            maps.append(None)
-        elif T.kind == "bit-permutation":
-            maps.append(T.inverse_permutation())
-        else:
-            raise ValueError("records must carry bit-permutation (or identity) transforms")
-    f1, f2 = (apply_inverse(T, fvec) for fvec, T in (rec1, rec2))
-    # G~ = (P1 G | P2 G) is G with its rows picked by each record's inverse
-    # permutation, so its reduction is read off the one G keeps; over q > 2
-    # that read-off is slower than a fresh reduction unless the maps are
-    # equal (BENCH_pair_readoff.json)
-    if G.field.q == 2 or maps[0] == maps[1]:
-        red = G.reduction().doubled(*maps)
-    else:
-        red = concat_cols(*(G if m is None else permuted_rows(G, m) for m in maps)).reduction()
-    T1 = rec1[1]
-    # G1 m1 = P1 (G m1) is G's product un-permuted
-    return _attack_core(start, red, G.cols, lambda m1: apply_inverse(T1, G @ m1), f1, f2, b,
-                        hashes, G, G, reference_scan)
+    return _attack_stripped(start, G, rec1, rec2, [_strip(G, *rec) for rec in (rec1, rec2)],
+                            b, hashes, reference_scan)
+
+
+def modified_decodability_attack(code, rec1, rec2, b: int, *, hashes=None,
+                                 reference_scan: bool = False) -> AttackOutcome:
+    """:func:`attack_records` on records whose feature vectors went through
+    public record-specific bit permutations (or none); other transforms
+    raise ValueError."""
+    if any(T.kind not in ("identity", "bit-permutation") for _, T in (rec1, rec2)):
+        raise ValueError("records must carry bit-permutation (or identity) transforms")
+    return attack_records(code, rec1, rec2, b, hashes=hashes, reference_scan=reference_scan)
 
 
 def affine_reduction_attack(code, rec1, rec2, b: int, *, hashes=None) -> AttackOutcome:
-    """Break field-permutation records whose bijections are affine.
-
-    rec1/rec2 are (commitment, transform) pairs with field-permutation
-    transforms sigma_i = a_i*x + c_i.  The constant shift c_i*(1..1) is
-    subtracted from each commitment and the result is scaled by a_i^-1
-    (the linear attack with Q = a_i^-1 * I, without building Q), so the
-    core sees commitments G m_i/a_i + w_i of the feature vectors
-    themselves.  Both blocks are then G itself, whose kept reduction serves
-    every pair; a solution m'_i = m_i/a_i is hashed as (a_i G) m'_i = G m_i.
-    Raises ValueError when a sigma is not affine (the reduction does not
-    apply).
-    """
+    """:func:`attack_records` on field-permutation records whose bijections
+    sigma_i = a_i*x + c_i are affine; any other record raises ValueError
+    (the reduction does not apply)."""
+    start = perf_counter()
     G = code.G if isinstance(code, LinearCode) else code
-    f = G.field
-    n = G.rows
-    scales = []
-    commitments = []
-    for fvec, T in (rec1, rec2):
-        if T.kind != "field-permutation":
+    steps = []
+    for rec in (rec1, rec2):
+        if rec[1].kind != "field-permutation":
             raise ValueError("affine reduction expects field-permutation records")
-        ab = detect_affine(T.sigma, f)
-        if ab is None:
+        steps.append(_strip(G, *rec))
+        if steps[-1][3]:  # only a non-affine sigma maps candidates back
             raise ValueError("transform bijection is not affine; reduction unavailable")
-        a, c = ab
-        scales.append(a)
-        # a bijection's linear part is never 0, so it is invertible
-        commitments.append((fvec - FieldVector(f, (c,) * n)).scale(f.inv(a)))
-    # only digests read the reference generators a_i G
-    refs = (G, G) if hashes is None else [G.scale(a) for a in scales]
-    return _attack_blocks(G, G, *commitments, b, hashes, *refs)
+    return _attack_stripped(start, G, rec1, rec2, steps, b, hashes)
 
 
 def linear_decodability_attack(code, f1: FieldVector, f2: FieldVector,

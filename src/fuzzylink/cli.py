@@ -187,21 +187,8 @@ def attack_pair(rec1_path, rec2_path, bound, use_hash, force):
         if r1.codeword_hash is None or r2.codeword_hash is None:
             _fail("--hash requires digests in both records")
         hashes = (r1.codeword_hash, r2.codeword_hash)
-    kinds = {r1.transform.kind, r2.transform.kind}
-    if kinds <= {"identity", "bit-permutation"}:
-        out = attacks.modified_decodability_attack(
-            c, (r1.commitment, r1.transform), (r2.commitment, r2.transform),
-            bound, hashes=hashes)
-    elif kinds == {"field-permutation"}:
-        try:
-            out = attacks.affine_reduction_attack(
-                c, (r1.commitment, r1.transform), (r2.commitment, r2.transform),
-                bound, hashes=hashes)
-        except ValueError:
-            out = attacks.generalized_attack(
-                c.G, c.G, r1.commitment, r2.commitment, bound, hashes=hashes)
-    else:
-        _fail("records carry incompatible transform kinds")
+    out = attacks.attack_records(c, (r1.commitment, r1.transform),
+                                 (r2.commitment, r2.transform), bound, hashes=hashes)
     click.echo(json.dumps(_outcome_json(out), indent=2))
     sys.exit(0 if out.related else 1)
 
@@ -365,8 +352,8 @@ def demo_appendix(seed, hw, non_related, use_hash):
     rec1 = commitment.enroll(w1, c, t1, with_hash=use_hash, rng=rng)
     rec2 = commitment.enroll(w2, c, t2, with_hash=use_hash, rng=rng)
     hashes = (rec1.codeword_hash, rec2.codeword_hash) if use_hash else None
-    out = attacks.modified_decodability_attack(
-        c, (rec1.commitment, t1), (rec2.commitment, t2), hw, hashes=hashes)
+    out = attacks.attack_records(c, (rec1.commitment, t1), (rec2.commitment, t2), hw,
+                                 hashes=hashes)
     if not out.related:
         click.echo("NON-RELATED")
     elif out.candidates == (w1, w2):

@@ -3,9 +3,10 @@
 One run covers a single code and mode over a list of weight bounds.  Per
 trial: draw a feature-vector pair (related pairs differ by a sampled
 error pattern, non-related pairs are independent), draw two transforms
-and two codewords independently, build the commitments and attack them.
+and two codewords independently, build the commitments and attack them
+with :func:`~fuzzylink.attacks.attack_records`, whatever the transform.
 A trial counts as a linkage when the attack outputs candidates and as a
-recovery when the candidate pair is exactly the enrolled pair.
+recovery when the candidates are exactly the enrolled feature vectors.
 
 Trials are independent and may run on several threads; every trial owns
 an RNG stream derived from (master seed, cell index, trial index), and
@@ -26,17 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import (
-    check_pattern_budget,
-    generalized_attack,
-    modified_decodability_attack,
-    pattern_at,
-    pattern_count,
-)
+from .attacks import attack_records, check_pattern_budget, pattern_at, pattern_count
 from .codes import LinearCode, parse_code_descriptor
 from .commitment import enroll
 from .linalg import FieldVector, random_vector, random_weight_vector
-from .transforms import apply, random_transform
+from .transforms import random_transform
 
 RNG_ID = "pcg64:seedseq(seed,cell,trial)"
 REPORT_VERSION = 1
@@ -163,15 +158,9 @@ def run_cell(code: LinearCode, b: int, config: ExperimentConfig, cell_index: int
         rec2 = enroll(w2, code, t2, with_hash=config.with_hash,
                       noise_flips=config.noise_z, rng=rng)
         hashes = (rec1.codeword_hash, rec2.codeword_hash) if config.with_hash else None
-        if config.transform == "field-permutation":
-            out = generalized_attack(code.G, code.G, rec1.commitment, rec2.commitment,
-                                     b, hashes=hashes)
-            truth = (apply(t1, w1), apply(t2, w2))
-        else:
-            out = modified_decodability_attack(code, (rec1.commitment, t1),
-                                               (rec2.commitment, t2), b, hashes=hashes)
-            truth = (w1, w2)
-        return _TrialResult(out.related, out.related and out.candidates == truth,
+        out = attack_records(code, (rec1.commitment, t1), (rec2.commitment, t2), b,
+                             hashes=hashes)
+        return _TrialResult(out.related, out.related and out.candidates == (w1, w2),
                             out.patterns_scanned, out.elapsed, out.gtilde_rank)
 
     if config.threads == 1:

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzylink import linalg
+from fuzzylink import attacks, linalg
 from fuzzylink.attacks import (
     SOLUTION_ENUM_CAP,
     AttackOutcome,
     ResourceCapError,
     affine_reduction_attack,
+    attack_records,
     decodability_attack,
     generalized_attack,
     linear_decodability_attack,
@@ -816,6 +817,24 @@ def test_affine_reduction_rejects_non_affine(rng):
         affine_reduction_attack(c, (r1.commitment, t1), (r1.commitment, t1), 1)
 
 
+def test_one_detect_affine_per_record(monkeypatch, rng):
+    # the affine check of affine_reduction_attack is its records' strip step
+    g32 = field(2, 5)
+    c = generic_code(_random_check_matrix(g32, rng, 10, 8), 3)
+    calls = []
+    monkeypatch.setattr(attacks, "detect_affine",
+                        lambda sigma, f: calls.append(sigma) or detect_affine(sigma, f))
+    t1, t2 = (TransformDescriptor("field-permutation", 10, g32,
+                                  sigma=tuple(g32.add(g32.mul(a, x), s) for x in range(32)))
+              for a, s in ((3, 7), (9, 0)))
+    w = random_vector(g32, 10, rng)
+    recs = [(enroll(w, c, t, rng=rng).commitment, t) for t in (t1, t2)]
+    assert affine_reduction_attack(c, *recs, 1).related
+    assert calls == [t1.sigma, t2.sigma]
+    assert attack_records(c, *recs, 1).related
+    assert calls == [t1.sigma, t2.sigma] * 2
+
+
 # ---------------------------------------------------------------------------
 # attack core differential against two separate reductions
 # ---------------------------------------------------------------------------
@@ -997,8 +1016,9 @@ def test_core_matches_reference_affine_small_fields(rng, p, m, n, k, with_hash):
         verdicts.add(out.related)
     assert True in verdicts
     if f.q > 3:  # every permutation of GF(2) or GF(3) is affine
-        # a non-affine pair falls back to generalized_attack(G, G, ...), as a
-        # field-permutation Table-1 trial does; an equal copy of G counts as G
+        # attack_records attacks a non-affine pair as generalized_attack(G, G,
+        # ...) does, and maps its candidates back through sigma^-1; an equal
+        # copy of G counts as G
         sigmas = []
         while len(sigmas) < 2:
             sigma = tuple(int(x) for x in rng.permutation(f.q))
@@ -1016,3 +1036,7 @@ def test_core_matches_reference_affine_small_fields(rng, p, m, n, k, with_hash):
         for G2 in (G, FieldMatrix(f, G.to_grid())):
             out = generalized_attack(G, G2, r1.commitment, r2.commitment, 2, hashes=hashes)
             assert _fields_but_elapsed(out) == ref
+        out = attack_records(c, (r1.commitment, t1), (r2.commitment, t2), 2, hashes=hashes)
+        if ref["candidates"] is not None:
+            ref["candidates"] = tuple(map(apply_inverse, (t1, t2), ref["candidates"]))
+        assert _fields_but_elapsed(out) == ref

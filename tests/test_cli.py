@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,12 @@ from fuzzylink.commitment import (
 )
 from fuzzylink.fields import GF2, MAX_ORDER, field
 from fuzzylink.linalg import FieldMatrix, random_vector, random_weight_vector
-from fuzzylink.transforms import random_transform
+from fuzzylink.transforms import (
+    TransformDescriptor,
+    apply_inverse,
+    detect_affine,
+    random_transform,
+)
 
 
 @pytest.fixture
@@ -266,16 +273,21 @@ def test_usage_error_exit_code(runner):
     assert res.exit_code == 2
 
 
-def _hashed_pair(tmp_path, algs):
-    """Two bit-permuted records of a distance-1 pair, digests bound with
-    the given algorithms; returns their paths and feature vectors."""
-    rng = np.random.default_rng(17)
-    code = parse_code_descriptor("bch:31:5")
-    w1 = random_vector(GF2, code.n, rng)
-    ws = (w1, w1 + random_weight_vector(GF2, code.n, 1, rng))
+def _hashed_pair(tmp_path, algs=("sha256", "sha256"), transforms=("bit-permutation",) * 2,
+                 code="bch:31:5", b=1, seed=17):
+    """Two records of a distance-b pair on code, digests bound with the
+    given algorithms; each transform is a kind drawn at random or a given
+    descriptor.  Returns their paths and feature vectors."""
+    rng = np.random.default_rng(seed)
+    if isinstance(code, str):
+        code = parse_code_descriptor(code)
+    f, n = code.field, code.n
+    w1 = random_vector(f, n, rng)
+    ws = (w1, w1 + random_weight_vector(f, n, b, rng))
     paths = []
-    for i, (w, alg) in enumerate(zip(ws, algs)):
-        t = random_transform("bit-permutation", code.n, GF2, rng)
+    for i, (w, alg, t) in enumerate(zip(ws, algs, transforms)):
+        if isinstance(t, str):
+            t = random_transform(t, n, f, rng)
         rec = enroll(w, code, t, with_hash=True, hash_id=alg, rng=rng)
         path = tmp_path / f"r{i}.json"
         path.write_bytes(serialize_record(rec))
@@ -291,6 +303,96 @@ def test_attack_pair_hash_reads_algorithm_from_digest(runner, tmp_path, algs):
     out = json.loads(res.output)
     assert out["hash_verified"] is True
     assert out["candidates"] == {"w1": vector_to_text(w1), "w2": vector_to_text(w2)}
+
+
+def _vandermonde_code(f, n, k):
+    """The (n, k) code over f with rows (x^0, ..., x^(k-1)), x = 1..n, which
+    is MDS for n < q."""
+    G = FieldMatrix(f, [[f.pow(i + 1, j) for j in range(k)] for i in range(n)])
+    return generic_code(G, n - k + 1)
+
+
+def _pair_json(runner, paths, b, *options):
+    res = runner.invoke(main, ["attack", "pair", *paths, "--b", str(b), *options])
+    assert res.exit_code in (0, 1), res.output
+    out = json.loads(res.output)
+    del out["elapsed_ms"]
+    return out
+
+
+# attack pair JSON, without elapsed_ms, of seeded related pairs on
+# bch:31:5 at b = 2 (sha256 of the sorted-key dump); the last pair is
+# affine over GF(16) with linear parts 3 and 7, so its digests are checked
+# under a*G with a != 1
+PAIR_PINS = {
+    "identity/identity":
+        "8c3f2eb1d456a9280a341a7302e70dca8dc075185571ecd2c129a6632fa410f6",
+    "bit/bit":
+        "c66caa4ea237b7129ec6a9a5d766b928ebf48766d39456dfe7a3583f18c941d6",
+    "identity/bit":
+        "fc7db4e9db5c69b496a4e0a16e4109ef971b5b57050d1f9c4dc0aeb62ba47d50",
+    "affine/affine":
+        "83edb284b877e0d9c386fb387e68282748dc0e5ab1480d4cc8247ec192541cd5",
+    "affine/affine --hash":
+        "07f2f891a8bff296860b86bcffbe7a8c8c37189370356a82d42e65e908073268",
+    "gf16-affine/affine --hash":
+        "5304883b833ea59d351d5858fe71461763d38e940fe075438ba9eaa17b99c8f4",
+}
+
+
+def _pinned_pair(tmp_path, case):
+    g16 = field(2, 4)
+    kinds = {"identity": "identity", "bit": "bit-permutation", "affine": "field-permutation"}
+    if case.startswith("gf16"):
+        sigmas = [tuple(g16.add(g16.mul(a, x), c) for x in range(16)) for a, c in ((3, 5), (7, 0))]
+        transforms = [TransformDescriptor("field-permutation", 15, g16, sigma=sg) for sg in sigmas]
+        return _hashed_pair(tmp_path, transforms=transforms, code=_vandermonde_code(g16, 15, 3),
+                            b=2, seed=31)
+    first, second = case.split()[0].split("/")
+    return _hashed_pair(tmp_path, transforms=(kinds[first], kinds[second]), b=2, seed=29)
+
+
+@pytest.mark.parametrize("case", sorted(PAIR_PINS))
+def test_attack_pair_json_pinned(runner, tmp_path, case):
+    paths, _ = _pinned_pair(tmp_path, case)
+    out = _pair_json(runner, paths, 2, *case.split()[1:])
+    assert out["verdict"] == "related"
+    digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+    assert digest == PAIR_PINS[case]
+
+
+def test_attack_pair_affine_field_permutation_hash_recovers(runner, tmp_path):
+    paths, (w1, w2) = _pinned_pair(tmp_path, "gf16-affine/affine --hash")
+    out = _pair_json(runner, paths, 2, "--hash")
+    assert out["hash_verified"] is True
+    assert out["candidates"] == {"w1": vector_to_text(w1), "w2": vector_to_text(w2)}
+
+
+def test_attack_pair_non_affine_field_permutation(runner, tmp_path):
+    # one non-affine sigma on both records of a distance-1 pair: the raw
+    # commitments' offset is sigma(w1) - sigma(w2) plus a codeword, which
+    # has weight 1, so the pair links without stripping sigma
+    g16 = field(2, 4)
+    code = _vandermonde_code(g16, 15, 3)
+    sigma = (0, 1, 3, 2) + tuple(range(4, 16))
+    assert detect_affine(sigma, g16) is None
+    t = TransformDescriptor("field-permutation", 15, g16, sigma=sigma)
+    paths, _ = _hashed_pair(tmp_path, transforms=(t, t), code=code, b=1, seed=37)
+    out = _pair_json(runner, paths, 1)
+    recs = [parse_record(Path(p).read_bytes()) for p in paths]
+    ref = attacks.generalized_attack(code.G, code.G, recs[0].commitment, recs[1].commitment, 1)
+    assert ref.related
+    assert out["verdict"] == ref.verdict
+    assert out["error_pattern"] == vector_to_text(ref.error_pattern)
+    assert out["patterns_scanned"] == ref.patterns_scanned
+    assert out["candidates"] == {"w1": vector_to_text(apply_inverse(t, ref.candidates[0])),
+                                 "w2": vector_to_text(apply_inverse(t, ref.candidates[1]))}
+
+
+def test_attack_pair_mixed_transform_kinds_run(runner, tmp_path):
+    paths, _ = _hashed_pair(tmp_path, transforms=("identity", "field-permutation"), b=1)
+    res = runner.invoke(main, ["attack", "pair", *paths, "--b", "1"])
+    assert res.exit_code in (0, 1), res.output
 
 
 HAMMING_7_4 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],

@@ -160,3 +160,28 @@ def test_golden_report_gf32_cell():
     write_report(run_table1(config), "json", buf, include_timing=False)
     assert (hashlib.sha256(buf.getvalue()).hexdigest()
             == "25de5f97717a887dce67cdaff1c61a6cdb5b937c3e389691b5f63a9822dc023d")
+
+
+def test_golden_report_gf32_non_affine_field_permutation_cell():
+    # random sigma over GF(32) is affine with probability 1/30!, so every
+    # trial attacks the raw commitments and maps its candidates back
+    # through sigma^-1; the report must not move
+    g32 = field(2, 5)
+    G = FieldMatrix(g32, [[g32.pow(i + 1, j) for j in range(8)] for i in range(20)])
+    config = ExperimentConfig(code=code_descriptor(generic_code(G, 13)), b_values=(1, 2),
+                              trials=12, transform="field-permutation", seed=2027)
+    buf = io.BytesIO()
+    write_report(run_table1(config), "json", buf, include_timing=False)
+    assert (hashlib.sha256(buf.getvalue()).hexdigest()
+            == "2fe29280c30dd76d945ecc01632a0440f3064162477731aa80e9e8426001705e")
+
+
+def test_field_permutation_hash_cells_link_and_recover_every_pair():
+    # over GF(2) both sigma, x and x + 1, are affine: stripping the shift
+    # leaves w + G m, so every related pair links and the digests pick the
+    # enrolled pair out of its coset
+    report = _run(b_values=(1, 2), trials=60, transform="field-permutation",
+                  with_hash=True, seed=7)
+    for cell in report.cells:
+        assert cell.linkage_rate == 1.0
+        assert cell.recovered == cell.linked
