@@ -12,7 +12,8 @@ of two scans chosen by q.  Over GF(2), weight 1 takes its position from a
 hash map of column syndromes and weight 2 walks that map for the pairs
 whose syndromes XOR to s.  Weights >= 3 probe a numpy array of the
 pair syndromes cols[i] ^ cols[j], folded to 32 bits and built once per
-scan: class 3 in one probe, a class w >= 4 in one probe per head of
+scan over the pair positions, which depend only on n and are kept per
+length: class 3 in one probe, a class w >= 4 in one probe per head of
 w - 4 positions, and each member is completed by the pairs of its fold,
 checked on the exact syndromes.  Classes of weight >= 6 are first ruled
 out by a meet-in-the-middle existence check.  Over every other field
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, product, repeat
 from math import comb
 from operator import xor
@@ -221,6 +222,23 @@ def _fold(x: int) -> int:
     return acc
 
 
+@lru_cache(maxsize=4)
+def _pair_index(n: int):
+    """The pairs k < l of n positions in lexicographic order, as read-only
+    intp arrays, which depend only on n and are kept for the last few
+    lengths: positions i = 0 .. n, the index starts[i] of the first pair
+    whose first position is i (starts[n] is the pair count, returned as an
+    int), and each pair's first and second position."""
+    i = np.arange(n + 1, dtype=np.intp)
+    starts = i * (2 * n - 1 - i) // 2
+    count = int(starts[n])
+    first = np.repeat(i[:n], n - 1 - i[:n])
+    second = np.arange(count, dtype=np.intp) - starts[first] + first + 1
+    for a in (i, starts, first, second):
+        a.flags.writeable = False
+    return i, starts, count, first, second
+
+
 def _scan_gf2(cols, s: int, n: int, b: int):
     """Yield hit supports in canonical order (values are implicitly all
     ones over GF(2)).  Class 1 looks s up in a map of column syndromes and
@@ -236,7 +254,9 @@ def _scan_gf2(cols, s: int, n: int, b: int):
     after its positions that have its fold by two binary searches of the
     keys, in canonical order; such a completion counts when the exact
     syndromes, Python ints, add up to s, which drops fold collisions.  The
-    arrays live as long as the generator."""
+    pair positions are kept per length (:func:`_pair_index`); the folds,
+    keys and screen live as long as the generator.  Every array that
+    indexes another is intp, which numpy indexes by without a cast."""
     if s == 0:
         yield ()
     by_val: dict[int, list[int]] = {}
@@ -250,15 +270,11 @@ def _scan_gf2(cols, s: int, n: int, b: int):
         return
     width = max(max(cols), s).bit_length() // 32 + 1  # 32-bit pieces per syndrome
     folds = np.bitwise_xor.reduce(np.frombuffer(
-        b"".join(c.to_bytes(4 * width, "little") for c in cols), "<u4").reshape(n, width), axis=1)
-    # pair p is (first[p], second[p]); the pairs whose first position is i start at starts[i]
-    i = np.arange(n + 1, dtype=np.int32)
-    starts = i * (2 * n - 1 - i) // 2
-    count = int(starts[n])
-    first = np.repeat(i[:n], n - 1 - i[:n])
-    second = np.arange(count, dtype=np.int32) - starts[first] + first + 1
+        b"".join(c.to_bytes(4 * width, "little") for c in cols), "<u4").reshape(n, width),
+        axis=1).astype(np.intp)
+    i, starts, count, first, second = _pair_index(n)
     pairs = folds[first] ^ folds[second]
-    keys = pairs.astype(np.int64) * count
+    keys = pairs * count
     keys += np.arange(count)
     keys.sort()  # by fold, then by pair index
     mask = (1 << count.bit_length() + 4) - 1  # 16 to 32 screen entries per pair
@@ -271,7 +287,7 @@ def _scan_gf2(cols, s: int, n: int, b: int):
         stem's, in canonical order; probes[j] is the fold of t plus the
         stem's columns."""
         js = np.flatnonzero(screen[probes & mask])
-        base = probes[js].astype(np.int64) * count
+        base = probes[js] * count
         lo = np.searchsorted(keys, base + starts[stems[-1][js] + 1])
         sizes = np.searchsorted(keys, base + count) - lo
         ends = np.cumsum(sizes)

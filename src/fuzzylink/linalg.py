@@ -14,7 +14,9 @@ in reversed slot order and its reduction.  A matrix-vector product adds
 the columns that the vector's entries weight, over GF(2) by XOR.  A
 transpose, or a gather of every row's entries, is one numpy operation on
 the array of slots (one bit per entry over GF(2)); a GF(2) matrix product
-is the method of Four Russians in numpy (:func:`_gf2_product`).
+is the method of Four Russians in numpy (:func:`_gf2_product`), in two
+halves, the left factor's picks and the right factor's tables, so that a
+caller whose left factor is fixed keeps its half.
 
 Arithmetic on words goes through one object per characteristic, both with
 the same operations: a sum of two words, a combination sum c*w, a word
@@ -497,6 +499,12 @@ def _byte_array(words, nbytes: int):
     return np.frombuffer(_join_rows(words, nbytes), np.uint8).reshape(len(words), nbytes)
 
 
+def _u64_rows(words, n: int):
+    """Packed GF(2) words of length n as a read-only (len(words),
+    ceil(n / 64)) array of u8 words, the inverse of :func:`_u64_words`."""
+    return _byte_array(words, 8 * ((n + 63) // 64)).view("<u8")
+
+
 def _u64_words(words) -> list:
     """The rows of a 2-D array of u8 words as ints, word j of a row holding
     its bits 64j .. 64j + 63: one ``tolist`` per column, joined 64 bits at
@@ -518,6 +526,16 @@ def _slot_array(f: FieldSpec, words, n: int):
     if s == 1:
         return np.unpackbits(raw, axis=1, count=n, bitorder="little")
     return raw.view("<u2") if s == 16 else raw
+
+
+def _from_slots(f: FieldSpec, slots) -> "FieldMatrix":
+    """The matrix of a 2-D array of slots over f, keeping its transpose:
+    both are packed (:func:`_slot_words`) from the one array."""
+    rows, cols = slots.shape
+    M = _mat(f, cols, _slot_words(f, slots))
+    M._transposed = _mat(f, rows, _slot_words(f, slots.T))
+    M._transposed._transposed = M
+    return M
 
 
 def _slot_words(f: FieldSpec, slots) -> list:
@@ -729,8 +747,11 @@ class FieldMatrix:
                 f"dimension mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
         f = self.field
         if f.q == 2:
-            return _mat(f, other.cols, _gf2_product(self.packed_rows, other.packed_rows,
-                                                    self.cols, other.cols))
+            left, inner, cols = self.packed_rows, self.cols, other.cols
+            if not (left and inner and cols):
+                return FieldMatrix.zeros(f, self.rows, cols)
+            right = _u64_rows(other.packed_rows, cols)
+            return _mat(f, cols, _gf2_product(_gf2_picks(left, inner), _gf2_tables(right)))
         # row i of the product weights the rows of other by row i of self
         ar = word_arithmetic(f, other.cols)
         orows = other.packed_rows
@@ -745,27 +766,42 @@ class FieldMatrix:
         return NotImplemented
 
 
-def _gf2_product(left, right, inner: int, cols: int) -> list:
-    """The GF(2) product of packed rows, left (len(left) x inner) times right
-    (inner x cols), by the method of Four Russians (Arlazarov, Dinic,
-    Kronrod and Faradzev, 1970) in numpy.  Each 8 consecutive rows of right,
-    as u8 words, give a table of all 256 of their sums, built by doubling;
-    row i of the product is the XOR, over the bytes c of left row i, of
-    entry (byte c) of table c.  All tables are built at once, entry v of
-    every table side by side, and all picks are one ``take``.  No float
-    arithmetic and no BLAS call."""
-    if not (left and inner and cols):
-        return [0] * len(left)
-    nbytes, width = (inner + 7) // 8, (cols + 63) // 64
+def _gf2_picks(left, inner: int):
+    """The left half of :func:`_gf2_product`: for packed GF(2) rows of
+    length inner, the (ceil(inner / 8), len(left)) array whose entry
+    (c, i) is the row of the flattened tables that byte c of left row i
+    picks, byte value * ceil(inner / 8) + c."""
+    nbytes = (inner + 7) // 8
+    return _byte_array(left, nbytes).T.astype(np.intp) * nbytes + np.arange(nbytes)[:, None]
+
+
+def _gf2_tables(right):
+    """The right half of :func:`_gf2_product`: for the right factor as an
+    (inner, width) array of u8 words, the tables of all 256 sums of each 8
+    consecutive rows, flattened so that row v * ceil(inner / 8) + c is the
+    sum of the rows 8c + i, i in v.  All tables are built at once, entry v
+    of every table side by side, by doubling."""
+    inner, width = right.shape
+    nbytes = (inner + 7) // 8
     rows = np.zeros((8 * nbytes, width), np.uint64)
-    rows[:inner] = _byte_array(right, 8 * width).view("<u8")
+    rows[:inner] = right
     rows = rows.reshape(nbytes, 8, width).transpose(1, 0, 2)  # rows[i, c] is row 8c + i
     sums = np.zeros((256, nbytes, width), np.uint64)  # sums[v, c]: the rows 8c + i, i in v
     for i in range(8):
         np.bitwise_xor(sums[:1 << i], rows[i], out=sums[1 << i:2 << i])
-    picks = _byte_array(left, nbytes).T.astype(np.intp) * nbytes + np.arange(nbytes)[:, None]
-    product = np.bitwise_xor.reduce(np.take(sums.reshape(-1, width), picks, axis=0), axis=0)
-    return _u64_words(product)
+    return sums.reshape(256 * nbytes, width)
+
+
+def _gf2_product(picks, tables) -> list:
+    """The GF(2) product of a left factor, by its picks (:func:`_gf2_picks`),
+    and a right factor, by its tables (:func:`_gf2_tables`), as packed rows:
+    the method of Four Russians (Arlazarov, Dinic, Kronrod and Faradzev,
+    1970) in numpy.  Row i of the product is the XOR, over the bytes c of
+    left row i, of entry (byte c) of table c; all picks are one ``take``.
+    Either half can be kept where its factor is fixed, as
+    :meth:`RowReduction.doubled` keeps the left one.  No float arithmetic
+    and no BLAS call."""
+    return _u64_words(np.bitwise_xor.reduce(np.take(tables, picks, axis=0), axis=0))
 
 
 def concat_cols(A: FieldMatrix, B: FieldMatrix) -> FieldMatrix:
@@ -962,14 +998,19 @@ class RowReduction:
         [M | Q M], with Q = second after the inverse of first, one gather
         of M's rows.  Each row (E | u) of this reduction, the left-kernel
         rows (0 | u) included, has u M = E, so (E | u Q M | u) is a row of
-        [M | Q M | I]; the n products u Q M are one
-        :meth:`FieldMatrix.mat_mul` by M's kept reversed rows, which gives
-        them reversed as the stored rows hold them.  The echelon rows keep
-        their pivots in the M part, and only the left-kernel rows
-        (0 | u Q M | u) enter ``_reduce``, pivoting on the Q M part: those
-        that become zero, with their entries gathered back by ``first``,
-        are the new left kernel.  ``particular`` gathers its right-hand
-        side the other way.  The pivot columns depend only on the row
+        [M | Q M | I]; the n products u Q M, by M's kept reversed rows,
+        come out reversed as the stored rows hold them.  Over GF(2) they
+        are one :func:`_gf2_product` whose left factor U, the u of every
+        row, depends only on M: this reduction keeps U's picks and M's
+        reversed rows as an array (``_product_operands``), so a pair pays
+        for gathering Q M's rows, their tables, one ``take`` and one XOR
+        reduce.  Over q > 2 they are one :meth:`FieldMatrix.mat_mul`.
+        The echelon rows keep their pivots in the M part, and only the
+        left-kernel rows (0 | u Q M | u) enter ``_reduce``, pivoting on
+        the Q M part: those that become zero, with their entries gathered
+        back by ``first``, are the new left kernel, which keeps its
+        transpose, both packed from the one array of gathered slots.
+        ``particular`` gathers its right-hand side the other way.  The pivot columns depend only on the row
         space, so the rank, ``pivot_cols``, ``particular`` and
         ``null_space`` are those of :class:`RowReduction` of [M1 | M2]
         itself; only the left kernel's basis may differ.  Equal maps give
@@ -997,22 +1038,43 @@ class RowReduction:
             out._rows = [(row & low) | row << split for row in self._rows]
             zero = K.packed_rows
         else:
-            picks = range(n) if first is None else out._frame
+            order = range(n) if first is None else out._frame
             if second is not None:
-                picks = [second[j] for j in picks]
-            tails = (_mat(f, n, [row >> split for row in self._rows] + list(K.packed_rows))
-                     @ _mat(f, k, [self._m_rows[j] for j in picks])).packed_rows
+                order = [second[j] for j in order]
+            if f.q == 2:
+                left, m_rows = self._product_operands
+                tails = _gf2_product(left, _gf2_tables(m_rows[order]))
+            else:
+                tails = (_mat(f, n, self._left_factor())
+                         @ _mat(f, k, [self._m_rows[j] for j in order])).packed_rows
             kept, zero = _reduce([t | h << split for t, h in zip(tails[self.rank:], K.packed_rows)],
                                  k, word_arithmetic(f, k + n), f)
             by_col = kept[::_slot(f)][::-1]
             out.pivot_cols = self.pivot_cols + [k + c for c, row in enumerate(by_col) if row]
             out._rows = ([t | row << split for t, row in zip(tails, self._rows)]
                          + [(a & low) | (a >> split) << 2 * split for a in by_col if a])
-        if first is None:
-            out.left_kernel = K if second is None else _mat(f, n, zero)
-        else:  # back in the order of M's rows
-            out.left_kernel = _mat(f, n, _slot_words(f, _slot_array(f, zero, n)[:, first]))
+        if first is None and second is None:
+            out.left_kernel = K
+        else:  # back in the order of M's rows, with its transpose
+            slots = _slot_array(f, zero, n)
+            out.left_kernel = _from_slots(f, slots if first is None else slots[:, first])
         return out
+
+    def _left_factor(self) -> list:
+        """The left factor U of the products u Q M that :meth:`doubled`
+        takes: the I parts of the echelon rows, then the left kernel."""
+        split = self._split
+        return [row >> split for row in self._rows] + list(self.left_kernel.packed_rows)
+
+    @cached_property
+    def _product_operands(self):
+        """What the GF(2) product of :meth:`doubled` keeps of its operands,
+        which depend only on M: the picks (:func:`_gf2_picks`) of its left
+        factor U, n x n, and M's reversed rows as an (n, width) array of u8
+        words, read-only, of which each pair gathers its right factor Q M."""
+        left = _gf2_picks(self._left_factor(), self.left_kernel.cols)
+        left.flags.writeable = False
+        return left, _u64_rows(self._m_rows, self.cols)
 
 
 def rank(M: FieldMatrix) -> int:

@@ -249,6 +249,23 @@ def test_scan_matches_reference_property(pm, data):
     assert first == hits[:1]
 
 
+def test_scan_across_lengths():
+    """All-hits GF(2) scans of lengths 12, 5, 3, 12 and 4 in one process
+    equal the naive scan's: the pair index kept per length serves the
+    second length-12 scan and does not leak into the other lengths, the
+    n <= 4 ones included."""
+    rng = np.random.default_rng(2812)
+    attacks._pair_index.cache_clear()
+    for n in (12, 5, 3, 12, 4):
+        b = min(n, 5)
+        for rows in (3, 8):
+            H = _random_check_matrix(GF2, rng, rows, n)
+            for w in range(b + 1):
+                s = H @ random_weight_vector(GF2, n, w, rng)
+                assert _all_hits(H, s, b) == _all_hits(H, s, b, reference=True)
+    assert attacks._pair_index.cache_info().hits > 0
+
+
 @pytest.mark.parametrize("reference", [False, True])
 def test_scan_rejects_mismatched_syndrome(reference):
     H3 = FieldMatrix(GF2, cols=5, packed_rows=[0b10110, 0b01101, 0b11011])

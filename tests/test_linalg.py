@@ -902,6 +902,32 @@ def test_pair_readoff_matches_full_reduction_on_bch(pair):
         derived.particular(y)
 
 
+@pytest.mark.parametrize("m,t", [(6, 7), (7, 13)])
+def test_kept_reduction_stays_clean_across_pairs(m, t):
+    """One kept G.reduction() reads off 20 seeded bit-permuted pairs and
+    then the first pair again: each time the rank, pivot columns, null
+    space and a particular solution equal those of a fresh reduction of
+    the pair, so nothing the reduction keeps for its products is changed
+    by a pair; the left kernel keeps the transpose of its rows."""
+    rng = np.random.default_rng(2800 + m)
+    G = bch_build(m, t).G
+    n, red = G.rows, G.reduction()
+    pairs = [tuple([int(i) for i in rng.permutation(n)] for _ in range(2)) for _ in range(20)]
+    for p1, p2 in pairs + pairs[:1]:
+        wide = concat_cols(permuted_rows(G, p1), permuted_rows(G, p2))
+        full = RowReduction(wide)
+        derived = red.doubled(p1, p2)
+        assert (derived.rank, derived.pivot_cols) == (full.rank, full.pivot_cols)
+        assert derived.null_space() == full.null_space()
+        y = wide @ random_vector(GF2, wide.cols, rng)
+        assert derived.particular(y) == full.particular(y)
+        K = derived.left_kernel
+        rebuilt = FieldMatrix(GF2, cols=K.cols, packed_rows=K.packed_rows)
+        assert K.transpose() == rebuilt.transpose() and K.transpose().transpose() is K
+        assert K @ wide == FieldMatrix.zeros(GF2, K.rows, wide.cols)
+    assert red is G.reduction()
+
+
 def test_pair_readoff_refuses_maps_of_another_length():
     red = FieldMatrix.identity(GF2, 4).reduction()
     for maps in (([0, 1, 2], None), (None, [0, 1, 2, 3, 4])):
