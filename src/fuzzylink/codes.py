@@ -5,12 +5,13 @@ design parameters (m, t), and generic codes over any supported field from
 a user-supplied generator matrix.  The generator convention is G in
 F^(n x k) with codewords G.m (message on the right).
 
-BCH codes decode algebraically on packed GF(2^m) words (see
-:mod:`fuzzylink.linalg`): the syndromes are one XOR of table entries per
-4-bit chunk of the word, Berlekamp-Massey finds the error locator from
-log/antilog tables, and the Chien search is a product with a matrix the
-code keeps, whose zero bytes are the error positions.  Generic codes scan
-error patterns.
+BCH codes decode algebraically on packed GF(2^m) words, one byte per
+element: the syndromes are one XOR of table entries per 4-bit chunk of
+the word, and Berlekamp-Massey and the Chien search work in whole-word
+steps, each a ``bytes.translate`` through a multiply-by-c row of
+:func:`~fuzzylink.fields.mul_rows`, a shift and an XOR.  The zero bytes
+of the Chien values are the error positions.  Generic codes scan error
+patterns.
 Decoding is strictly bounded-distance: a codeword is returned only when
 it lies within radius t = floor((d-1)/2) of the input, never farther,
 even when the error-locator polynomial happens to factor.
@@ -23,7 +24,7 @@ from functools import lru_cache, reduce
 from operator import getitem, xor
 
 from .fields import (FieldSpec, GF2, _poly_mul, exp_log_tables, field, field_from_json,
-                     field_to_json, json_ints)
+                     field_to_json, json_ints, mul_rows)
 from .linalg import FieldMatrix, FieldVector, random_vector
 
 
@@ -49,16 +50,17 @@ class LinearCode:
     construction; only the rank of G is checked.  Attacks whose
     two blocks are G read theirs off it with no further elimination.
 
-    A BCH code also keeps two matrices over GF(2^m), with alpha the
-    primitive element: the 2t x n syndrome matrix V[i][j] = alpha^((i+1)j)
-    and the n x (t+1) Chien matrix C[j][l] = alpha^(-jl), so that the
-    syndromes of a word v are V v and sigma(alpha^-j) = (C sigma)[j].  It
-    reads V v off its syndrome tables, one per 4-bit chunk of the word,
-    highest chunk first: entry e of a chunk is the packed 2t-slot word of
-    the sum of the columns of V at the chunk's positions set in e.
+    A BCH code also keeps, with alpha the primitive element, the 2t x n
+    syndrome matrix V[i][j] = alpha^((i+1)j) over GF(2^m) and the t+1
+    columns of the n x (t+1) Chien matrix C[j][l] = alpha^(-jl) as n-byte
+    strings, so that the syndromes of a word v are V v and
+    sigma(alpha^-j) = (C sigma)[j].  It reads V v off its syndrome tables,
+    one per 4-bit chunk of the word, highest chunk first: entry e of a
+    chunk is the packed 2t-slot word of the sum of the columns of V at the
+    chunk's positions set in e.
     """
 
-    __slots__ = ("field", "n", "k", "d", "G", "H", "bch", "_syndrome_matrix", "_chien_matrix",
+    __slots__ = ("field", "n", "k", "d", "G", "H", "bch", "_syndrome_matrix", "_chien_columns",
                  "_syndrome_tables")
 
     def __init__(self, G: FieldMatrix, d: int, bch: BCHParams | None = None):
@@ -73,21 +75,21 @@ class LinearCode:
         if red.rank != k:
             raise ValueError("generator matrix must have full column rank k")
         if bch is None:
-            self._syndrome_matrix = self._chien_matrix = self._syndrome_tables = None
+            self._syndrome_matrix = self._chien_columns = self._syndrome_tables = None
             return
         f2m = field(2, bch.m)
         exp = bytes(exp_log_tables(f2m)[0][:n])
 
         def powers(step):
-            # the packed word of alpha^(step*j), j < n: every step-th byte
-            # of step copies of the antilog table (one byte per slot)
-            return int.from_bytes((exp * step)[::step], "little")
+            # alpha^(step*j), j < n, one byte each: every step-th byte of
+            # step copies of the antilog table
+            return (exp * step)[::step]
 
         self._syndrome_matrix = FieldMatrix(
-            f2m, cols=n, packed_rows=[powers(i) for i in range(1, 2 * bch.t + 1)])
+            f2m, cols=n, packed_rows=[int.from_bytes(powers(i), "little")
+                                      for i in range(1, 2 * bch.t + 1)])
         # column l of C holds alpha^((n - l)j) = alpha^(-jl)
-        self._chien_matrix = FieldMatrix(
-            f2m, cols=n, packed_rows=[powers(n - l) for l in range(bch.t + 1)]).transpose()
+        self._chien_columns = tuple(powers(n - l) for l in range(bch.t + 1))
         # the columns of V, padded with zero columns to a multiple of 4
         cols = list(self._syndrome_matrix.transpose().packed_rows) + [0] * (-n % 4)
         tables = []
@@ -208,53 +210,56 @@ def is_codeword(code: LinearCode, v: FieldVector) -> bool:
 # bounded-distance decoding
 # ---------------------------------------------------------------------------
 
-def _berlekamp_massey(synd, exp, log, qm1: int):
+def _berlekamp_massey(synd, f2m: FieldSpec):
     """Minimal LFSR (error-locator polynomial) for the syndrome sequence
-    S_1 .. S_2t of a binary word.
+    S_1 .. S_2t of a binary word, given as 2t bytes (Massey, "Shift-register
+    synthesis and BCH decoding", 1969).
 
-    exp/log are plain-list antilog/log tables (exp doubled in length).
-    Returns ascending coefficient list sigma with sigma[0] = 1.  Binary
+    Returns (sigma, L): sigma is the ascending coefficient list, sigma[0] =
+    1, of exactly L + 1 coefficients, the top ones possibly 0 (an update
+    adds c x^shift prev, whose degree is at most the new L).  Binary
     syndromes have S_2j = S_j^2, so the discrepancy of every odd step i
     (the one that meets S_(i+1), i + 1 even) is 0 and the step only
     lengthens the shift (Berlekamp's binary simplification).
+
+    Every step is whole-word, as in Sarwate and Shanbhag's reformulation
+    (riBM, 2001): sigma is kept packed, one byte per coefficient, and with
+    it A = sigma S mod x^2t, S = sum S_(i+1) x^i; prev and B = prev S are
+    kept as bytes.  As sigma has L + 1 <= i + 1 coefficients at step i,
+    the discrepancy of the step is byte i of A.  The update sigma += c
+    x^shift prev is one translate of prev through the multiply-by-c row of
+    :func:`~fuzzylink.fields.mul_rows`, a shift and an XOR, and A += c
+    x^shift B the same on B, truncated to 2t bytes.
     """
+    log, rows = f2m._log, mul_rows(f2m)
     t2 = len(synd)
-    sigma = [1]
-    prev = [1]
+    B = bytes(synd)
+    A = int.from_bytes(B, "little")
+    sigma, prev = 1, b"\x01"
     L = 0
     shift = 1
-    b = 1
-    for i in range(t2):
-        if i & 1:
-            shift += 1
+    log_b = 0
+    for i in range(0, t2, 2):
+        # each pass is an even step and the odd step after it
+        delta = A >> 8 * i & 255
+        if not delta:
+            shift += 2
             continue
-        # discrepancy
-        delta = synd[i]
-        for j in range(1, min(L, len(sigma) - 1) + 1):
-            c = sigma[j]
-            s = synd[i - j]
-            if c and s:
-                delta ^= exp[log[c] + log[s]]
-        if delta == 0:
-            shift += 1
-            continue
-        coef_log = (log[delta] + qm1 - log[b]) % qm1
-        update = sigma[:]
-        need = len(prev) + shift
-        if need > len(update):
-            update.extend([0] * (need - len(update)))
-        for j, c in enumerate(prev):
-            if c:
-                update[j + shift] ^= exp[coef_log + log[c]]
+        # log c = log delta - log b mod q - 1: a negative index counts
+        # from the end of the q - 1 rows
+        row = rows[log[delta] - log_b]
+        update = sigma ^ int.from_bytes(prev.translate(row), "little") << 8 * shift
+        # shift <= i + 1 < 2t, so the slice keeps at least one byte
+        A_update = A ^ int.from_bytes(B[:t2 - shift].translate(row), "little") << 8 * shift
         if 2 * L <= i:
-            prev = sigma
+            prev, B = sigma.to_bytes(L + 1, "little"), A.to_bytes(t2, "little")
             L = i + 1 - L
-            b = delta
-            shift = 1
+            log_b = log[delta]
+            shift = 2
         else:
-            shift += 1
-        sigma = update
-    return sigma, L
+            shift += 2
+        sigma, A = update, A_update
+    return list(sigma.to_bytes(L + 1, "little")), L
 
 
 _HEX_NIBBLES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
@@ -269,21 +274,29 @@ def _bch_syndromes(code: LinearCode, bits: int) -> int:
     return reduce(xor, map(getitem, tables, chunks), 0)
 
 
+def _chien_values(code: LinearCode, sigma) -> bytes:
+    """sigma(alpha^-j), j < n, one byte each: the XOR, over the non-zero
+    coefficients sigma_l, of column l of the Chien matrix translated
+    through sigma_l's multiply-by-c row."""
+    f2m = code._syndrome_matrix.field
+    log, rows = f2m._log, mul_rows(f2m)
+    values = 0
+    for column, c in zip(code._chien_columns, sigma):
+        if c:
+            values ^= int.from_bytes(column.translate(rows[log[c]]), "little")
+    return values.to_bytes(code.n, "little")
+
+
 def _decode_bch(code: LinearCode, v: FieldVector):
     n, t = code.n, code.t
     synd = _bch_syndromes(code, v.bits)
     if not synd:
         return v
-    f2m = code._chien_matrix.field
-    exp, log = exp_log_tables(f2m)
-    sigma, L = _berlekamp_massey(list(synd.to_bytes(2 * t, "little")), exp, log, n)
+    sigma, L = _berlekamp_massey(synd.to_bytes(2 * t, "little"), code._syndrome_matrix.field)
     if L > t or len(sigma) - 1 > t:
         return None
-    # Chien search: the error positions are the j with sigma(alpha^-j) = 0,
-    # the zero bytes of the product's packed word (sigma packed one byte
-    # per coefficient, its missing top coefficients 0)
-    sigma = FieldVector(f2m, n=t + 1, packed=int.from_bytes(bytes(sigma), "little"))
-    values = (code._chien_matrix @ sigma).packed.to_bytes(n, "little")
+    # Chien search: the error positions are the j with sigma(alpha^-j) = 0
+    values = _chien_values(code, sigma)
     if values.count(0) != L:
         return None
     error, j = 0, -1

@@ -163,7 +163,7 @@ class FieldSpec:
     shared and their tables built once.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log")
+    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_mul_rows")
 
     def __init__(self, p: int, m: int, modulus=None):
         if m < 1:
@@ -178,6 +178,7 @@ class FieldSpec:
         self.p = p
         self.m = m
         self.q = q
+        self._mul_rows = None
         if m == 1:
             if modulus is not None:
                 raise ValueError("prime fields take no modulus")
@@ -354,3 +355,25 @@ def exp_log_tables(f: FieldSpec):
     if f.m == 1:
         raise ValueError("log tables exist only for extension fields")
     return f._exp, f._log
+
+
+def mul_rows(f: FieldSpec) -> list:
+    """The multiply-by-c tables of GF(2^m), 2 <= m <= 8, indexed by log c:
+    row k is a 256-byte ``bytes.translate`` table that maps each x < q to
+    alpha^k x (and the unused bytes x >= q to 0), so one translate
+    multiplies a packed word, one byte per element, by alpha^k.
+
+    Built once per field, on first use, by chaining translates: row k is
+    row k-1 translated through row 1.  q - 1 rows of 256 bytes, 64 KB at
+    GF(2^8).
+    """
+    if f._mul_rows is None:
+        if f.p != 2 or not 2 <= f.m <= 8:
+            raise ValueError("multiply-by-c rows exist only for GF(2^m), 2 <= m <= 8")
+        pad = bytes(256 - f.q)
+        by_alpha = bytes(f.mul(f._exp[1], x) for x in range(f.q)) + pad
+        rows = [bytes(range(f.q)) + pad]
+        for _ in range(f.q - 2):
+            rows.append(rows[-1].translate(by_alpha))
+        f._mul_rows = rows
+    return f._mul_rows

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzylink import linalg
 from fuzzylink.attacks import ResourceCapError
@@ -18,6 +19,7 @@ from fuzzylink.codes import (
     random_codeword,
     _bch_syndromes,
     _berlekamp_massey,
+    _chien_values,
     _decode_exhaustive,
 )
 from fuzzylink.fields import GF2, exp_log_tables, field
@@ -186,6 +188,9 @@ def _naive_syndromes(f, alpha, v, t2):
     return out
 
 
+DECODE_PIN_CODES = [(4, 3), (5, 5), (6, 7), (7, 13), (8, 26)]
+
+
 def _naive_chien(f, alpha, sigma, n):
     """sigma(alpha^-j) for j = 0..n-1, one power per term."""
     out = []
@@ -207,15 +212,30 @@ def test_bch_syndromes_and_chien_values_match_naive_evaluation(rng, m, t):
     c = bch_build(m, t)
     f, alpha = _alpha(m)
     n = c.n
-    V, C = c._syndrome_matrix, c._chien_matrix
+    V = c._syndrome_matrix
     assert V.to_grid() == [[f.pow(alpha, i * j) for j in range(n)] for i in range(1, 2 * t + 1)]
-    assert C.to_grid() == [[f.pow(alpha, -j * l) for l in range(t + 1)] for j in range(n)]
+    assert [list(col) for col in c._chien_columns] == [
+        [f.pow(alpha, -j * l) for j in range(n)] for l in range(t + 1)]
     for _ in range(4):
         v = random_vector(GF2, n, rng)
         lifted = FieldVector(f, v.entries)
         assert list(V @ lifted) == _naive_syndromes(f, alpha, v, 2 * t)
-        sigma = random_vector(f, t + 1, rng)
-        assert list(C @ sigma) == _naive_chien(f, alpha, sigma.entries, n)
+        sigma = random_vector(f, t + 1, rng).entries
+        assert list(_chien_values(c, sigma)) == _naive_chien(f, alpha, sigma, n)
+
+
+@pytest.mark.parametrize("m,t", DECODE_PIN_CODES)
+def test_chien_values_match_naive_evaluation_at_every_length(m, t):
+    """The translate Chien search on random sigma of every length 1..t+1,
+    zero coefficients included."""
+    rng = np.random.default_rng(300 + m)
+    c = bch_build(m, t)
+    f, alpha = _alpha(m)
+    for size in range(1, t + 2):
+        for _ in range(2):
+            sigma = [int(x) for x in rng.integers(0, f.q, size)]
+            sigma[int(rng.integers(0, size))] = 0
+            assert list(_chien_values(c, sigma)) == _naive_chien(f, alpha, sigma, c.n)
 
 
 def _full_berlekamp_massey(f, synd):
@@ -242,7 +262,8 @@ def _full_berlekamp_massey(f, synd):
     return sigma, L, deltas
 
 
-@pytest.mark.parametrize("m,t", [(4, 3), (6, 7), (7, 13), (8, 26)])
+@pytest.mark.parametrize("m,t", [(2, 1), (3, 1), (4, 3), (5, 5), (6, 7), (7, 13), (8, 26),
+                                 (8, 40)])
 def test_berlekamp_massey_odd_steps_have_zero_discrepancy(m, t):
     """The decoder skips the odd steps of Massey's algorithm.  On binary
     syndromes their discrepancy is 0, and the full loop gives the same
@@ -251,20 +272,33 @@ def test_berlekamp_massey_odd_steps_have_zero_discrepancy(m, t):
     rng = np.random.default_rng(m)
     c = bch_build(m, t)
     f, alpha = _alpha(m)
-    exp, log = exp_log_tables(f)
-    words = [random_codeword(c, rng) + random_weight_vector(GF2, c.n, w, rng)
+    words = [random_codeword(c, rng) + random_weight_vector(GF2, c.n, min(w, c.n), rng)
              for w in range(c.t + 4) for _ in range(2)]
     words += [random_vector(GF2, c.n, rng) for _ in range(6)]
     for v in words:
         synd = _naive_syndromes(f, alpha, v, 2 * t)
         sigma, L, deltas = _full_berlekamp_massey(f, synd)
         assert not any(deltas[1::2])
-        assert _berlekamp_massey(synd, exp, log, c.n) == (sigma, L)
+        assert _berlekamp_massey(bytes(synd), f) == (sigma, L)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(4, 3), (5, 5)]), st.integers(0, 2**32 - 1))
+def test_berlekamp_massey_matches_full_loop_on_seeded_words(mt, seed):
+    """(sigma, L), the length of sigma included, on seeded binary words of
+    bch:15:3 and bch:31:5 at every distance from a codeword."""
+    m, t = mt
+    rng = np.random.default_rng(seed)
+    c = bch_build(m, t)
+    f, alpha = _alpha(m)
+    v = random_codeword(c, rng) + random_weight_vector(GF2, c.n, int(rng.integers(0, c.n + 1)), rng)
+    synd = _naive_syndromes(f, alpha, v, 2 * t)
+    sigma, L, _ = _full_berlekamp_massey(f, synd)
+    assert _berlekamp_massey(bytes(synd), f) == (sigma, L)
 
 
 # sha256 of decode_bounded's outputs on the words of _pin_words, recorded
 # with the decoder that indexed log/antilog tables element by element
-DECODE_PIN_CODES = [(4, 3), (5, 5), (6, 7), (7, 13), (8, 26)]
 DECODE_PIN = "0649fdbc8ed7d98455fdb97d0a4f67854b6745938cfd6c896d81cf2c70d40d87"
 
 
@@ -323,7 +357,6 @@ def test_decode_bounded_pinned_with_both_reject_paths():
     for m, t in DECODE_PIN_CODES:
         c = bch_build(m, t)
         f, alpha = _alpha(m)
-        exp, log = exp_log_tables(f)
         for v in _pin_words(c, rng):
             out = decode_bounded(c, v)
             digest.update(b"-" if out is None else out.bits.to_bytes((c.n + 7) // 8, "little"))
@@ -331,7 +364,7 @@ def test_decode_bounded_pinned_with_both_reject_paths():
                 assert is_codeword(c, out) and (out - v).weight() <= t
                 continue
             # which check refused v, by the naive syndromes and Chien values
-            sigma, L = _berlekamp_massey(_naive_syndromes(f, alpha, v, 2 * t), exp, log, c.n)
+            sigma, L = _berlekamp_massey(bytes(_naive_syndromes(f, alpha, v, 2 * t)), f)
             if L > t or len(sigma) - 1 > t:
                 rejects["locator-degree"] += 1
             elif _naive_chien(f, alpha, sigma, c.n).count(0) != L:

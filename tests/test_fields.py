@@ -11,6 +11,7 @@ from fuzzylink.fields import (
     is_irreducible,
     is_prime,
     is_primitive,
+    mul_rows,
 )
 
 
@@ -83,6 +84,25 @@ def test_pow_and_log_tables():
         for e in range(10):
             assert f.pow(a, e) == acc
             acc = f.mul(acc, a)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_mul_rows_match_field_products(m):
+    """Row log c maps every x < q to c x, for every c != 0; the rows are
+    built once per field."""
+    f = field(2, m)
+    log = exp_log_tables(f)[1]
+    rows = mul_rows(f)
+    assert len(rows) == f.q - 1 and all(len(row) == 256 for row in rows)
+    for c in range(1, f.q):
+        assert list(rows[log[c]][:f.q]) == [f.mul(c, x) for x in range(f.q)]
+    assert mul_rows(f) is rows
+
+
+def test_mul_rows_only_for_small_binary_fields():
+    for f in (field(2), field(3, 2), field(2, 9)):
+        with pytest.raises(ValueError):
+            mul_rows(f)
 
 
 def test_odd_prime_extension_field():
