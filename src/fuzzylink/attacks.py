@@ -10,13 +10,15 @@ column syndromes, so no full matrix-vector product is ever taken per
 pattern.  The tail of each pattern is looked up, not looped over, by one
 of two scans chosen by q.  Over GF(2), weight 1 takes its position from a
 hash map of column syndromes and weight 2 walks that map for the pairs
-whose syndromes XOR to s.  Weights >= 3 probe a numpy array of the
-pair syndromes cols[i] ^ cols[j], folded to 32 bits and built once per
-scan over the pair positions, which depend only on n and are kept per
-length: class 3 in one probe, a class w >= 4 in one probe per head of
-w - 4 positions, and each member is completed by the pairs of its fold,
-checked on the exact syndromes.  Classes of weight >= 6 are first ruled
-out by a meet-in-the-middle existence check.  Over every other field
+whose syndromes XOR to s.  Weights >= 3 join, in numpy, the column
+syndromes and the pair syndromes cols[i] ^ cols[j], folded to 32 bits,
+built once per scan over the pair positions, which depend only on n and
+are kept per length: classes 3 and 4 are one sorted self-join of columns
+and pairs on the fold of s, as in the collision step of Stern's
+information-set decoding, a class w >= 5 one join per head of w - 4
+positions of the pairs after it, and each match is checked on the exact
+syndromes.  Classes of weight >= 6 are first ruled out by a
+meet-in-the-middle existence check.  Over every other field
 the last position and its value come from one table of the words
 -v*cols[j], v != 0, which the transpose of H~ keeps, so each pattern
 costs -s plus the sum of its head's column multiples and one
@@ -178,25 +180,27 @@ class Hit:
 # syndrome scan engine
 # ---------------------------------------------------------------------------
 
-def _mitm_weight_exists(cols, s: int, n: int, w: int) -> bool:
-    """Can any XOR of w distinct columns equal s?  A match with overlapping
-    index sets implies a lower-weight hit, so "no" is always conclusive
-    while a spurious "yes" merely costs an exact scan of the class.  The
-    scan asks only for w >= 6: its left set has C(n, 3) entries there, and
-    for w = 4 and 5 the check would cost as much as the scan of the class
-    it guards."""
-    a = min(w // 2, 3)
-    left = set()
-    for combo in combinations(range(n), a):
-        acc = 0
-        for j in combo:
-            acc ^= cols[j]
-        left.add(acc)
-    for combo in combinations(range(n), w - a):
-        acc = s
-        for j in combo:
-            acc ^= cols[j]
-        if acc in left:
+def _column_sums(cols, starts):
+    """The XORs of every 2 distinct columns, a list in lexicographic pair
+    order, and of every 3, a set: each column with the pairs after it."""
+    pair_sums = [x ^ y for x, y in combinations(cols, 2)]
+    triples = set()
+    for a, x in enumerate(cols):
+        triples.update(map(xor, repeat(x), pair_sums[starts[a + 1]:]))
+    return pair_sums, triples
+
+
+def _mitm_weight_exists(sums, cols, s: int, starts, w: int) -> bool:
+    """Can any XOR of w >= 6 distinct columns equal s?  s plus each w - 3
+    columns, a head and a pair after it, is looked up in the set of
+    3-column sums of :func:`_column_sums`, one ``isdisjoint`` per head.  A
+    match with overlapping index sets implies a lower-weight hit, so "no"
+    is conclusive while a spurious "yes" merely costs an exact scan of the
+    class.  For w = 4 and 5 the check would cost as much as that scan."""
+    pair_sums, triples = sums
+    for head in combinations(range(len(cols)), w - 5):
+        t = reduce(xor, map(cols.__getitem__, head), s)
+        if not triples.isdisjoint(map(xor, repeat(t), pair_sums[starts[head[-1] + 1]:])):
             return True
     return False
 
@@ -226,17 +230,68 @@ def _fold(x: int) -> int:
 def _pair_index(n: int):
     """The pairs k < l of n positions in lexicographic order, as read-only
     intp arrays, which depend only on n and are kept for the last few
-    lengths: positions i = 0 .. n, the index starts[i] of the first pair
-    whose first position is i (starts[n] is the pair count, returned as an
-    int), and each pair's first and second position."""
+    lengths: the index starts[i] of the first pair whose first position is
+    i, i = 0 .. n (starts[n] is the pair count, returned as an int), and
+    each pair's first and second position."""
     i = np.arange(n + 1, dtype=np.intp)
     starts = i * (2 * n - 1 - i) // 2
     count = int(starts[n])
     first = np.repeat(i[:n], n - 1 - i[:n])
     second = np.arange(count, dtype=np.intp) - starts[first] + first + 1
-    for a in (i, starts, first, second):
+    for a in (starts, first, second):
         a.flags.writeable = False
-    return i, starts, count, first, second
+    return starts, count, first, second
+
+
+def _fold_matches(members, ft: int, shift: int, keys):
+    """The pairs of members whose folds XOR to ft, as arrays x < y of
+    member indices, by one sort into ``keys`` of the packed members
+    m = fold << shift + 1 | index.  The key min(m, m ^ (2 ft + 1) << shift)
+    is min(v, v ^ ft) << shift + 1 | side << shift | index, side 1 when
+    v ^ ft < v, so the members of folds v and v ^ ft make one run, side 0
+    first.  For ft != 0 a run matches its side-0 block with its side-1
+    block; for ft = 0 every key has side 0 and every pair of a run
+    matches.  The blocks' ends are binary searches of the keys, and the
+    pairs of all runs are expanded at once."""
+    np.bitwise_xor(members, (2 * ft + 1) << shift, out=keys)
+    np.minimum(members, keys, out=keys)
+    keys.sort()
+    step = keys[1:] ^ keys[:-1]
+    step >>= shift  # 1 at a split between the sides of a run, 0 within a side
+    split = np.flatnonzero(step == (ft != 0))
+    if not split.size:
+        return split, split
+    high = keys[split] >> shift  # twice the run's min(v, v ^ ft)
+    end = np.searchsorted(keys, (high + 2) << shift)
+    start = np.searchsorted(keys, high << shift) if ft else split
+    # left ends in [start, split], right ends in [split + 1, end)
+    width = end - split - 1
+    sizes = (split + 1 - start) * width
+    ends = np.cumsum(sizes)
+    k = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
+    width = np.repeat(width, sizes)
+    low = (1 << shift) - 1
+    x = keys[np.repeat(start, sizes) + k // width] & low
+    y = keys[np.repeat(split + 1, sizes) + k % width] & low
+    return np.minimum(x, y), np.maximum(x, y)
+
+
+def _completions(x, y, n: int, first, second):
+    """Yield the support of each member pair x < y (member m < n is
+    column m, member m >= n pair m - n) that is the canonical partition
+    of its positions: a column a and a pair (k, l) with a < k, or pairs
+    (a, c) and (k, l) with c < k, so each support of weight 3 or 4 arises
+    once, and pairs that share a position never."""
+    keep = y >= n
+    x, y = x[keep], y[keep] - n
+    single = x < n
+    last = np.where(single, x, second[x - n])
+    keep = last < first[y]
+    x, y, single = x[keep], y[keep], single[keep]
+    lead = np.where(single, x, first[x - n])
+    for a, c, k, l in zip(lead.tolist(), last[keep].tolist(),
+                          first[y].tolist(), second[y].tolist()):
+        yield (a, k, l) if a == c else (a, c, k, l)
 
 
 def _scan_gf2(cols, s: int, n: int, b: int):
@@ -244,19 +299,26 @@ def _scan_gf2(cols, s: int, n: int, b: int):
     ones over GF(2)).  Class 1 looks s up in a map of column syndromes and
     class 2 walks the pairs whose syndromes XOR to s through that map.
 
-    On entering class 3 the scan builds, in numpy, the folds (:func:`_fold`)
-    of the pair syndromes cols[k] ^ cols[l], k < l, in lexicographic pair
-    order, their keys fold * C(n, 2) + pair index, sorted, and a boolean
-    screen indexed by a fold's low bits.  Class 3 is then one probe, of the
-    folds of s ^ cols[a] for every a, and a class w >= 4 one probe per head
-    of w - 4 positions, of the folds of the head's sum plus each pair
-    (a, c) after the head.  A probe that passes the screen finds the pairs
-    after its positions that have its fold by two binary searches of the
-    keys, in canonical order; such a completion counts when the exact
-    syndromes, Python ints, add up to s, which drops fold collisions.  The
-    pair positions are kept per length (:func:`_pair_index`); the folds,
-    keys and screen live as long as the generator.  Every array that
-    indexes another is intp, which numpy indexes by without a cast."""
+    On entering class 3 the scan builds, in numpy, the folds
+    (:func:`_fold`) of the columns and of the pair syndromes
+    cols[k] ^ cols[l], k < l, in lexicographic pair order, and packs its
+    members, the n columns and then the C(n, 2) pairs, as int64 words
+    fold << shift + 1 | member index.  Classes 3 and 4 are one sorted
+    self-join of all members on the fold of s (:func:`_fold_matches`): a
+    column and a pair, or two pairs, whose folds XOR to it.  With b = 3
+    the columns' folds are moved to v ^ fold(s) + 2^32 and the join is on
+    2^32, so that it matches columns against pairs alone.  A class
+    w >= 5 is one join per head of w - 4 positions, of the pairs after the
+    head on the fold of the head's sum t.  Only the canonical partition of
+    each support is kept (:func:`_completions`), and it counts when the
+    exact syndromes, Python ints, add up to s, which drops fold
+    collisions; the few survivors are sorted into canonical order.
+    Classes of weight >= 6 are first ruled out by a meet-in-the-middle
+    check whose column sums are built once.  The pair positions are kept
+    per length (:func:`_pair_index`); the members and the buffer the joins
+    sort into live as long as the generator.  Keys stay below
+    2^(34 + shift), in int64 while n + C(n, 2) <= 2^29: far beyond any n
+    whose class 3 the pattern budget admits."""
     if s == 0:
         yield ()
     by_val: dict[int, list[int]] = {}
@@ -272,42 +334,39 @@ def _scan_gf2(cols, s: int, n: int, b: int):
     folds = np.bitwise_xor.reduce(np.frombuffer(
         b"".join(c.to_bytes(4 * width, "little") for c in cols), "<u4").reshape(n, width),
         axis=1).astype(np.intp)
-    i, starts, count, first, second = _pair_index(n)
-    pairs = folds[first] ^ folds[second]
-    keys = pairs * count
-    keys += np.arange(count)
-    keys.sort()  # by fold, then by pair index
-    mask = (1 << count.bit_length() + 4) - 1  # 16 to 32 screen entries per pair
-    screen = np.zeros(mask + 1, bool)
-    screen[pairs & mask] = True
+    starts, count, first, second = _pair_index(n)
+    shift = (n + count - 1).bit_length()  # bits of a member index
+    members = np.concatenate((folds, folds[first] ^ folds[second]))
+    ft = _fold(s)
+    if b == 3:  # a column of fold v ^ fold(s) + 2^32 matches a pair of fold v, no pair another
+        members[:n] ^= ft | 1 << 32
+        ft = 1 << 32
+    members <<= shift + 1
+    members |= np.arange(n + count)
+    keys = np.empty_like(members)
 
-    def tails(t, probes, *stems):
-        """Yield stem + (k, l) for each stem j, the positions stems[.][j],
-        and each pair k < l after it whose columns add up to t with the
-        stem's, in canonical order; probes[j] is the fold of t plus the
-        stem's columns."""
-        js = np.flatnonzero(screen[probes & mask])
-        base = probes[js] * count
-        lo = np.searchsorted(keys, base + starts[stems[-1][js] + 1])
-        sizes = np.searchsorted(keys, base + count) - lo
-        ends = np.cumsum(sizes)
-        p = keys[np.arange(sizes.sum()) + np.repeat(lo - ends + sizes, sizes)] % count
-        js = np.repeat(js, sizes)
-        for tail in zip(*(x[js].tolist() for x in stems), first[p].tolist(), second[p].tolist()):
-            if reduce(xor, map(cols.__getitem__, tail), t) == 0:
-                yield tail
+    def hits(t, ft, head, at):
+        """The supports head + tail, sorted, of the member pairs from at on
+        whose folds XOR to ft and whose columns add up to t."""
+        x, y = _fold_matches(members[at:], ft, shift, keys[at:])
+        if not x.size:
+            return ()
+        found = [head + tail for tail in _completions(x, y, n, first, second)
+                 if reduce(xor, map(cols.__getitem__, tail), t) == 0]
+        found.sort()
+        found.sort(key=len)  # class 3 before class 4, each in lexicographic order
+        return found
 
-    yield from tails(s, _fold(s) ^ folds[:n - 2], i[:n - 2])
-    for w in range(4, b + 1):
-        if w >= 6 and not _mitm_weight_exists(cols, s, n, w):
-            continue
+    yield from hits(s, ft, (), 0)
+    sums = None
+    for w in range(5, b + 1):
+        if w >= 6:
+            sums = sums or _column_sums(cols, starts)
+            if not _mitm_weight_exists(sums, cols, s, starts, w):
+                continue
         for head in combinations(range(n - 4), w - 4):
-            t = s
-            for j in head:
-                t ^= cols[j]
-            off = starts[head[-1] + 1] if head else 0
-            for tail in tails(t, _fold(t) ^ pairs[off:], first[off:], second[off:]):
-                yield head + tail
+            t = reduce(xor, map(cols.__getitem__, head), s)
+            yield from hits(t, _fold(t), head, n + starts[head[-1] + 1])
 
 
 def _scan_multiples(cols: FieldMatrix, s: FieldVector, n: int, b: int):

@@ -1028,25 +1028,27 @@ class RowReduction:
         out.field, out.cols, out._split = f, 2 * k, 2 * split
         out._ar = word_arithmetic(f, 2 * k + n)
         out._m_rows = out._parent = out._frame = None
+        frame = None
         if first is not None:
-            out._frame = frame = [0] * n
-            for j, t in enumerate(first):
-                frame[t] = j
+            pick = np.fromiter(first, np.intp, n)
+            frame = np.empty(n, np.intp)
+            frame[pick] = np.arange(n)
+            out._frame = frame.tolist()
         low = (1 << split) - 1
         if first == second:
             out._parent, out.pivot_cols = self, self.pivot_cols
             out._rows = [(row & low) | row << split for row in self._rows]
             zero = K.packed_rows
         else:
-            order = range(n) if first is None else out._frame
+            order = np.arange(n) if frame is None else frame
             if second is not None:
-                order = [second[j] for j in order]
+                order = np.fromiter(second, np.intp, n)[order]
             if f.q == 2:
                 left, m_rows = self._product_operands
                 tails = _gf2_product(left, _gf2_tables(m_rows[order]))
             else:
                 tails = (_mat(f, n, self._left_factor())
-                         @ _mat(f, k, [self._m_rows[j] for j in order])).packed_rows
+                         @ _mat(f, k, [self._m_rows[j] for j in order.tolist()])).packed_rows
             kept, zero = _reduce([t | h << split for t, h in zip(tails[self.rank:], K.packed_rows)],
                                  k, word_arithmetic(f, k + n), f)
             by_col = kept[::_slot(f)][::-1]
@@ -1057,7 +1059,7 @@ class RowReduction:
             out.left_kernel = K
         else:  # back in the order of M's rows, with its transpose
             slots = _slot_array(f, zero, n)
-            out.left_kernel = _from_slots(f, slots if first is None else slots[:, first])
+            out.left_kernel = _from_slots(f, slots if first is None else slots[:, pick])
         return out
 
     def _left_factor(self) -> list:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 from itertools import combinations, islice, product
+from math import comb
 
 import numpy as np
 import pytest
@@ -192,11 +193,12 @@ def test_scan_matches_reference(rng, f, rows, cols, b):
     """Full hit lists of the fast scan equal the naive scan's, on random H
     and, every other round, on H with zero and proportional columns (six
     columns or more), and so does the first hit of a scan that stops
-    there.  GF(2) covers the classes 3 to 6 that probe the array of folded
-    pair syndromes, with b = 3 and with larger b, b = n for n = 3, 4, 5,
-    and the meet-in-the-middle guarded class 6: with 2 or 3 rows nearly
-    every syndrome is a pair syndrome, so most probes are members with
-    many pairs each, and with 16 to 30 rows few probes pass the screen.
+    there.  GF(2) covers the classes 3 to 6 that join the folded column
+    and pair syndromes, with b = 3 and with larger b, b = n for n = 3, 4,
+    5, and the meet-in-the-middle guarded class 6: with 2 or 3 rows nearly
+    every syndrome is a pair syndrome, so the sorted joins hold long runs
+    of equal folds with many matches each, and with 16 to 30 rows runs
+    are short and matches few.
     With 65 to 130 rows the folds XOR three to five 32-bit pieces, and in
     half the rounds of H with at most 64 rows every column is x | x << 64,
     so every fold is 0 and only the exact syndromes tell completions
@@ -319,6 +321,110 @@ def test_gf2_scan_hits_pinned():
         b4.update(json.dumps([(h.support, h.index) for h in islice(weight4, 3)]).encode())
     assert b3.hexdigest() == "06541e78245ab236cc2ce7614360e2906cc6800f1e085629ce1117b7b4a8c032"
     assert b4.hexdigest() == "45e0cba04d773ec7dda790cad60c7c901c710d6e313540d0a9c6f980ffc9b641"
+
+
+def _pair_member(n, k, l):
+    """The member index of pair (k, l), k < l, in the GF(2) scan's joins:
+    n plus its lexicographic pair index."""
+    return n + k * (2 * n - 1 - k) // 2 + l - k - 1
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_gf2_join_yields_each_support_once(monkeypatch, mirrored):
+    """A hand-built H whose syndrome s is the sum of columns 1, 3, 6, of
+    columns 0, 2, 5, 7 and of columns 0, 4, 6, 7, 8.  The joins match the
+    weight-3 support through each of its members, against the pair of the
+    other two, the weight-4 support through all three of its pairings, and
+    the tail 4, 6, 7, 8 of head (0,) through all three of its pairings;
+    each support is yielded once, in canonical order, with the reference
+    scan's index, for b = 3 (columns joined against pairs), b = 4 (one
+    self-join) and b = 5 (one join per head).  Mirrored, every fold is 0
+    and the joins match equal folds."""
+    cols = [1 << j for j in range(6)] + [0b110101]
+    s = cols[1] ^ cols[3] ^ cols[6]
+    cols.append(s ^ cols[0] ^ cols[2] ^ cols[5])
+    cols.append(s ^ cols[0] ^ cols[4] ^ cols[6] ^ cols[7])
+    n = len(cols)
+    H = FieldMatrix(GF2, cols=n, packed_rows=[sum((c >> i & 1) << j for j, c in enumerate(cols))
+                                              for i in range(6)])
+    if mirrored:
+        H = _mirrored(H)
+    syndrome = H @ FieldVector.from_support(GF2, n, (1, 3, 6), (1, 1, 1))
+    join = attacks._fold_matches
+    matched = set()
+
+    def spy(*args):
+        x, y = join(*args)
+        matched.update(zip(x.tolist(), y.tolist()))
+        return x, y
+
+    monkeypatch.setattr(attacks, "_fold_matches", spy)
+    splits = {(a, _pair_member(n, k, l)) for a, k, l in ((1, 3, 6), (3, 1, 6), (6, 1, 3))}
+    pairings = [{tuple(sorted((_pair_member(n, *p), _pair_member(n, *q)))) for p, q in tail}
+                for tail in ((((0, 2), (5, 7)), ((0, 5), (2, 7)), ((0, 7), (2, 5))),
+                             (((4, 6), (7, 8)), ((4, 7), (6, 8)), ((4, 8), (6, 7))))]
+    for b in (3, 4, 5):
+        matched.clear()
+        hits = _all_hits(H, syndrome, b)
+        assert hits == _all_hits(H, syndrome, b, reference=True)
+        supports = [support for support, _, _ in hits]
+        assert len(supports) == len(set(supports))
+        expected = [(1, 3, 6), (0, 2, 5, 7), (0, 4, 6, 7, 8)][:b - 2]
+        assert [t for t in supports if t in expected] == expected
+        assert splits <= matched
+        for weight, pairs in zip((4, 5), pairings):
+            assert pairs <= matched or weight > b
+        if b == 3:
+            assert all(x < n <= y for x, y in matched)
+
+
+def test_gf2_join_keys_fit_int64():
+    """The join packs a member as fold << shift + 1 | index, shift the bit
+    length of the largest member index, and its sort keys reach 2^(34 +
+    shift) when b = 3 sets bit 32 of the column folds.  At the largest n
+    whose b = 3 scan the pattern budget admits, two members of the largest
+    folds and indices still match, so no key wrapped negative."""
+    n = max(m for m in range(3, 4000) if attacks.pattern_count(2, m, 3) <= attacks.PATTERN_BUDGET)
+    top = n + comb(n, 2) - 1
+    shift = top.bit_length()
+    assert 34 + shift <= 63
+    members = np.array([((1 << 33) - 1) << shift + 1 | 0, ((1 << 32) - 1) << shift + 1 | top])
+    x, y = attacks._fold_matches(members, 1 << 32, shift, np.empty_like(members))
+    assert (x.tolist(), y.tolist()) == ([0], [top])
+
+
+def test_gf2_scan_hits_pinned_tall_and_deep():
+    """Hits of the GF(2) scan as found by the scan that probed a screen
+    and sorted keys of pair folds: every hit of b = 3 and the first hit of
+    b = 4 on the H~ of eight seeded bit-permuted bch:255:26 pairs (82
+    rows, so each fold XORs three 32-bit pieces; related at distance
+    0..4, one unrelated), and every hit of b = 5 on the H~ of three seeded
+    bch:127:13 pairs (related at distance 5 and 4, one unrelated)."""
+    def syndromes(m, t, seed, distances):
+        c = bch_build(m, t)
+        rng = np.random.default_rng(seed)
+        for d in distances:
+            w1 = random_vector(GF2, c.n, rng)
+            w2 = random_vector(GF2, c.n, rng) if d is None else w1 + random_weight_vector(
+                GF2, c.n, d, rng)
+            ts = [random_transform("bit-permutation", c.n, GF2, rng) for _ in range(2)]
+            f1, f2 = (apply_inverse(t_, enroll(w, c, t_, rng=rng).commitment)
+                      for w, t_ in zip((w1, w2), ts))
+            Ht = concat_cols(*(permuted_rows(c.G, t_.inverse_permutation())
+                               for t_ in ts)).reduction().left_kernel
+            yield Ht, Ht @ (f1 - f2)
+
+    b3, b4, b5 = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    for Ht, s in syndromes(8, 26, 255, [0, 1, 2, 3, 4, None, 3, 4]):
+        assert Ht.rows == 82
+        b3.update(json.dumps([(h.support, h.index) for h in scan_syndrome_hits(Ht, s, 3)]).encode())
+        b4.update(json.dumps([(h.support, h.index)
+                              for h in islice(scan_syndrome_hits(Ht, s, 4), 1)]).encode())
+    for Ht, s in syndromes(7, 13, 1275, [5, 4, None]):
+        b5.update(json.dumps([(h.support, h.index) for h in scan_syndrome_hits(Ht, s, 5)]).encode())
+    assert b3.hexdigest() == "0b3e7fea5009f978c9022eae53ee37afd282b68974c10001b7daf68964686dfc"
+    assert b4.hexdigest() == "d4123089897a93d1418396be2b5c983848a782252db76731505d76376689a9da"
+    assert b5.hexdigest() == "ddbabacc6dcb8102beef95a1c8b045f9142df93ab127896adc06b303452363aa"
 
 
 def test_multiples_scan_hits_pinned():
