@@ -36,11 +36,11 @@ q^(cols - rank) solutions; its kernel is built only when digests filter
 it.  The second candidate is read off the first: G1 m1 - G2 m2 = r - e
 gives f2 - G2 m2 = (f1 - G1 m1) - e.  :func:`attack_records` strips
 each record's transform off its commitment, one step per transform kind,
-so that its block is G with its rows permuted or not, and reads the
-reduction off the one of [G | I_n] that G keeps
-(:meth:`~fuzzylink.linalg.RowReduction.doubled`) where that is faster.
-The blocks of :func:`generalized_attack` and
-:func:`linear_decodability_attack` are reduced afresh unless equal.
+so that its block is G with its rows permuted or not, and takes the
+reduction from the one of [G | I_n] that G keeps
+(:meth:`~fuzzylink.linalg.RowReduction.doubled`).  The blocks of
+:func:`generalized_attack` and :func:`linear_decodability_attack` are
+reduced afresh unless equal.
 
 Every attack ends in one loop over the solutions of a hit.  With codeword
 digests that loop runs over the whole coset and accepts a solution only
@@ -70,11 +70,10 @@ from .linalg import (
     FieldMatrix,
     FieldVector,
     concat_cols,
-    permuted_rows,
     rank,
     word_arithmetic,
 )
-from .transforms import apply_inverse, detect_affine
+from .transforms import apply_inverse
 
 SOLUTION_ENUM_CAP = 1 << 16
 PATTERN_BUDGET = 10 ** 9
@@ -595,39 +594,13 @@ def _strip(G: FieldMatrix, fvec: FieldVector, T):
         # P^-1 (P w + G m) = w + (P^-1 G) m
         return T.inverse_permutation(), apply_inverse(T, fvec), 1, False
     if T.kind == "field-permutation":
-        f = G.field
-        ac = detect_affine(T.sigma, f)
-        if ac is None:
+        if T.affine is None:
             # sigma(w) + G m is attacked as it is
             return None, fvec, 1, True
         # (a w + c*1 + G m - c*1)/a = w + G (m/a); a bijection has a != 0
-        a, c = ac
+        f, (a, c) = G.field, T.affine
         return None, (fvec - FieldVector(f, (c,) * G.rows)).scale(f.inv(a)), a, False
     return None, fvec, 1, False
-
-
-def _attack_stripped(start, G, rec1, rec2, steps, b, hashes, reference_scan=False):
-    """The attack on records rec1, rec2 over G, begun at perf_counter()
-    time start, from their strip steps.  It stands apart from
-    :func:`attack_records` so that :func:`affine_reduction_attack` can
-    refuse a non-affine record by its step, one detect_affine per record."""
-    (map1, f1, a1, back1), (map2, f2, a2, back2) = steps
-    if G.field.q == 2 or map1 == map2:
-        red = G.reduction().doubled(map1, map2)
-    else:
-        red = concat_cols(*(G if m is None else permuted_rows(G, m)
-                            for m in (map1, map2))).reduction()
-    # only digests read the reference generators a_i G
-    refs = (G, G) if hashes is None else [G if a == 1 else G.scale(a) for a in (a1, a2)]
-    # G1 m1 = P1^-1 (G m1) is G's product gathered by the row map
-    out = _attack_core(start, red, G.cols,
-                       G.__matmul__ if map1 is None else lambda m1: (G @ m1).gathered(map1),
-                       f1, f2, b, hashes, *refs, reference_scan)
-    if out.candidates is not None and (back1 or back2):
-        c1, c2 = out.candidates
-        out = replace(out, candidates=(apply_inverse(rec1[1], c1) if back1 else c1,
-                                       apply_inverse(rec2[1], c2) if back2 else c2))
-    return out
 
 
 def attack_records(code, rec1, rec2, b: int, *, hashes=None,
@@ -647,16 +620,26 @@ def attack_records(code, rec1, rec2, b: int, *, hashes=None,
       mapped back through sigma^-1.
 
     So the candidates are always feature vectors.  The reduction of
-    [G1 | G2 | I_n] is read off the one G keeps over GF(2) and whenever the
-    row maps are equal (neither record bit-permuted, or one permutation
-    twice); over q > 2 unequal maps reduce it afresh, which measured faster
-    there (BENCH_pair_readoff.json).  ``reference_scan=True`` scans with the
-    naive walk of :func:`scan_syndrome_hits` (the oracle of the fast scan).
+    [G1 | G2 | I_n] comes from the one G keeps, by the records' row maps
+    (:meth:`~fuzzylink.linalg.RowReduction.doubled`).
+    ``reference_scan=True`` scans with the naive walk of
+    :func:`scan_syndrome_hits` (the oracle of the fast scan).
     """
     start = perf_counter()
     G = code.G if isinstance(code, LinearCode) else code
-    return _attack_stripped(start, G, rec1, rec2, [_strip(G, *rec) for rec in (rec1, rec2)],
-                            b, hashes, reference_scan)
+    (map1, f1, a1, back1), (map2, f2, a2, back2) = [_strip(G, *rec) for rec in (rec1, rec2)]
+    red = G.reduction().doubled(map1, map2)
+    # only digests read the reference generators a_i G
+    refs = (G, G) if hashes is None else [G if a == 1 else G.scale(a) for a in (a1, a2)]
+    # G1 m1 = P1^-1 (G m1) is G's product gathered by the row map
+    out = _attack_core(start, red, G.cols,
+                       G.__matmul__ if map1 is None else lambda m1: (G @ m1).gathered(map1),
+                       f1, f2, b, hashes, *refs, reference_scan)
+    if out.candidates is not None and (back1 or back2):
+        c1, c2 = out.candidates
+        out = replace(out, candidates=(apply_inverse(rec1[1], c1) if back1 else c1,
+                                       apply_inverse(rec2[1], c2) if back2 else c2))
+    return out
 
 
 def modified_decodability_attack(code, rec1, rec2, b: int, *, hashes=None,
@@ -673,16 +656,12 @@ def affine_reduction_attack(code, rec1, rec2, b: int, *, hashes=None) -> AttackO
     """:func:`attack_records` on field-permutation records whose bijections
     sigma_i = a_i*x + c_i are affine; any other record raises ValueError
     (the reduction does not apply)."""
-    start = perf_counter()
-    G = code.G if isinstance(code, LinearCode) else code
-    steps = []
-    for rec in (rec1, rec2):
-        if rec[1].kind != "field-permutation":
+    for _, T in (rec1, rec2):
+        if T.kind != "field-permutation":
             raise ValueError("affine reduction expects field-permutation records")
-        steps.append(_strip(G, *rec))
-        if steps[-1][3]:  # only a non-affine sigma maps candidates back
+        if T.affine is None:
             raise ValueError("transform bijection is not affine; reduction unavailable")
-    return _attack_stripped(start, G, rec1, rec2, steps, b, hashes)
+    return attack_records(code, rec1, rec2, b, hashes=hashes)
 
 
 def linear_decodability_attack(code, f1: FieldVector, f2: FieldVector,

@@ -49,7 +49,10 @@ rank and the left kernel read off the same pass, which each matrix keeps
 M1 and M2 are M with its rows permuted, is read off that of [M | I]
 (:meth:`RowReduction.doubled`): its echelon rows carry over, and only the
 rows of M's left kernel are reduced again, on the columns of M2; with
-M1 = M2 nothing is.  Arithmetic is exact.
+M1 = M2 nothing is, over every field.  Over q > 2, M1 != M2 reduces
+[M1 | M2 | I] afresh, which measured faster than the read-off on the
+GF(32) (20, 8) code: 176.9 against 211.5 us (BENCH_pair_readoff.json).
+Arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -921,7 +924,9 @@ class RowReduction:
         self.pivot_cols = [c for c, row in enumerate(by_col) if row]
         self._rows = [row for row in by_col if row]
         self.left_kernel = _mat(f, M.rows, left)
-        self._m_rows = M.reversed_rows()  # what doubled() multiplies by
+        # M for doubled(), without M's kept reduction: no reference cycle
+        self._M = _mat(f, n, M.packed_rows)
+        self._M._rev = M.reversed_rows()
         self._parent = None  # the reduction of [M | I] that doubled() read this one off
         self._frame = None   # the gather that takes a right-hand side to the rows' order
 
@@ -992,42 +997,50 @@ class RowReduction:
     def doubled(self, first=None, second=None) -> "RowReduction":
         """The reduction of [M1 | M2 | I], M1 and M2 the rows of M picked by
         the index maps ``first`` and ``second`` (as :func:`permuted_rows`
-        picks them; None keeps M), read off this one of [M | I].
+        picks them; None keeps M), read off this one of [M | I] over GF(2)
+        or with equal maps.  Over q > 2, unequal maps return the fresh
+        reduction of [M1 | M2] itself: on the GF(32) (20, 8) code the
+        read-off took 211.5 us against 176.9 us for it
+        (BENCH_pair_readoff.json).
 
         Put row j of [M1 | M2] at position first[j]: the rows become
         [M | Q M], with Q = second after the inverse of first, one gather
         of M's rows.  Each row (E | u) of this reduction, the left-kernel
         rows (0 | u) included, has u M = E, so (E | u Q M | u) is a row of
         [M | Q M | I]; the n products u Q M, by M's kept reversed rows,
-        come out reversed as the stored rows hold them.  Over GF(2) they
-        are one :func:`_gf2_product` whose left factor U, the u of every
-        row, depends only on M: this reduction keeps U's picks and M's
-        reversed rows as an array (``_product_operands``), so a pair pays
-        for gathering Q M's rows, their tables, one ``take`` and one XOR
-        reduce.  Over q > 2 they are one :meth:`FieldMatrix.mat_mul`.
-        The echelon rows keep their pivots in the M part, and only the
-        left-kernel rows (0 | u Q M | u) enter ``_reduce``, pivoting on
+        come out reversed as the stored rows hold them.  They are one
+        :func:`_gf2_product` whose left factor U, the u of every row,
+        depends only on M: this reduction keeps U's picks and M's reversed
+        rows as an array (``_product_operands``), so a pair pays for
+        gathering Q M's rows, their tables, one ``take`` and one XOR
+        reduce.  The echelon rows keep their pivots in the M part, and only
+        the left-kernel rows (0 | u Q M | u) enter ``_reduce``, pivoting on
         the Q M part: those that become zero, with their entries gathered
         back by ``first``, are the new left kernel, which keeps its
         transpose, both packed from the one array of gathered slots.
-        ``particular`` gathers its right-hand side the other way.  The pivot columns depend only on the row
-        space, so the rank, ``pivot_cols``, ``particular`` and
-        ``null_space`` are those of :class:`RowReduction` of [M1 | M2]
-        itself; only the left kernel's basis may differ.  Equal maps give
-        Q = I and u Q M = E: neither the product nor ``_reduce`` runs, and
-        ``particular`` is this reduction's solution padded with zeros.
-        With both maps None, ``pivot_cols`` and ``left_kernel`` are this
-        reduction's own objects."""
+        ``particular`` gathers its right-hand side the other way.  The
+        pivot columns depend only on the row space, so the rank,
+        ``pivot_cols``, ``particular`` and ``null_space`` are those of
+        :class:`RowReduction` of [M1 | M2] itself; only the left kernel's
+        basis may differ.  Equal maps give Q = I and u Q M = E, over every
+        field: neither the product nor ``_reduce`` runs, and ``particular``
+        is this reduction's solution padded with zeros.  With both maps
+        None, ``pivot_cols`` and ``left_kernel`` are this reduction's own
+        objects."""
         f, k, split = self.field, self.cols, self._split
         K = self.left_kernel
         n = K.cols
         for index in (first, second):
             if index is not None and len(index) != n:
                 raise ValueError("index map length must equal row count")
+        if f.q > 2 and first != second:
+            M = self._M
+            return RowReduction(concat_cols(*(M if m is None else permuted_rows(M, m)
+                                              for m in (first, second))))
         out = object.__new__(RowReduction)
         out.field, out.cols, out._split = f, 2 * k, 2 * split
         out._ar = word_arithmetic(f, 2 * k + n)
-        out._m_rows = out._parent = out._frame = None
+        out._M = out._parent = out._frame = None
         frame = None
         if first is not None:
             pick = np.fromiter(first, np.intp, n)
@@ -1043,15 +1056,11 @@ class RowReduction:
             order = np.arange(n) if frame is None else frame
             if second is not None:
                 order = np.fromiter(second, np.intp, n)[order]
-            if f.q == 2:
-                left, m_rows = self._product_operands
-                tails = _gf2_product(left, _gf2_tables(m_rows[order]))
-            else:
-                tails = (_mat(f, n, self._left_factor())
-                         @ _mat(f, k, [self._m_rows[j] for j in order.tolist()])).packed_rows
+            left, m_rows = self._product_operands
+            tails = _gf2_product(left, _gf2_tables(m_rows[order]))
             kept, zero = _reduce([t | h << split for t, h in zip(tails[self.rank:], K.packed_rows)],
                                  k, word_arithmetic(f, k + n), f)
-            by_col = kept[::_slot(f)][::-1]
+            by_col = kept[::-1]
             out.pivot_cols = self.pivot_cols + [k + c for c, row in enumerate(by_col) if row]
             out._rows = ([t | row << split for t, row in zip(tails, self._rows)]
                          + [(a & low) | (a >> split) << 2 * split for a in by_col if a])
@@ -1062,21 +1071,18 @@ class RowReduction:
             out.left_kernel = _from_slots(f, slots if first is None else slots[:, pick])
         return out
 
-    def _left_factor(self) -> list:
-        """The left factor U of the products u Q M that :meth:`doubled`
-        takes: the I parts of the echelon rows, then the left kernel."""
-        split = self._split
-        return [row >> split for row in self._rows] + list(self.left_kernel.packed_rows)
-
     @cached_property
     def _product_operands(self):
         """What the GF(2) product of :meth:`doubled` keeps of its operands,
         which depend only on M: the picks (:func:`_gf2_picks`) of its left
-        factor U, n x n, and M's reversed rows as an (n, width) array of u8
-        words, read-only, of which each pair gathers its right factor Q M."""
-        left = _gf2_picks(self._left_factor(), self.left_kernel.cols)
+        factor U, n x n, the I parts of the echelon rows and then the left
+        kernel, and M's reversed rows as an (n, width) array of u8 words,
+        read-only, of which each pair gathers its right factor Q M."""
+        K = self.left_kernel
+        left = _gf2_picks([row >> self._split for row in self._rows] + list(K.packed_rows),
+                          K.cols)
         left.flags.writeable = False
-        return left, _u64_rows(self._m_rows, self.cols)
+        return left, _u64_rows(self._M.reversed_rows(), self.cols)
 
 
 def rank(M: FieldMatrix) -> int:

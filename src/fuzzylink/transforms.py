@@ -26,7 +26,8 @@ VARIANTS = ("identity", "bit-permutation", "field-permutation")
 @dataclass(frozen=True)
 class TransformDescriptor:
     """Serializable public transform attached to a record.  It keeps the
-    inverse of its permutation or sigma once built."""
+    inverse of its permutation or sigma, and a field permutation the affine
+    pair (a, b) of its sigma (``affine``), once built."""
 
     kind: str
     n: int
@@ -50,6 +51,12 @@ class TransformDescriptor:
     @cached_property
     def _inverse_table(self) -> tuple:
         return _inverse(self.permutation if self.kind == "bit-permutation" else self.sigma)
+
+    @cached_property
+    def affine(self):
+        """(a, b) with sigma(x) = a*x + b (:func:`detect_affine`) for a field
+        permutation whose sigma is affine; None for any other transform."""
+        return detect_affine(self.sigma, self.field) if self.kind == "field-permutation" else None
 
     def inverse_permutation(self) -> tuple:
         return self._inverse_table

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzylink import attacks, linalg
+from fuzzylink import attacks, linalg, transforms
 from fuzzylink.attacks import (
     SOLUTION_ENUM_CAP,
     AttackOutcome,
@@ -941,11 +941,12 @@ def test_affine_reduction_rejects_non_affine(rng):
 
 
 def test_one_detect_affine_per_record(monkeypatch, rng):
-    # the affine check of affine_reduction_attack is its records' strip step
+    # each transform keeps its affine pair: the guard of
+    # affine_reduction_attack and both attacks' strip steps read it
     g32 = field(2, 5)
     c = generic_code(_random_check_matrix(g32, rng, 10, 8), 3)
     calls = []
-    monkeypatch.setattr(attacks, "detect_affine",
+    monkeypatch.setattr(transforms, "detect_affine",
                         lambda sigma, f: calls.append(sigma) or detect_affine(sigma, f))
     t1, t2 = (TransformDescriptor("field-permutation", 10, g32,
                                   sigma=tuple(g32.add(g32.mul(a, x), s) for x in range(32)))
@@ -955,7 +956,7 @@ def test_one_detect_affine_per_record(monkeypatch, rng):
     assert affine_reduction_attack(c, *recs, 1).related
     assert calls == [t1.sigma, t2.sigma]
     assert attack_records(c, *recs, 1).related
-    assert calls == [t1.sigma, t2.sigma] * 2
+    assert calls == [t1.sigma, t2.sigma]
 
 
 # ---------------------------------------------------------------------------
@@ -1010,6 +1011,34 @@ def test_core_matches_reference_bit_permuted(rng, m, t, with_hash):
         G2 = permuted_rows(c.G, t2.inverse_permutation())
         ref = _reference_core(G1, G2, apply_inverse(t1, r1.commitment),
                               apply_inverse(t2, r2.commitment), b, hashes, c.G, c.G)
+        assert _fields_but_elapsed(out) == ref
+        outcomes.add(out.related)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("f,n,k", [(GF3, 16, 4), (field(2, 5), 10, 3)], ids=["gf3", "gf32"])
+@pytest.mark.parametrize("with_hash", [False, True])
+def test_core_matches_reference_bit_permuted_generic(rng, f, n, k, with_hash):
+    # bit-permuted records over q > 2 give the pair unequal row maps, the
+    # one q > 2 case that RowReduction.doubled reduces afresh
+    while True:
+        G = FieldMatrix(f, [[int(x) for x in rng.integers(0, f.q, size=k)] for _ in range(n)])
+        try:
+            c = generic_code(G, 3)
+            break
+        except ValueError:  # rank below k
+            continue
+    outcomes = set()
+    for i in range(10):
+        b = 1 + i % 2
+        w1, w2, t1, t2, r1, r2 = _random_records(c, rng, distance=i % (b + 1) if i < 6 else None,
+                                                 with_hash=with_hash)
+        hashes = (r1.codeword_hash, r2.codeword_hash) if with_hash else None
+        out = modified_decodability_attack(c, (r1.commitment, t1), (r2.commitment, t2), b,
+                                           hashes=hashes)
+        G1, G2 = (permuted_rows(G, t.inverse_permutation()) for t in (t1, t2))
+        ref = _reference_core(G1, G2, apply_inverse(t1, r1.commitment),
+                              apply_inverse(t2, r2.commitment), b, hashes, G, G)
         assert _fields_but_elapsed(out) == ref
         outcomes.add(out.related)
     assert outcomes == {True, False}

@@ -853,6 +853,8 @@ def test_pair_readoff_matches_full_reduction(system, data):
     wide = concat_cols(*(M if p is None else permuted_rows(M, p) for p in (first, second)))
     full = RowReduction(wide)
     derived = RowReduction(M).doubled(first, second)
+    if f.q > 2 and first != second:  # reduced afresh
+        assert _reduction_fields(derived) == _reduction_fields(full)
     assert (derived.field, derived.cols, derived.rank) == (f, full.cols, full.rank)
     assert derived.pivot_cols == full.pivot_cols
     assert derived.null_space() == full.null_space()

@@ -180,18 +180,31 @@ def ref_detect_affine(sigma, f):
     return a, b
 
 
+def _kept_affine(sigma, f):
+    """The affine pair a field permutation keeps, read twice: the second
+    read returns the same object."""
+    T = TransformDescriptor("field-permutation", 3, f, sigma=tuple(sigma))
+    assert T.affine is T.affine
+    return T.affine
+
+
 @pytest.mark.parametrize("f", [GF2, field(3), GF5, field(2, 2), field(2, 5)], ids=str)
 def test_detect_affine_matches_per_element_loop(rng, f):
     """The whole-word comparison against the per-element loop on every
-    affine map and on random bijections, which are rarely affine."""
+    affine map and on random bijections, which are rarely affine; a field
+    permutation keeps the same pair (None for a non-affine sigma), and the
+    identity and a bit permutation keep None."""
     q = f.q
     for a in range(1, q):
         for b in range(q):
             sigma = [f.add(f.mul(a, x), b) for x in range(q)]
-            assert detect_affine(sigma, f) == ref_detect_affine(sigma, f) == (a, b)
+            assert (detect_affine(sigma, f) == ref_detect_affine(sigma, f)
+                    == _kept_affine(sigma, f) == (a, b))
     for _ in range(200):
         sigma = [int(x) for x in rng.permutation(q)]
-        assert detect_affine(sigma, f) == ref_detect_affine(sigma, f)
+        assert detect_affine(sigma, f) == ref_detect_affine(sigma, f) == _kept_affine(sigma, f)
+    assert identity_transform(f, 3).affine is None
+    assert TransformDescriptor("bit-permutation", 3, f, permutation=(2, 0, 1)).affine is None
 
 
 # ---------------------------------------------------------------------------
